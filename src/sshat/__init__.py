@@ -9,23 +9,8 @@ closed form and to arbitrary order, and by an independent numerical oracle
 (Runge-Kutta integration plus safeguarded root finding) used for validation.
 """
 
-from .epsseries import (
-    EpsPowerSeries,
-    ShatExpansion,
-    equation_residual_series,
-    rhs1_printed,
-    series_add,
-    series_exp,
-    series_mul,
-    series_scale,
-    solve_shat_series,
-)
-from .errors import (
-    BracketingError,
-    DegenerateRateError,
-    NumericalFailure,
-    SingularBracketError,
-)
+from .epsseries import ShatExpansion, rhs1_printed, solve_shat_series
+from .errors import BracketingError, DegenerateRateError, NumericalFailure
 from .expseries import ExpPolySeries, ExpPolyTerm, combine
 from .oracle import (
     OracleResult,
@@ -64,7 +49,6 @@ __all__ = [
     "DegenerateRateError",
     "EllExpansion",
     "Epsilon",
-    "EpsPowerSeries",
     "ExpPolySeries",
     "ExpPolyTerm",
     "InitialState",
@@ -73,7 +57,6 @@ __all__ = [
     "NumericalFailure",
     "OracleResult",
     "ShatExpansion",
-    "SingularBracketError",
     "abar_closed_s0_equals_muhat",
     "build_c0",
     "build_expansion",
@@ -82,7 +65,6 @@ __all__ = [
     "compute_oracle",
     "default_n_steps",
     "epsilon",
-    "equation_residual_series",
     "eval_ell",
     "eval_tau_lbar",
     "integrate_ell",
@@ -91,10 +73,6 @@ __all__ = [
     "next_c",
     "path_csv",
     "rhs1_printed",
-    "series_add",
-    "series_exp",
-    "series_mul",
-    "series_scale",
     "solve_shat_numeric",
     "solve_shat_series",
     "spread_path",

@@ -1,22 +1,32 @@
-"""Truncated power series in the expansion parameter and the order-by-order solve.
+"""The order-by-order solve for the effective spread constant.
 
-At a fixed maturity the defining equation for the effective spread constant
-``s_hat`` reads, after clearing denominators,
+At a fixed maturity the defining equation for ``s_hat``, divided through by
+``s_hat^2``, reads ``F(s_hat) = tau*lbar`` with the deflated left side
 
-    (tau*lbar) * s_hat^2 = (l0 s_hat - sigma2)(1 - exp(-s_hat tau)) + sigma2 s_hat tau.
+    F(s) = tau * integral_0^1 (l0 + sigma2 tau (1-u)) exp(-s tau u) du
+         = l0 tau phi1(s tau) - sigma2 tau^2 phi2(s tau).
 
-Both sides become truncated power series in eps once ``tau*lbar`` is replaced
-by its expansion ``sum_k L_k(tau) eps^k`` and ``s_hat`` by the unknown series
-``sum_n k_n eps^n``.  The zeroth order forces ``k_0 = mu_hat``; each higher
-coefficient enters its own order linearly, with a fixed eps-independent slope
+F is one fixed scalar function; eps enters only through the right-hand side
+``sum_k L_k(tau) eps^k``.  So ``s_hat(eps) = k_0 + delta(eps)`` is a series
+reversion (Brent & Kung 1978, JACM 25): with the Taylor coefficients f_j of F
+at ``k_0 = mu_hat``,
 
-    bracket = (l0 k_0 - sigma2) exp(-k_0 tau) tau + l0 (1 - exp(-k_0 tau))
-              + sigma2 tau - 2 L_0 k_0,
+    sum_j f_j delta^j = sum_k L_k eps^k.
 
-so ``k_n`` is read off by evaluating the order-n residual with ``k_n = 0`` and
-dividing by the bracket.  This generic extraction needs no hand-derived
-right-hand sides (which are error-prone beyond first order); the first-order
-closed form ``L_1 k_0^2`` is kept as an independent cross-check.
+The zeroth order holds by the closed form of L_0, and order n >= 1 is linear
+in k_n with the slope f_1:
+
+    k_n = (L_n - [sum_{j>=2} f_j delta^j]_n) / f_1.
+
+The f_j are moments of a positive weight,
+
+    f_j = tau (-tau)^j / j! * integral_0^1 u^j (l0 + sigma2 tau (1-u)) exp(-k_0 tau u) du,
+
+summed from series of positive terms, so ``f_1 < 0`` for every admissible
+parameter set and no order amplifies the rounding error of the orders below.
+The first-order closed form ``k_1 = L_1 / f_1`` is kept as an independent
+cross-check, written as in the cleared equation: ``k_1 * bracket = L_1 k_0^2``
+with ``bracket = k_0^2 f_1``.
 """
 
 from __future__ import annotations
@@ -24,161 +34,79 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalFailure, SingularBracketError
+import numpy as np
+
+from .errors import NumericalFailure
 from .params import ModelParams
 from .perturbation import EllExpansion, tau_lbar_terms
 
 __all__ = [
-    "EpsPowerSeries",
     "ShatExpansion",
-    "series_add",
-    "series_mul",
-    "series_scale",
-    "series_exp",
-    "equation_residual_series",
     "solve_shat_series",
     "rhs1_printed",
 ]
 
 
-@dataclass(frozen=True)
-class EpsPowerSeries:
-    """Coefficients a_0..a_N of a power series truncated at order N.
+def _moments(x: float, n: int) -> np.ndarray:
+    """I_j(x) = integral_0^1 u^j exp(-x u) du for j = 0..n.
 
-    All arithmetic is closed at the common truncation order; combining series
-    of different orders is an error rather than a silent truncation.
+    Every series term is positive: for x <= 0 the exponential's Maclaurin
+    series gives sum_i (-x)^i / (i! (i+j+1)); for x > 0 the incomplete-gamma
+    series gives exp(-x) j! sum_i x^i / (i+j+1)!.  Terms past i = 3|x| + 40
+    are below 1e-25 of the sum.  Overflow (|x| beyond about 700) leaves a
+    non-finite entry.
     """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a truncated power series needs at least the order-0 coefficient")
-
-    @classmethod
-    def constant(cls, value: float, order: int) -> "EpsPowerSeries":
-        return cls((float(value),) + (0.0,) * order)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> float:
-        return self.coeffs[n]
-
-    def with_coeff(self, n: int, value: float) -> "EpsPowerSeries":
-        coeffs = list(self.coeffs)
-        coeffs[n] = float(value)
-        return EpsPowerSeries(tuple(coeffs))
-
-    def __call__(self, eps: float) -> float:
-        """Evaluate the truncated polynomial at a numerical eps."""
-        total = 0.0
-        power = 1.0
-        for a in self.coeffs:
-            total += a * power
-            power *= eps
-        return total
+    i = np.arange(int(3 * abs(x)) + 40)
+    j = np.arange(n + 1)
+    if x <= 0:
+        steps = -x / np.maximum(i, 1)
+        steps[0] = 1.0
+        return np.cumprod(steps) @ (1.0 / np.add.outer(i, j + 1))
+    # Term i over term i-1 is x / (i+j+1); term 0 is 1 / (j+1).
+    steps = x / np.add.outer(i, j + 1.0)
+    steps[0] = 1.0 / (j + 1)
+    return math.exp(-x) * np.cumprod(steps, axis=0).sum(axis=0)
 
 
-def _check_orders(a: EpsPowerSeries, b: EpsPowerSeries) -> int:
-    if a.order != b.order:
-        raise ValueError(f"truncation orders differ: {a.order} vs {b.order}")
-    return a.order
+def _taylor_coefficients(k0: float, tau: float, l0: float, sigma2: float, n: int) -> np.ndarray:
+    """f_0..f_n, the Taylor coefficients of F at k0.
 
-
-def series_add(a: EpsPowerSeries, b: EpsPowerSeries) -> EpsPowerSeries:
-    _check_orders(a, b)
-    return EpsPowerSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def series_scale(a: EpsPowerSeries, factor: float) -> EpsPowerSeries:
-    return EpsPowerSeries(tuple(factor * x for x in a.coeffs))
-
-
-def series_mul(a: EpsPowerSeries, b: EpsPowerSeries) -> EpsPowerSeries:
-    """Cauchy product truncated at the common order."""
-    order = _check_orders(a, b)
-    return EpsPowerSeries(
-        tuple(
-            math.fsum(a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1))
-            for n in range(order + 1)
-        )
-    )
-
-
-def series_exp(a: EpsPowerSeries) -> EpsPowerSeries:
-    """Exponential of a truncated series.
-
-    The constant part goes through the scalar exponential exactly; the rest
-    is nilpotent at this truncation order, so exp(a) = exp(a_0) * sum_j
-    (a - a_0)^j / j! terminates after ``order`` products.
+    The weight l0 + sigma2 tau (1-u) enters as (l0 + sigma2 tau) I_j - sigma2 tau I_(j+1);
+    since I_(j+1) < I_j, that subtraction loses at most a factor
+    1 + 2 sigma2 tau / l0 of relative precision.
     """
-    try:
-        head = math.exp(a.coeffs[0])
-    except OverflowError as exc:
-        raise NumericalFailure(f"series exponential overflowed at constant {a.coeffs[0]!r}") from exc
-    rest = EpsPowerSeries((0.0,) + a.coeffs[1:])
-    result = EpsPowerSeries.constant(1.0, a.order)
-    term = EpsPowerSeries.constant(1.0, a.order)
-    factorial = 1.0
-    for j in range(1, a.order + 1):
-        term = series_mul(term, rest)
-        factorial *= j
-        result = series_add(result, series_scale(term, 1.0 / factorial))
-    return series_scale(result, head)
+    steps = np.full(n + 1, -tau) / np.maximum(np.arange(n + 1), 1)
+    steps[0] = tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = _moments(k0 * tau, n + 1)
+        weighted = (l0 + sigma2 * tau) * moments[:-1] - sigma2 * tau * moments[1:]
+        f = np.cumprod(steps) * weighted
+    if not np.all(np.isfinite(f)):
+        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * tau!r}")
+    return f
 
 
-def equation_residual_series(
-    k_series: EpsPowerSeries,
-    expansion: EllExpansion,
-    tau: float,
-    l0: float,
-    params: ModelParams,
-) -> EpsPowerSeries:
-    """Left minus right side of the cleared defining equation, as an eps-series.
+def _compose(f: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Coefficients of sum_j f_j delta^j, truncated to len(delta), by Horner.
 
-    The integral term uses the scalar values L_k(tau); the expansion must
-    carry at least as many orders as ``k_series``.
+    ``delta`` has no constant term, so f_j for j >= len(delta) cannot
+    contribute and is skipped.
     """
-    order = k_series.order
-    if expansion.order < order:
-        raise ValueError(
-            f"expansion order {expansion.order} is below the series order {order}"
-        )
-    L = EpsPowerSeries(tuple(tau_lbar_terms(expansion, tau)[: order + 1]))
-    shat_sq = series_mul(k_series, k_series)
-    lhs = series_mul(L, shat_sq)
-
-    one_minus_exp = series_scale(series_exp(series_scale(k_series, -tau)), -1.0)
-    one_minus_exp = one_minus_exp.with_coeff(0, 1.0 + one_minus_exp[0])
-    linear = series_scale(k_series, l0).with_coeff(0, l0 * k_series[0] - params.sigma2)
-    rhs = series_add(
-        series_mul(linear, one_minus_exp),
-        series_scale(k_series, params.sigma2 * tau),
-    )
-    return series_add(lhs, series_scale(rhs, -1.0))
-
-
-def solve_bracket(expansion: EllExpansion, tau: float, l0: float, params: ModelParams) -> float:
-    """The eps-independent slope multiplying each k_n in its own order."""
-    k0 = params.mu_hat
-    L0 = expansion.L[0].evaluate(tau)
-    emk = math.exp(-k0 * tau)
-    return (
-        (l0 * k0 - params.sigma2) * emk * tau
-        + l0 * (1.0 - emk)
-        + params.sigma2 * tau
-        - 2.0 * L0 * k0
-    )
+    n = len(delta)
+    out = np.zeros(n)
+    for fj in f[n - 1 :: -1]:
+        out = np.convolve(out, delta)[:n]
+        out[0] += fj
+    return out
 
 
 @dataclass(frozen=True)
 class ShatExpansion:
     """Solved coefficients k_0..k_N of the effective spread constant at one maturity.
 
-    ``residuals`` holds the absolute order-n residuals of the defining
-    equation evaluated at the returned solution, one per order.
+    ``bracket`` is ``k_0^2 F'(k_0)``, the slope that k_1 multiplies in the
+    cleared equation.  ``residuals`` holds, per order n, the absolute
+    difference between coefficient n of ``F(sum_n k_n eps^n)`` and L_n.
     """
 
     tau: float
@@ -216,35 +144,28 @@ def solve_shat_series(
     params: ModelParams,
     order: int,
 ) -> ShatExpansion:
-    """Solve the defining equation order by order up to ``order``.
+    """Solve F(s_hat(eps)) = sum_k L_k(tau) eps^k order by order up to ``order``.
 
-    k_0 equals mu_hat (the zeroth order is satisfied identically by the
-    closed form of L_0); each k_n for n >= 1 is the order-n residual at
-    k_n = 0 divided by the bracket.  A bracket below ``delta_brk`` means the
-    linearized equation is degenerate at this maturity and parameter set.
+    k_0 equals mu_hat; each k_n for n >= 1 is read off its own order with
+    the slope f_1 = F'(mu_hat), which is strictly negative for l0 > 0.
+    Raises NumericalFailure when the Taylor coefficients of F overflow.
     """
     if tau <= 0:
         raise ValueError(f"maturity must be > 0, got {tau}")
     if not 0 <= order <= expansion.order:
         raise ValueError(f"order must be in [0, {expansion.order}], got {order}")
     k0 = params.mu_hat
-    L0 = expansion.L[0].evaluate(tau)
-    bracket = solve_bracket(expansion, tau, l0, params)
-    delta_brk = 1e-12 * max(abs(l0), params.sigma2 * tau, abs(L0 * k0))
-    if abs(bracket) <= delta_brk:
-        raise SingularBracketError(
-            f"bracket {bracket!r} is within {delta_brk!r} of zero at tau={tau!r}"
-        )
-    k = EpsPowerSeries.constant(k0, order)
+    f = _taylor_coefficients(k0, tau, l0, params.sigma2, max(order, 1))
+    L = np.array(tau_lbar_terms(expansion, tau)[: order + 1])
+    delta = np.zeros(order + 1)
     for n in range(1, order + 1):
-        residual = equation_residual_series(k, expansion, tau, l0, params)
-        k = k.with_coeff(n, residual[n] / bracket)
-    final = equation_residual_series(k, expansion, tau, l0, params)
+        delta[n] = (L[n] - _compose(f, delta[: n + 1])[n]) / f[1]
+    residuals = np.abs(_compose(f, delta) - L)
     return ShatExpansion(
         tau=tau,
-        k=k.coeffs,
-        bracket=bracket,
-        residuals=tuple(abs(r) for r in final.coeffs),
+        k=(k0,) + tuple(delta[1:].tolist()),
+        bracket=k0 * k0 * float(f[1]),
+        residuals=tuple(residuals.tolist()),
     )
 
 

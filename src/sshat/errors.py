@@ -2,8 +2,8 @@
 
 Validation problems (bad parameters, degenerate rate configurations) are
 ``ValueError`` subclasses; failures of a numerical procedure at runtime
-(overflow, lost brackets, singular linearizations) derive from
-``NumericalFailure``.  The CLI maps the two families to distinct exit codes.
+(overflow, lost brackets) derive from ``NumericalFailure``.  The CLI maps
+the two families to distinct exit codes.
 """
 
 
@@ -22,7 +22,3 @@ class NumericalFailure(RuntimeError):
 
 class BracketingError(NumericalFailure):
     """No sign change could be found for a root after widening the bracket."""
-
-
-class SingularBracketError(NumericalFailure):
-    """The linear coefficient of the order-by-order solve is effectively zero."""

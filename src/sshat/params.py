@@ -57,7 +57,7 @@ class ModelParams:
 
     Construction validates positivity and the genericity condition: the
     risk-adjusted equilibrium mu_hat must be nonzero and must not coincide
-    with any integer multiple j*m (1 <= j <= N_MAX) within ``delta_gen``.
+    with any integer multiple +-j*m (1 <= j <= N_MAX) within ``delta_gen``.
     Rate collisions below that scale would make expansion-coefficient
     denominators blow up, so they are rejected up front.
     """
@@ -84,9 +84,9 @@ class ModelParams:
                 f"risk-adjusted equilibrium mu_hat={mh!r} is within {tol!r} of zero"
             )
         for j in range(1, N_MAX + 1):
-            if abs(mh - j * self.m) < tol:
+            if abs(abs(mh) - j * self.m) < tol:
                 raise DegenerateRateError(
-                    f"mu_hat={mh!r} collides with {j}*m={j * self.m!r} "
+                    f"mu_hat={mh!r} collides with {math.copysign(j, mh):+.0f}*m "
                     f"(tolerance {tol!r}); expansion denominators degenerate"
                 )
 

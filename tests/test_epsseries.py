@@ -1,125 +1,104 @@
-"""Truncated series arithmetic and the order-by-order solve for the constant."""
+"""The order-by-order solve for the constant and its building blocks."""
 
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from sshat import (
-    EpsPowerSeries,
     ExpPolySeries,
     InitialState,
+    ModelParams,
     NumericalFailure,
-    SingularBracketError,
     build_expansion,
     compute_oracle,
-    equation_residual_series,
     rhs1_printed,
-    series_add,
-    series_exp,
-    series_mul,
-    series_scale,
     solve_shat_series,
 )
-from sshat.epsseries import solve_bracket
+from sshat.epsseries import _moments, _taylor_coefficients
+from sshat.oracle import _phi1, _phi1_prime, _phi2, _phi2_prime
 from sshat.perturbation import EllExpansion
 
-from _reference import BASE_L0, BASE_TAU, TRUE_SHAT_PARTIALS
+from _reference import (
+    BASE,
+    BASE_L0,
+    BASE_TAU,
+    MOMENT_REFERENCE,
+    SHAT_K_REFERENCE,
+    TRUE_SHAT_PARTIALS,
+)
 
 from test_perturbation import _random_valid_params
 
 
-def S(*coeffs):
-    return EpsPowerSeries(tuple(float(c) for c in coeffs))
+@pytest.mark.parametrize("x", sorted(MOMENT_REFERENCE))
+def test_moments_match_mpmath(x):
+    got = _moments(x, 17)
+    for j, expected in enumerate(MOMENT_REFERENCE[x]):
+        assert got[j] == pytest.approx(expected, rel=2e-15, abs=0), f"I_{j}({x})"
 
 
-def test_mul_difference_of_squares():
-    got = series_mul(S(1, 1, 0), S(1, -1, 0))
-    assert got.coeffs == (1.0, 0.0, -1.0)
+@pytest.mark.parametrize("tau", [1.0, 10.0])
+def test_taylor_coefficients_match_oracle_phi(tau):
+    # F = l0 tau phi1 - sigma2 tau^2 phi2 and F' = tau^2 (l0 phi1' - sigma2 tau phi2'),
+    # from the oracle's closed forms; the bracket is k0^2 F'(k0).
+    l0, sigma2 = 0.1, 3e-4
+    for x in list(np.linspace(-15.0, 15.0, 16)) + [-0.1, 0.1]:
+        k0 = x / tau
+        f0, f1 = _taylor_coefficients(k0, tau, l0, sigma2, 1)
+        F = l0 * tau * _phi1(x) - sigma2 * tau * tau * _phi2(x)
+        F_prime = tau * tau * (l0 * _phi1_prime(x) - sigma2 * tau * _phi2_prime(x))
+        assert f0 == pytest.approx(F, rel=1e-13)
+        assert f1 == pytest.approx(F_prime, rel=1e-13)
+        params = ModelParams(m=0.72, mu=k0, gamma=0.0, sigma2=sigma2)
+        shat = solve_shat_series(build_expansion(params, l0, 1), tau, l0, params, 1)
+        assert shat.bracket / (k0 * k0) == pytest.approx(F_prime, rel=1e-13)
 
 
-def test_mul_by_zero_series():
-    got = series_mul(S(0, 0, 0), S(3, 2, 1))
-    assert got.coeffs == (0.0, 0.0, 0.0)
-
-
-def test_mul_hand_cauchy_product():
-    got = series_mul(S(1, 2, 3), S(4, 5, 0))
-    assert got.coeffs == (4.0, 13.0, 22.0)
-
-
-def test_add_and_scale():
-    assert series_add(S(1, 2), S(3, -2)).coeffs == (4.0, 0.0)
-    assert series_scale(S(1, 2), -0.5).coeffs == (-0.5, -1.0)
-
-
-def test_order_mismatch_raises():
-    with pytest.raises(ValueError):
-        series_add(S(1, 2), S(1, 2, 3))
-    with pytest.raises(ValueError):
-        series_mul(S(1), S(1, 2))
-
-
-def test_empty_series_rejected():
-    with pytest.raises(ValueError):
-        EpsPowerSeries(())
-
-
-def test_exp_of_constant():
-    got = series_exp(S(2.0, 0, 0))
-    assert got.coeffs == pytest.approx((math.exp(2.0), 0.0, 0.0))
-
-
-def test_exp_maclaurin():
-    got = series_exp(S(0, 1, 0, 0))
-    assert got.coeffs == pytest.approx((1.0, 1.0, 0.5, 1.0 / 6.0), rel=1e-15)
-
-
-def test_exp_overflow_raises():
+def test_exp_overflow_raises(base_params):
+    # exp(-k0 tau u) overflows for k0 tau = -1000; exp(-x) underflows under
+    # an overflowing sum for k0 tau = +1000.  Neither may pass as a number.
+    for k0 in (-1.0, 1.0):
+        with pytest.raises(NumericalFailure):
+            _taylor_coefficients(k0, 1000.0, BASE_L0, base_params.sigma2, 3)
+    params = ModelParams(**{**BASE, "mu": -1.0})
     with pytest.raises(NumericalFailure):
-        series_exp(S(1000.0, 1.0))
-
-
-def test_exp_matches_scalar_exponential():
-    # Evaluating the series-exp at a small eps agrees with exp of the
-    # evaluated polynomial; truncation error is far below 1e-12 here.
-    rng = random.Random(88)
-    eps = 1e-4
-    for _ in range(20):
-        a = S(*(rng.uniform(-1, 1) for _ in range(5)))
-        series_value = series_exp(a)(eps)
-        scalar_value = math.exp(a(eps))
-        assert series_value == pytest.approx(scalar_value, rel=1e-12)
+        solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
 
 
 def test_residual_vanishes_at_solution(base_params, base_expansion):
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
-    residual = equation_residual_series(
-        EpsPowerSeries(shat.k), base_expansion, BASE_TAU, BASE_L0, base_params
-    )
-    assert all(abs(r) < 1e-12 for r in residual.coeffs)
+    assert len(shat.residuals) == 4
     assert all(r < 1e-12 for r in shat.residuals)
 
 
 def test_order_zero_residual_at_mu_hat(base_params, base_expansion):
     # The constant series k_0 = mu_hat satisfies the equation at order zero.
-    k = EpsPowerSeries.constant(base_params.mu_hat, 0)
-    residual = equation_residual_series(k, base_expansion, BASE_TAU, BASE_L0, base_params)
-    assert abs(residual[0]) < 1e-15
+    shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 0)
+    assert shat.k == (base_params.mu_hat,)
+    assert shat.residuals[0] < 1e-15
+    full = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
+    assert shat.bracket == full.bracket
+    assert math.isfinite(shat.bracket) and shat.bracket < 0
 
 
-def test_perturbed_k1_shifts_order_one_residual_linearly(base_params, base_expansion):
-    shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
-    bumped = EpsPowerSeries(shat.k).with_coeff(1, shat.k[1] + 1e-3)
-    residual = equation_residual_series(bumped, base_expansion, BASE_TAU, BASE_L0, base_params)
-    # The order-n residual is linear in k_n with slope -bracket.
-    assert residual[1] == pytest.approx(-shat.bracket * 1e-3, abs=1e-9)
+@pytest.mark.parametrize("tau", sorted(SHAT_K_REFERENCE))
+def test_solve_matches_mpmath_coefficients(base_params, tau):
+    shat = solve_shat_series(build_expansion(base_params, BASE_L0, 16), tau, BASE_L0, base_params, 16)
+    for n, expected in enumerate(SHAT_K_REFERENCE[tau][:13]):
+        assert shat.k[n] == pytest.approx(expected, rel=1e-6, abs=0), f"k_{n}"
 
 
-def test_residual_requires_enough_expansion_orders(base_params, base_expansion):
-    with pytest.raises(ValueError):
-        equation_residual_series(S(1, 2, 3, 4, 5), base_expansion, BASE_TAU, BASE_L0, base_params)
+@pytest.mark.parametrize("tau", sorted(SHAT_K_REFERENCE))
+def test_solve_matches_mpmath_partial_sums(base_params, tau):
+    shat = solve_shat_series(build_expansion(base_params, BASE_L0, 16), tau, BASE_L0, base_params, 16)
+    k = SHAT_K_REFERENCE[tau]
+    for eps in (-0.09, 0.11):
+        for order in range(17):
+            expected = math.fsum(k[n] * eps**n for n in range(order + 1))
+            assert shat.value(eps, order=order) == pytest.approx(expected, abs=1e-13), (eps, order)
 
 
 def test_solve_reproduces_frozen_partial_sums(base_params, base_expansion):
@@ -150,26 +129,6 @@ def test_solve_validation(base_params, base_expansion):
         solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 4)
 
 
-def _fake_expansion_with_L0(base_expansion, params, L0_value: float) -> EllExpansion:
-    """Expansion whose L_0 is a constant-in-tau stand-in (white-box helper)."""
-    L = (ExpPolySeries.from_terms([(L0_value, 0, 0.0)]),) + base_expansion.L[1:]
-    return EllExpansion(order=base_expansion.order, c=base_expansion.c, L=L, params=params, l0=base_expansion.l0)
-
-
-def test_singular_bracket_raises(base_params, base_expansion):
-    # Choose L_0 so the bracket vanishes identically.
-    k0 = base_params.mu_hat
-    emk = math.exp(-k0 * BASE_TAU)
-    numerator = (
-        (BASE_L0 * k0 - base_params.sigma2) * emk * BASE_TAU
-        + BASE_L0 * (1 - emk)
-        + base_params.sigma2 * BASE_TAU
-    )
-    fake = _fake_expansion_with_L0(base_expansion, base_params, numerator / (2 * k0))
-    with pytest.raises(SingularBracketError):
-        solve_shat_series(fake, BASE_TAU, BASE_L0, base_params, 2)
-
-
 def test_zero_L1_gives_zero_k1(base_params, base_expansion):
     L = (base_expansion.L[0], ExpPolySeries.zero()) + base_expansion.L[2:]
     fake = EllExpansion(
@@ -197,7 +156,7 @@ def test_rhs1_cross_check_random_parameter_sets():
         expansion = build_expansion(params, l0, 1)
         try:
             shat = solve_shat_series(expansion, tau, l0, params, 1)
-        except SingularBracketError:
+        except NumericalFailure:
             continue
         rhs1 = rhs1_printed(expansion, tau, l0, params)
         assert shat.k[1] * shat.bracket == pytest.approx(rhs1, rel=1e-12)
@@ -253,11 +212,6 @@ def test_concurrent_solves_match_sequential(base_params, base_expansion):
             pool.map(lambda tau: solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3).k, taus)
         )
     assert concurrent == sequential
-
-
-def test_bracket_helper_matches_solver(base_params, base_expansion):
-    shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 2)
-    assert solve_bracket(base_expansion, BASE_TAU, BASE_L0, base_params) == shat.bracket
 
 
 def test_diagnostics_csv_shape(base_params, base_expansion):

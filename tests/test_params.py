@@ -9,6 +9,8 @@ from sshat import (
     Epsilon,
     InitialState,
     ModelParams,
+    N_MAX,
+    build_expansion,
     epsilon,
     load_config,
     mu_hat,
@@ -75,6 +77,21 @@ def test_genericity_accepts_just_outside_band(j):
     m = 0.72
     p = ModelParams(m=m, mu=j * m * (1 + 3e-8), gamma=0.0, sigma2=3e-4)
     assert p.mu_hat == pytest.approx(j * m, rel=1e-7)
+
+
+@pytest.mark.parametrize("mu", [-0.72 + 5e-9, -1.44 + 1e-8])
+def test_genericity_rejects_near_negative_multiples(mu):
+    # Inside the band around -j*m the expansion build would fail, so
+    # validation must reject the parameters up front.
+    with pytest.raises(DegenerateRateError):
+        ModelParams(m=0.72, mu=mu, gamma=0.0, sigma2=3e-4)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_genericity_accepts_just_outside_negative_band(j):
+    m = 0.72
+    p = ModelParams(m=m, mu=-j * m * (1 + 3e-8), gamma=0.0, sigma2=3e-4)
+    assert build_expansion(p, 0.1, N_MAX).order == N_MAX
 
 
 def test_genericity_accepts_base(base_params):
