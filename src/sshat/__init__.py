@@ -16,6 +16,7 @@ from .oracle import (
     OracleResult,
     abar_closed_s0_equals_muhat,
     compute_oracle,
+    compute_oracles,
     default_n_steps,
     integrate_ell,
     path_csv,
@@ -63,6 +64,7 @@ __all__ = [
     "coefficients_csv",
     "combine",
     "compute_oracle",
+    "compute_oracles",
     "default_n_steps",
     "epsilon",
     "eval_ell",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .epsseries import solve_shat_series
 from .errors import NumericalFailure
-from .oracle import compute_oracle, default_n_steps, integrate_ell
+from .oracle import compute_oracle, compute_oracles, default_n_steps, integrate_ell
 from .params import InitialState, ModelParams, load_config
 from .perturbation import build_expansion, tau_lbar_terms
 
@@ -376,16 +376,29 @@ def cmd_sweep(args) -> int:
         ",".join(header),
     ]
 
+    # One batched oracle run per tau over the whole (s0, l0) grid, in row
+    # order; each row's elapsed_ms under --timing is its own work plus an
+    # equal share (`shares`) of its tau's batch.
+    batches = []
+    shares = [0.0] * len(tau_grid)
+    if args.oracle:
+        states = [InitialState(s0=float(s0), l0=float(l0)) for s0 in s0_grid for l0 in l0_grid]
+        for i_tau, tau in enumerate(tau_grid):
+            started = time.perf_counter()
+            batches.append(compute_oracles(states, params, float(tau), args.steps))
+            shares[i_tau] = (time.perf_counter() - started) / len(states)
+
     # One expansion per distinct l0; one series solve per (l0, tau).
     expansions = {}
     solves = {}
+    i_state = 0
     for s0 in s0_grid:
         eps = s0 - params.mu_hat
         for l0 in l0_grid:
             key = float(l0)
             if key not in expansions:
                 expansions[key] = build_expansion(params, key, order)
-            for tau in tau_grid:
+            for i_tau, tau in enumerate(tau_grid):
                 started = time.perf_counter()
                 skey = (key, float(tau))
                 if skey not in solves:
@@ -393,12 +406,12 @@ def cmd_sweep(args) -> int:
                 value = solves[skey].value(eps)
                 row = [_g17(s0), _g17(l0), _g17(tau), _g17(value)]
                 if args.oracle:
-                    steps = args.steps if args.steps is not None else default_n_steps(float(tau))
-                    result = compute_oracle(InitialState(s0=float(s0), l0=key), params, float(tau), steps)
+                    result = batches[i_tau][i_state]
                     row += [_g17(result.s_hat), _g17(abs(value - result.s_hat))]
                 if args.timing:
-                    row.append(f"{(time.perf_counter() - started) * 1e3:.3f}")
+                    row.append(f"{(time.perf_counter() - started + shares[i_tau]) * 1e3:.3f}")
                 lines.append(",".join(row))
+            i_state += 1
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

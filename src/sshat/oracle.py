@@ -25,6 +25,7 @@ the result contract.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "abar_closed_s0_equals_muhat",
     "solve_shat_numeric",
     "compute_oracle",
+    "compute_oracles",
 ]
 
 # Absolute tolerance on the cleared-equation residual at the returned root.
@@ -68,6 +70,61 @@ def default_n_steps(tau: float) -> int:
     return max(1000, math.ceil(1000 * tau))
 
 
+def _rk4(eps, ell, params: ModelParams, tau: float, n_steps: int, path: list | None = None):
+    """Classical RK4 for l and its running integral A over [0, tau].
+
+    ``eps = s0 - mu_hat`` and ``ell = l0`` are floats for one state, or 1-D
+    float64 arrays for a batch of states that share ``tau`` and ``n_steps``.
+    The loop applies only ``+``, ``-`` and ``*`` to the state, with the decay
+    factor ``math.exp(-m t)`` a scalar shared by the batch, so each row of a
+    batch is bitwise equal to the same state integrated as a float.  When
+    ``path`` is a list, l after every step is appended to it (floats only).
+
+    Returns A(tau); raises NumericalFailure if any state ends non-finite.
+    """
+    if tau <= 0:
+        raise ValueError(f"maturity must be > 0, got {tau}")
+    if n_steps < 16:
+        raise ValueError(f"n_steps must be >= 16, got {n_steps}")
+    mh = params.mu_hat
+    m = params.m
+    sigma2 = params.sigma2
+    h = tau / n_steps
+    half = 0.5 * h
+    sixth = h / 6.0
+    acc = 0.0
+    # A blown-up batch row overflows to inf/nan without warning; the
+    # finiteness check below reports it.  acc and ell are rebound, never
+    # updated in place, so a caller's arrays are left as they were.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            t = i * h
+            # Stage values: the running-integral component has derivative
+            # l(t), so its stage slopes are the stage values of l itself.
+            # Stages 2 and 3 share the spread at the midpoint.
+            s_mid = mh + eps * math.exp(-m * (t + half))
+            k1 = sigma2 - (mh + eps * math.exp(-m * t)) * ell
+            s2 = ell + half * k1
+            k2 = sigma2 - s_mid * s2
+            s3 = ell + half * k2
+            k3 = sigma2 - s_mid * s3
+            s4 = ell + h * k3
+            k4 = sigma2 - (mh + eps * math.exp(-m * (t + h))) * s4
+            acc = acc + sixth * (ell + 2.0 * s2 + 2.0 * s3 + s4)
+            ell = ell + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if path is not None:
+                path.append(ell)
+    bad = np.flatnonzero(~(np.isfinite(ell) & np.isfinite(acc)))
+    if bad.size:
+        first = bad[0]
+        where = f" in state {first} of the batch" if np.ndim(ell) else ""
+        raise NumericalFailure(
+            f"integration produced a non-finite state{where} "
+            f"(l={float(np.ravel(ell)[first])!r}, integral={float(np.ravel(acc)[first])!r})"
+        )
+    return acc
+
+
 def integrate_ell(
     state: InitialState,
     params: ModelParams,
@@ -80,43 +137,12 @@ def integrate_ell(
     (n_steps + 1, 2) with columns (t, l(t)), and ``tau_lbar`` is A(tau),
     the integral of l over [0, tau].
     """
-    if tau <= 0:
-        raise ValueError(f"maturity must be > 0, got {tau}")
-    if n_steps < 16:
-        raise ValueError(f"n_steps must be >= 16, got {n_steps}")
-    mh = params.mu_hat
-    m = params.m
-    sigma2 = params.sigma2
-    eps = state.s0 - mh
-
-    def ell_rate(t, ell):
-        s = mh + eps * math.exp(-m * t)
-        return sigma2 - s * ell
-
+    ells = [state.l0]
+    tau_lbar = _rk4(state.s0 - params.mu_hat, state.l0, params, tau, n_steps, ells)
     path = np.empty((n_steps + 1, 2))
-    path[0] = (0.0, state.l0)
-    h = tau / n_steps
-    ell = state.l0
-    acc = 0.0
-    for i in range(n_steps):
-        t = i * h
-        # Stage values: the running-integral component has derivative l(t),
-        # so its stage slopes are the stage values of l itself.
-        k1 = ell_rate(t, ell)
-        s2 = ell + 0.5 * h * k1
-        k2 = ell_rate(t + 0.5 * h, s2)
-        s3 = ell + 0.5 * h * k2
-        k3 = ell_rate(t + 0.5 * h, s3)
-        s4 = ell + h * k3
-        k4 = ell_rate(t + h, s4)
-        acc += h / 6.0 * (ell + 2.0 * s2 + 2.0 * s3 + s4)
-        ell += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[i + 1] = ((i + 1) * h, ell)
-    if not (math.isfinite(ell) and math.isfinite(acc)):
-        raise NumericalFailure(
-            f"integration produced a non-finite state (l={ell!r}, integral={acc!r})"
-        )
-    return path, acc
+    path[:, 0] = np.arange(n_steps + 1) * (tau / n_steps)
+    path[:, 1] = ells
+    return path, tau_lbar
 
 
 def path_csv(path: np.ndarray) -> str:
@@ -294,6 +320,28 @@ def compute_oracle(
 ) -> OracleResult:
     """Full pipeline: integrate the system, then solve for the constant."""
     steps = default_n_steps(tau) if n_steps is None else n_steps
-    _, tau_lbar = integrate_ell(state, params, tau, steps)
     eps = state.s0 - params.mu_hat
+    tau_lbar = _rk4(eps, state.l0, params, tau, steps)
     return solve_shat_numeric(tau_lbar, state.l0, params, tau, eps_hint=eps, n_steps=steps)
+
+
+def compute_oracles(
+    states: Sequence[InitialState],
+    params: ModelParams,
+    tau: float,
+    n_steps: int | None = None,
+) -> list[OracleResult]:
+    """``compute_oracle`` for many states at one maturity, integrated as a batch.
+
+    One RK4 loop runs over arrays of all states; each result is bitwise equal
+    to ``compute_oracle`` of that state.  Raises NumericalFailure if any
+    state's integration blows up.
+    """
+    steps = default_n_steps(tau) if n_steps is None else n_steps
+    eps = [state.s0 - params.mu_hat for state in states]
+    l0 = [state.l0 for state in states]
+    tau_lbar = _rk4(np.array(eps, dtype=float), np.array(l0, dtype=float), params, tau, steps)
+    return [
+        solve_shat_numeric(tl, state.l0, params, tau, eps_hint=e, n_steps=steps)
+        for state, e, tl in zip(states, eps, tau_lbar.tolist())
+    ]

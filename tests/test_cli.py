@@ -3,7 +3,8 @@
 
 import pytest
 
-from sshat.cli import main
+from sshat import InitialState, compute_oracle
+from sshat.cli import BASE_PARAMS, main
 
 from _reference import BASE_L0, TRUE_SHAT
 
@@ -217,6 +218,50 @@ def test_sweep_with_oracle_small_grid(capsys):
     assert lines[2] == "s0,l0,tau,shat_order3,oracle_s_hat,abs_diff"
     for line in lines[3:]:
         assert float(line.split(",")[5]) < 1e-4
+
+
+ORACLE_SWEEP = (
+    "sweep",
+    "--s0-grid=-0.05:0.05:3",
+    "--l0-grid=0.05:0.15:2",
+    "--tau-grid=1:4:2",
+    "--oracle",
+)
+
+
+def test_sweep_oracle_columns_equal_compute_oracle(capsys):
+    rc, out, _ = run(capsys, *ORACLE_SWEEP)
+    assert rc == 0
+    rows = out.strip().split("\n")[3:]
+    assert len(rows) == 12
+    for line in rows:
+        s0, l0, tau, value, oracle_s_hat, abs_diff = line.split(",")
+        oracle = compute_oracle(InitialState(s0=float(s0), l0=float(l0)), BASE_PARAMS, float(tau))
+        assert oracle_s_hat == f"{oracle.s_hat:.17g}"
+        assert abs_diff == f"{abs(float(value) - oracle.s_hat):.17g}"
+
+
+def test_sweep_timing_column(capsys):
+    rc, plain, _ = run(capsys, *ORACLE_SWEEP)
+    rc2, timed, _ = run(capsys, *ORACLE_SWEEP, "--timing")
+    assert rc == rc2 == 0
+    plain_lines = plain.strip().split("\n")
+    timed_lines = timed.strip().split("\n")
+    assert timed_lines[:2] == plain_lines[:2]
+    assert timed_lines[2] == plain_lines[2] + ",elapsed_ms"
+    assert len(timed_lines) == len(plain_lines)
+    for timed_row, plain_row in zip(timed_lines[3:], plain_lines[3:]):
+        head, elapsed = timed_row.rsplit(",", 1)
+        assert head == plain_row
+        assert float(elapsed) >= 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_oracle_numerical_failure_exit_code(capsys):
+    rc, out, err = run(capsys, "sweep", "--s0-grid=-50000:0.05:3", "--l0-grid=0.1:0.1:1", "--oracle")
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_sweep_grid_too_large(capsys):

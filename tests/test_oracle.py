@@ -12,6 +12,7 @@ from sshat import (
     abar_closed_s0_equals_muhat,
     build_expansion,
     compute_oracle,
+    compute_oracles,
     default_n_steps,
     integrate_ell,
     solve_shat_numeric,
@@ -76,10 +77,71 @@ def test_integrate_path_shape_and_grid(base_params):
     assert all(path[i + 1, 0] > path[i, 0] for i in range(64))
 
 
+def _scalar_rk4_reference(state, params, tau, n_steps):
+    """The per-state RK4 loop written out directly, as (path rows, A(tau))."""
+    mh, m, sigma2 = params.mu_hat, params.m, params.sigma2
+    eps = state.s0 - mh
+
+    def ell_rate(t, ell):
+        return sigma2 - (mh + eps * math.exp(-m * t)) * ell
+
+    h = tau / n_steps
+    ell, acc = state.l0, 0.0
+    rows = [(0.0, ell)]
+    for i in range(n_steps):
+        t = i * h
+        k1 = ell_rate(t, ell)
+        s2 = ell + 0.5 * h * k1
+        k2 = ell_rate(t + 0.5 * h, s2)
+        s3 = ell + 0.5 * h * k2
+        k3 = ell_rate(t + 0.5 * h, s3)
+        s4 = ell + h * k3
+        k4 = ell_rate(t + h, s4)
+        acc += h / 6.0 * (ell + 2.0 * s2 + 2.0 * s3 + s4)
+        ell += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows.append(((i + 1) * h, ell))
+    return rows, acc
+
+
+@pytest.mark.parametrize("tau, n_steps", [(1.0, 1000), (7.5, 333)])
+def test_integrators_bitwise_equal_scalar_reference(base_params, tau, n_steps):
+    # The shared loop must keep the reference's operations and their order:
+    # the path, A(tau) and every batch row agree bit for bit.
+    states = [InitialState(s0=s0, l0=l0) for s0 in (-0.05, base_params.mu_hat, 0.05) for l0 in (0.01, 0.2)]
+    batch = compute_oracles(states, base_params, tau, n_steps)
+    for state, batched in zip(states, batch):
+        rows, acc = _scalar_rk4_reference(state, base_params, tau, n_steps)
+        path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
+        assert tau_lbar == acc
+        assert path.tolist() == [list(row) for row in rows]
+        assert compute_oracle(state, base_params, tau, n_steps).tau_lbar == acc
+        assert batched.tau_lbar == acc
+
+
+@pytest.mark.filterwarnings("error")
 def test_integrate_overflow_raises(base_params):
+    # Raised as NumericalFailure, with no overflow RuntimeWarning on the way,
+    # for one state and for a batch in which only one state blows up.
     state = InitialState(s0=-50000.0, l0=BASE_L0)
     with pytest.raises(NumericalFailure):
         integrate_ell(state, base_params, 1.0, 1000)
+    with pytest.raises(NumericalFailure):
+        compute_oracle(state, base_params, 1.0)
+    batch = [InitialState(s0=-0.05, l0=BASE_L0), state, InitialState(s0=0.05, l0=BASE_L0)]
+    with pytest.raises(NumericalFailure, match="state 1 of the batch"):
+        compute_oracles(batch, base_params, 1.0)
+
+
+@pytest.mark.parametrize("tau", [1.0, 7.5])
+def test_batched_oracle_equals_single_states(base_params, tau):
+    # Every batch row must be bitwise equal to the state integrated alone.
+    s0_values = [-0.06, -0.02, base_params.mu_hat, 0.01, 0.05]
+    l0_values = [0.005, 0.05, 0.1, 0.2]
+    states = [InitialState(s0=s0, l0=l0) for s0 in s0_values for l0 in l0_values]
+    batch = compute_oracles(states, base_params, tau)
+    assert len(batch) == len(states)
+    for state, result in zip(states, batch):
+        assert result == compute_oracle(state, base_params, tau)
 
 
 @pytest.mark.parametrize("s0", TABLE_S0)
