@@ -19,6 +19,8 @@ output uses 17 significant digits, comma separators, LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -118,7 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--l0-grid", default="0.005:0.2:10", metavar="LO:HI:N")
     p_sweep.add_argument("--tau-grid", default="1:1:1", metavar="LO:HI:N")
     p_sweep.add_argument("--oracle", action="store_true", help="add the numerical root and absolute difference per row")
-    p_sweep.add_argument("--timing", action="store_true", help="add a per-row elapsed-ms column (not byte-deterministic)")
+    p_sweep.add_argument(
+        "--timing",
+        action="store_true",
+        help="add an elapsed_ms column: per row, an equal share of the series work (builds, solves, "
+        "evaluation) plus an equal share of its tau's oracle batch (not byte-deterministic)",
+    )
     return parser
 
 
@@ -153,12 +160,16 @@ def _resolve_config(args) -> RunConfig:
     )
 
 
-def _emit(text: str, out: str | None):
+def _output(out: str | None):
+    """The stream for a command's output: stdout, or the file at ``out``."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="\n")
+
+
+def _emit(text: str, out: str | None):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _f7(x: float) -> str:
@@ -340,6 +351,8 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"{name} must look like LO:HI:N, got {spec!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name}: LO and HI must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"{name}: N must be >= 1, got {count}")
     if count == 1:
@@ -365,54 +378,60 @@ def cmd_sweep(args) -> int:
     if np.any(tau_grid <= 0):
         raise ValueError("tau grid must be strictly positive")
 
+    # All numerical work is done before the first output byte, into arrays
+    # indexed [s0, l0, tau]: entry [i_s0] is one block of rows in row order.
+    shape = (len(s0_grid), len(l0_grid), len(tau_grid))
+    shares = np.zeros(len(tau_grid))  # per row, an equal share of its tau's oracle batch
+    if args.oracle:
+        oracle = np.empty(shape)
+        states = [InitialState(s0=s0, l0=l0) for s0 in s0_grid.tolist() for l0 in l0_grid.tolist()]
+        for i_tau, tau in enumerate(tau_grid.tolist()):
+            started = time.perf_counter()
+            batch = compute_oracles(states, params, tau, args.steps)
+            shares[i_tau] = (time.perf_counter() - started) / len(states)
+            oracle[:, :, i_tau] = np.reshape([result.s_hat for result in batch], shape[:2])
+
+    # One expansion per distinct l0; one series solve and one evaluation over
+    # the whole s0 grid per distinct (l0, tau).
+    started = time.perf_counter()
+    eps = s0_grid - params.mu_hat
+    values = np.empty(shape)
+    expansions = {}
+    evaluated = {}
+    for i_l0, l0 in enumerate(l0_grid.tolist()):
+        for i_tau, tau in enumerate(tau_grid.tolist()):
+            if (l0, tau) not in evaluated:
+                if l0 not in expansions:
+                    expansions[l0] = build_expansion(params, l0, order)
+                evaluated[l0, tau] = solve_shat_series(expansions[l0], tau, l0, params, order).value(eps)
+            values[:, i_l0, i_tau] = evaluated[l0, tau]
+    series_share = (time.perf_counter() - started) / total
+
     header = ["s0", "l0", "tau", f"shat_order{order}"]
+    columns = [values]
     if args.oracle:
         header += ["oracle_s_hat", "abs_diff"]
+        columns += [oracle, np.abs(values - oracle)]
+    # The l0, tau and elapsed_ms columns are the same in every s0 block.
+    tau_text = [_g17(tau) for tau in tau_grid.tolist()]
+    l0_tau_text = [f"{_g17(l0)},{tau}" for l0 in l0_grid.tolist() for tau in tau_text]
     if args.timing:
         header.append("elapsed_ms")
-    lines = [
-        f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}",
-        "# rows ordered by grid index (s0 outer, l0 middle, tau inner)",
-        ",".join(header),
-    ]
-
-    # One batched oracle run per tau over the whole (s0, l0) grid, in row
-    # order; each row's elapsed_ms under --timing is its own work plus an
-    # equal share (`shares`) of its tau's batch.
-    batches = []
-    shares = [0.0] * len(tau_grid)
-    if args.oracle:
-        states = [InitialState(s0=float(s0), l0=float(l0)) for s0 in s0_grid for l0 in l0_grid]
-        for i_tau, tau in enumerate(tau_grid):
-            started = time.perf_counter()
-            batches.append(compute_oracles(states, params, float(tau), args.steps))
-            shares[i_tau] = (time.perf_counter() - started) / len(states)
-
-    # One expansion per distinct l0; one series solve per (l0, tau).
-    expansions = {}
-    solves = {}
-    i_state = 0
-    for s0 in s0_grid:
-        eps = s0 - params.mu_hat
-        for l0 in l0_grid:
-            key = float(l0)
-            if key not in expansions:
-                expansions[key] = build_expansion(params, key, order)
-            for i_tau, tau in enumerate(tau_grid):
-                started = time.perf_counter()
-                skey = (key, float(tau))
-                if skey not in solves:
-                    solves[skey] = solve_shat_series(expansions[key], float(tau), key, params, order)
-                value = solves[skey].value(eps)
-                row = [_g17(s0), _g17(l0), _g17(tau), _g17(value)]
-                if args.oracle:
-                    result = batches[i_tau][i_state]
-                    row += [_g17(result.s_hat), _g17(abs(value - result.s_hat))]
-                if args.timing:
-                    row.append(f"{(time.perf_counter() - started + shares[i_tau]) * 1e3:.3f}")
-                lines.append(",".join(row))
-            i_state += 1
-    _emit("\n".join(lines) + "\n", args.out)
+        elapsed_text = [f"{(series_share + share) * 1e3:.3f}" for share in shares.tolist()] * len(l0_grid)
+    g17 = "{:.17g}".format  # _g17 without a Python call per value
+    with _output(args.out) as fh:
+        fh.write(
+            f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
+            "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
+            f"{','.join(header)}\n"
+        )
+        for i_s0, s0 in enumerate(s0_grid.tolist()):
+            prefix = _g17(s0) + ","
+            fields = [[prefix + text for text in l0_tau_text]]
+            fields += [map(g17, column[i_s0].ravel().tolist()) for column in columns]
+            if args.timing:
+                fields.append(elapsed_text)
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
 

@@ -118,13 +118,18 @@ class ShatExpansion:
     def order(self) -> int:
         return len(self.k) - 1
 
-    def value(self, eps: float, order: int | None = None) -> float:
-        """Partial sum k_0 + k_1 eps + ... up to ``order`` (default: all)."""
+    def value(self, eps, order: int | None = None):
+        """Partial sum k_0 + k_1 eps + ... up to ``order`` (default: all).
+
+        ``eps`` is a float or an ndarray of them; an ndarray gives an ndarray
+        of its shape.  The sum runs in increasing powers, so each element has
+        the bits of the float call at that element.
+        """
         upto = self.order if order is None else order
         if not 0 <= upto <= self.order:
             raise ValueError(f"order must be in [0, {self.order}], got {order}")
         total = 0.0
-        power = 1.0
+        power = np.ones_like(eps, dtype=float) if isinstance(eps, np.ndarray) else 1.0
         for n in range(upto + 1):
             total += self.k[n] * power
             power *= eps

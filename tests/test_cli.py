@@ -1,9 +1,10 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
 
+import numpy as np
 import pytest
 
-from sshat import InitialState, compute_oracle
+from sshat import InitialState, build_expansion, compute_oracle, solve_shat_series
 from sshat.cli import BASE_PARAMS, main
 
 from _reference import BASE_L0, TRUE_SHAT
@@ -256,6 +257,80 @@ def test_sweep_timing_column(capsys):
         assert float(elapsed) >= 0.0
 
 
+def test_sweep_timing_column_without_oracle(capsys):
+    args = ("sweep", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.05:0.15:2", "--tau-grid=1:4:2")
+    rc, plain, _ = run(capsys, *args)
+    rc2, timed, _ = run(capsys, *args, "--timing")
+    assert rc == rc2 == 0
+    plain_lines = plain.strip().split("\n")
+    timed_lines = timed.strip().split("\n")
+    assert timed_lines[:2] == plain_lines[:2]
+    assert timed_lines[2] == plain_lines[2] + ",elapsed_ms"
+    assert len(timed_lines) == len(plain_lines) == 3 + 12
+    for timed_row, plain_row in zip(timed_lines[3:], plain_lines[3:]):
+        head, elapsed = timed_row.rsplit(",", 1)
+        assert head == plain_row
+        assert float(elapsed) >= 0.0
+
+
+def _reference_sweep(order, s0_spec, l0_spec, tau_spec, oracle):
+    """The sweep CSV built row by row: a scalar value() per row, %.17g, one join."""
+
+    def grid(spec):
+        lo, hi, count = spec.split(":")
+        return np.linspace(float(lo), float(hi), int(count)).tolist()
+
+    header = ["s0", "l0", "tau", f"shat_order{order}"] + (["oracle_s_hat", "abs_diff"] if oracle else [])
+    lines = [
+        f"# s0_grid={s0_spec} l0_grid={l0_spec} tau_grid={tau_spec} order={order}",
+        "# rows ordered by grid index (s0 outer, l0 middle, tau inner)",
+        ",".join(header),
+    ]
+    for s0 in grid(s0_spec):
+        for l0 in grid(l0_spec):
+            expansion = build_expansion(BASE_PARAMS, l0, order)
+            for tau in grid(tau_spec):
+                value = solve_shat_series(expansion, tau, l0, BASE_PARAMS, order).value(s0 - BASE_PARAMS.mu_hat)
+                row = [s0, l0, tau, value]
+                if oracle:
+                    s_hat = compute_oracle(InitialState(s0=s0, l0=l0), BASE_PARAMS, tau).s_hat
+                    row += [s_hat, abs(value - s_hat)]
+                lines.append(",".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
+@pytest.mark.parametrize("order", [0, 3, 8])
+def test_sweep_bytes_equal_row_by_row_reference(tmp_path, capsys, order, oracle, to_file):
+    specs = ("-0.06:0.05:4", "0.02:0.2:3", "0.5:4:3")
+    argv = ["sweep", "--order", str(order), f"--s0-grid={specs[0]}", f"--l0-grid={specs[1]}", f"--tau-grid={specs[2]}"]
+    argv += ["--oracle"] if oracle else []
+    target = tmp_path / "sweep.csv"
+    argv += ["--out", str(target)] if to_file else []
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    if to_file:
+        assert out == ""
+        out = target.read_bytes().decode("utf-8")
+    assert out == _reference_sweep(order, *specs, oracle)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_series_failure_writes_nothing(tmp_path, capsys):
+    # The second maturity overflows the Taylor coefficients of F; the rows of
+    # the first one must not reach stdout or the --out file.
+    rc, out, err = run(capsys, "sweep", "--tau-grid=1:100000:2")
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err
+    target = tmp_path / "sweep.csv"
+    rc, out, _ = run(capsys, "sweep", "--tau-grid=1:100000:2", "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert not target.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_sweep_oracle_numerical_failure_exit_code(capsys):
     rc, out, err = run(capsys, "sweep", "--s0-grid=-50000:0.05:3", "--l0-grid=0.1:0.1:1", "--oracle")
@@ -274,6 +349,15 @@ def test_sweep_rejects_bad_grids(capsys):
     assert run(capsys, "sweep", "--s0-grid", "nope")[0] == 1
     assert run(capsys, "sweep", "--l0-grid", "0:0.2:5")[0] == 1
     assert run(capsys, "sweep", "--tau-grid", "0:1:2")[0] == 1
+
+
+@pytest.mark.parametrize("grid", ["--s0-grid=nan:nan:1", "--s0-grid=inf:inf:1", "--tau-grid=nan:nan:1"])
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["series", "oracle"])
+def test_sweep_rejects_non_finite_grid_ends(capsys, grid, oracle):
+    rc, out, err = run(capsys, "sweep", grid, *oracle)
+    assert rc == 1
+    assert out == ""
+    assert grid.split("=")[0] in err and "finite" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

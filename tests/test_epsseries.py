@@ -122,6 +122,28 @@ def test_fixed_point_at_zero_eps(base_params, base_expansion):
         assert shat.value(0.0) == base_params.mu_hat
 
 
+def test_value_on_array_equals_scalar_calls(base_params):
+    expansion = build_expansion(base_params, BASE_L0, 8)
+    shat = solve_shat_series(expansion, 2.5, BASE_L0, base_params, 8)
+    eps = np.array([-0.09, -0.04, -1e-9, 0.0, 1e-9, 0.013, 0.06, 0.11])
+    for order in (None, *range(9)):
+        got = shat.value(eps, order=order)
+        assert isinstance(got, np.ndarray) and got.shape == eps.shape
+        expected = [shat.value(float(e), order=order) for e in eps]
+        assert all(g == e for g, e in zip(got.tolist(), expected)), order
+    # The sum runs in increasing powers (not Horner), which fixes the bits
+    # of every CSV value.
+    for e in eps.tolist():
+        total, power = 0.0, 1.0
+        for kn in shat.k:
+            total += kn * power
+            power *= e
+        assert shat.value(e) == total
+    grid = eps.reshape(2, 4)
+    assert np.array_equal(shat.value(grid, order=0), np.full((2, 4), base_params.mu_hat))
+    assert shat.value(grid).tolist() == [[shat.value(float(e)) for e in row] for row in grid]
+
+
 def test_solve_validation(base_params, base_expansion):
     with pytest.raises(ValueError):
         solve_shat_series(base_expansion, 0.0, BASE_L0, base_params, 3)
