@@ -19,29 +19,10 @@ from .oracle import (
     compute_oracles,
     default_n_steps,
     integrate_ell,
-    path_csv,
     solve_shat_numeric,
 )
-from .params import (
-    Epsilon,
-    InitialState,
-    ModelParams,
-    N_MAX,
-    epsilon,
-    load_config,
-    mu_hat,
-    spread_path,
-)
-from .perturbation import (
-    EllExpansion,
-    build_c0,
-    build_expansion,
-    coefficients_csv,
-    eval_ell,
-    eval_tau_lbar,
-    next_c,
-    tau_lbar_terms,
-)
+from .params import InitialState, ModelParams, N_MAX, load_config
+from .perturbation import EllExpansion, build_expansion, tau_lbar_terms
 
 __version__ = "0.1.0"
 
@@ -49,7 +30,6 @@ __all__ = [
     "BracketingError",
     "DegenerateRateError",
     "EllExpansion",
-    "Epsilon",
     "ExpPolySeries",
     "ExpPolyTerm",
     "InitialState",
@@ -59,24 +39,15 @@ __all__ = [
     "OracleResult",
     "ShatExpansion",
     "abar_closed_s0_equals_muhat",
-    "build_c0",
     "build_expansion",
-    "coefficients_csv",
     "combine",
     "compute_oracle",
     "compute_oracles",
     "default_n_steps",
-    "epsilon",
-    "eval_ell",
-    "eval_tau_lbar",
     "integrate_ell",
     "load_config",
-    "mu_hat",
-    "next_c",
-    "path_csv",
     "rhs1_printed",
     "solve_shat_numeric",
     "solve_shat_series",
-    "spread_path",
     "tau_lbar_terms",
 ]

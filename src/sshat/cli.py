@@ -11,9 +11,10 @@ Subcommands:
             reference values
     sweep   CSV over a (s0, l0, tau) grid, optionally with the oracle
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 reference
-mismatch under --check.  Table output prints values at 7 decimal places; CSV
-output uses 17 significant digits, comma separators, LF line endings.
+Exit codes: 0 success, 1 validation error or an --out path that cannot be
+opened, 2 numerical failure, 3 reference mismatch under --check.  Table
+output prints values at 7 decimal places; CSV output uses 17 significant
+digits, comma separators, LF line endings.
 """
 
 from __future__ import annotations
@@ -83,15 +84,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--params", metavar="FILE", help="key-value config file (keys: m, mu, gamma, sigma2, lambda, s0, l0)")
-    parser.add_argument("--s0", type=float, help="initial spread")
-    parser.add_argument("--l0", type=float, help="initial consol rate")
-    parser.add_argument("--tau", type=float, help="maturity in years")
-    parser.add_argument("--order", type=int, help="expansion truncation order")
-    parser.add_argument("--steps", type=int, help="integrator step count")
-    parser.add_argument("--format", choices=("table", "csv"), default="table", dest="fmt")
-    parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+_OPTIONS = {
+    "params": dict(metavar="FILE", help="key-value config file (keys: m, mu, gamma, sigma2, lambda, s0, l0)"),
+    "s0": dict(type=float, help="initial spread"),
+    "l0": dict(type=float, help="initial consol rate"),
+    "tau": dict(type=float, help="maturity in years"),
+    "order": dict(type=int, help="expansion truncation order"),
+    "steps": dict(type=int, help="integrator step count"),
+    "format": dict(choices=("table", "csv"), default="table", dest="fmt"),
+    "out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, names: str):
+    """Add the shared options named in ``names`` (space-separated) to ``parser``."""
+    for name in names.split():
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,23 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_shat = sub.add_parser("shat", help="effective spread constant, per order, with the numerical root")
-    _add_common(p_shat)
+    _add_options(p_shat, "params s0 l0 tau order steps format out")
     p_abar = sub.add_parser("abar", help="integral term tau*lbar, per order, with the numerical value")
-    _add_common(p_abar)
+    _add_options(p_abar, "params s0 l0 tau order steps format out")
 
     p_path = sub.add_parser("path", help="CSV of the consol-rate path: RK4 next to each expansion order")
-    _add_common(p_path)
+    _add_options(p_path, "params s0 l0 tau order steps out")
     p_path.add_argument("--samples", type=int, default=101, help="grid points over [0, tau] (>= 2)")
 
     p_tables = sub.add_parser("tables", help="reference tables for the three standard initial spreads")
-    _add_common(p_tables)
+    _add_options(p_tables, "params l0 tau steps format out")
     p_tables.add_argument("--check", action="store_true", help="compare against embedded reference values; exit 3 on mismatch")
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a (s0, l0, tau) grid")
-    p_sweep.add_argument("--params", metavar="FILE")
-    p_sweep.add_argument("--order", type=int)
-    p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--out", metavar="PATH")
+    _add_options(p_sweep, "params order steps out")
     p_sweep.add_argument("--s0-grid", default="-0.05:0.05:10", metavar="LO:HI:N")
     p_sweep.add_argument("--l0-grid", default="0.005:0.2:10", metavar="LO:HI:N")
     p_sweep.add_argument("--tau-grid", default="1:1:1", metavar="LO:HI:N")
@@ -180,29 +185,40 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _partial_sums(terms, eps) -> list[float]:
+    """Partial sums of sum_n terms[n] eps^n, in increasing powers as ShatExpansion.value sums them."""
+    sums = []
+    total = 0.0
+    power = 1.0
+    for term in terms:
+        total += term * power
+        power *= eps
+        sums.append(total)
+    return sums
+
+
+def _report(cfg: RunConfig, label: str, name: str, terms, oracle: float) -> str:
+    """Per-order ``terms``, their partial sums and the distance of each from ``oracle``."""
+    eps = cfg.state.s0 - cfg.params.mu_hat
+    rows = list(enumerate(zip(terms, _partial_sums(terms, eps))))
+    if cfg.fmt == "csv":
+        lines = [f"n,{label},partial_sum,oracle_{name},abs_diff"]
+        for n, (term, partial) in rows:
+            lines.append(f"{n},{_g17(term)},{_g17(partial)},{_g17(oracle)},{_g17(abs(partial - oracle))}")
+    else:
+        lines = [f"eps = {_f7(eps)}", f"n  {label:<12}partial_sum  |diff_oracle|"]
+        for n, (term, partial) in rows:
+            lines.append(f"{n}  {_f7(term):>10}  {_f7(partial):>10}  {_f7(abs(partial - oracle))}")
+        lines.append(f"oracle {name} = {_f7(oracle)}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_shat(args) -> int:
     cfg = _resolve_config(args)
     expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
     shat = solve_shat_series(expansion, cfg.tau, cfg.state.l0, cfg.params, cfg.order)
     oracle = compute_oracle(cfg.state, cfg.params, cfg.tau, cfg.n_steps)
-    eps = cfg.state.s0 - cfg.params.mu_hat
-
-    rows = []
-    for n in range(cfg.order + 1):
-        partial = shat.value(eps, order=n)
-        rows.append((n, shat.k[n], partial, abs(partial - oracle.s_hat)))
-    if cfg.fmt == "csv":
-        lines = ["n,k_n,partial_sum,oracle_s_hat,abs_diff"]
-        for n, kn, partial, diff in rows:
-            lines.append(f"{n},{_g17(kn)},{_g17(partial)},{_g17(oracle.s_hat)},{_g17(diff)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"eps = {_f7(eps)}", "n  k_n         partial_sum  |diff_oracle|"]
-        for n, kn, partial, diff in rows:
-            lines.append(f"{n}  {_f7(kn):>10}  {_f7(partial):>10}  {_f7(diff)}")
-        lines.append(f"oracle s_hat = {_f7(oracle.s_hat)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out)
+    _emit(_report(cfg, "k_n", "s_hat", shat.k, oracle.s_hat), cfg.out)
     return 0
 
 
@@ -211,27 +227,7 @@ def cmd_abar(args) -> int:
     expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
     terms = tau_lbar_terms(expansion, cfg.tau)
     _, oracle_tl = integrate_ell(cfg.state, cfg.params, cfg.tau, cfg.n_steps)
-    eps = cfg.state.s0 - cfg.params.mu_hat
-
-    rows = []
-    partial = 0.0
-    power = 1.0
-    for n in range(cfg.order + 1):
-        partial += terms[n] * power
-        power *= eps
-        rows.append((n, terms[n], partial, abs(partial - oracle_tl)))
-    if cfg.fmt == "csv":
-        lines = ["n,L_n,partial_sum,oracle_tau_lbar,abs_diff"]
-        for n, Ln, part, diff in rows:
-            lines.append(f"{n},{_g17(Ln)},{_g17(part)},{_g17(oracle_tl)},{_g17(diff)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"eps = {_f7(eps)}", "n  L_n         partial_sum  |diff_oracle|"]
-        for n, Ln, part, diff in rows:
-            lines.append(f"{n}  {_f7(Ln):>10}  {_f7(part):>10}  {_f7(diff)}")
-        lines.append(f"oracle tau_lbar = {_f7(oracle_tl)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out)
+    _emit(_report(cfg, "L_n", "tau_lbar", terms, oracle_tl), cfg.out)
     return 0
 
 
@@ -252,43 +248,25 @@ def cmd_path(args) -> int:
     lines = [",".join(header)]
     for i in range(samples):
         t, ell_ref = path[i * per_cell]
-        values = [t, ell_ref]
-        partial = 0.0
-        power = 1.0
-        for n in range(cfg.order + 1):
-            partial += expansion.c[n].evaluate(t) * power
-            power *= eps
-            values.append(partial)
+        values = [t, ell_ref] + _partial_sums([ck.evaluate(t) for ck in expansion.c], eps)
         lines.append(",".join(_g17(v) for v in values))
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
 def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
-    """Both reference tables: rows orders 0..3 plus the numerical row."""
+    """Both reference tables: rows orders 0..3 plus the numerical row, columns TABLE_S0."""
     expansion = build_expansion(params, l0, 3)
     terms = tau_lbar_terms(expansion, tau)
     shat = solve_shat_series(expansion, tau, l0, params, 3)
-    tl_rows = []
-    shat_rows = []
-    for order in range(4):
-        tl_row = []
-        shat_row = []
-        for s0 in TABLE_S0:
-            eps = s0 - params.mu_hat
-            tl_row.append(sum(terms[k] * eps**k for k in range(order + 1)))
-            shat_row.append(shat.value(eps, order=order))
-        tl_rows.append(tl_row)
-        shat_rows.append(shat_row)
-    numeric_tl = []
-    numeric_shat = []
+    tl_columns = []
+    shat_columns = []
     for s0 in TABLE_S0:
+        eps = s0 - params.mu_hat
         result = compute_oracle(InitialState(s0=s0, l0=l0), params, tau, n_steps)
-        numeric_tl.append(result.tau_lbar)
-        numeric_shat.append(result.s_hat)
-    tl_rows.append(numeric_tl)
-    shat_rows.append(numeric_shat)
-    return tl_rows, shat_rows
+        tl_columns.append(_partial_sums(terms, eps) + [result.tau_lbar])
+        shat_columns.append(_partial_sums(shat.k, eps) + [result.s_hat])
+    return list(zip(*tl_columns)), list(zip(*shat_columns))
 
 
 def _format_table(title: str, rows, fmt) -> str:
@@ -311,11 +289,8 @@ def cmd_tables(args) -> int:
 
     if cfg.fmt == "csv":
         prefix = cfg.out if cfg.out else "tables"
-        abar_text = _format_table("", tl_rows, "csv")
-        shat_text = _format_table("", shat_rows, "csv")
-        for suffix, text in (("_abar.csv", abar_text), ("_shat.csv", shat_text)):
-            with open(prefix + suffix, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+        _emit(_format_table("", tl_rows, "csv"), prefix + "_abar.csv")
+        _emit(_format_table("", shat_rows, "csv"), prefix + "_shat.csv")
     else:
         text = _format_table("tau*lbar approximations", tl_rows, "table")
         text += "\n" + _format_table("s_hat approximations", shat_rows, "table")
@@ -361,11 +336,8 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    file_params = None
-    if args.params:
-        file_params, _ = load_config(args.params)
-    params = file_params if file_params is not None else BASE_PARAMS
-    order = args.order if args.order is not None else DEFAULT_ORDER
+    cfg = _resolve_config(args)
+    params, order = cfg.params, cfg.order
 
     s0_grid = _parse_grid(args.s0_grid, "--s0-grid")
     l0_grid = _parse_grid(args.l0_grid, "--l0-grid")
@@ -419,7 +391,7 @@ def cmd_sweep(args) -> int:
         header.append("elapsed_ms")
         elapsed_text = [f"{(series_share + share) * 1e3:.3f}" for share in shares.tolist()] * len(l0_grid)
     g17 = "{:.17g}".format  # _g17 without a Python call per value
-    with _output(args.out) as fh:
+    with _output(cfg.out) as fh:
         fh.write(
             f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
             "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
@@ -449,7 +421,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericalFailure as exc:

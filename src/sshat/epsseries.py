@@ -135,12 +135,6 @@ class ShatExpansion:
             power *= eps
         return total
 
-    def diagnostics_csv(self) -> str:
-        lines = ["n,k_n,residual"]
-        for n, (kn, res) in enumerate(zip(self.k, self.residuals)):
-            lines.append(f"{n},{kn:.17g},{res:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def solve_shat_series(
     expansion: EllExpansion,

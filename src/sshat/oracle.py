@@ -145,14 +145,6 @@ def integrate_ell(
     return path, tau_lbar
 
 
-def path_csv(path: np.ndarray) -> str:
-    """Consol-rate path as CSV (columns: t, ell), 17 significant digits."""
-    lines = ["t,ell"]
-    for t, ell in path:
-        lines.append(f"{t:.17g},{ell:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def abar_closed_s0_equals_muhat(params: ModelParams, l0: float, tau: float) -> float:
     """Closed form of lbar for a spread starting exactly at equilibrium.
 

@@ -1,4 +1,4 @@
-"""Model parameters, derived quantities and the deterministic spread path.
+"""Model parameters, initial state and the risk-adjusted equilibrium.
 
 The two-factor model is parametrized by the spread dynamics (mean-reversion
 speed ``m``, equilibrium ``mu``, volatility ``gamma``), the squared consol-rate
@@ -25,10 +25,6 @@ __all__ = [
     "N_MAX",
     "ModelParams",
     "InitialState",
-    "Epsilon",
-    "mu_hat",
-    "epsilon",
-    "spread_path",
     "load_config",
 ]
 
@@ -113,38 +109,6 @@ class InitialState:
         _require_finite(self.l0, "l0")
         if self.l0 <= 0:
             raise ValueError(f"initial consol rate l0 must be > 0, got {self.l0}")
-
-
-@dataclass(frozen=True)
-class Epsilon:
-    """The small expansion parameter s0 - mu_hat."""
-
-    value: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def mu_hat(params: ModelParams) -> float:
-    """Risk-adjusted spread equilibrium mu - lam*gamma/m."""
-    return params.mu_hat
-
-
-def epsilon(state: InitialState, params: ModelParams) -> Epsilon:
-    """Distance of the initial spread from its risk-adjusted equilibrium."""
-    return Epsilon(state.s0 - params.mu_hat)
-
-
-def spread_path(state: InitialState, params: ModelParams, t: float) -> float:
-    """Deterministic spread at time ``t``: mu_hat + (s0 - mu_hat) exp(-m t).
-
-    This is the exact solution of ds/dt = m (mu_hat - s), s(0) = s0.
-    Raises ValueError for negative times.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    mh = params.mu_hat
-    return mh + (state.s0 - mh) * math.exp(-params.m * t)
 
 
 # Config files are flat "key = value" lines; keys are case-sensitive and

@@ -19,21 +19,15 @@ the entire point of the closed form.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .expseries import ExpPolySeries, ExpPolyTerm
-from .params import Epsilon, ModelParams, N_MAX, _require_finite
+from .params import ModelParams, N_MAX, _require_finite
 
 __all__ = [
     "EllExpansion",
-    "build_c0",
-    "next_c",
     "build_expansion",
-    "eval_ell",
-    "eval_tau_lbar",
     "tau_lbar_terms",
-    "coefficients_csv",
 ]
 
 
@@ -51,74 +45,31 @@ class EllExpansion:
     l0: float
 
 
-def build_c0(params: ModelParams, l0: float) -> ExpPolySeries:
-    """Order-zero coefficient: sigma2/mu_hat + (l0 - sigma2/mu_hat) exp(-mu_hat t).
-
-    Solves dl/dt = sigma2 - mu_hat l with l(0) = l0 (the eps-free dynamics).
-    A mu_hat degenerately close to zero is already rejected by ModelParams.
-    """
-    c01 = params.sigma2 / params.mu_hat
-    c02 = l0 - c01
-    return ExpPolySeries.from_terms(
-        [ExpPolyTerm(c01, 0, 0.0), ExpPolyTerm(c02, 0, params.mu_hat)],
-        rate_tol=params.delta_gen,
-    )
-
-
-def next_c(c_prev: ExpPolySeries, params: ModelParams) -> ExpPolySeries:
-    """One step of the coefficient recursion.
-
-    Implements -exp(-mu_hat t) * integral_0^t exp((mu_hat - m) u) c_prev(u) du
-    as: raise all rates by (m - mu_hat), antidifferentiate from zero, raise
-    rates by mu_hat, negate.  The result vanishes at t = 0 by construction.
-    The genericity condition on the parameters guarantees that no shifted
-    rate falls inside the degenerate band around zero.
-    """
-    tol = params.delta_gen
-    shifted = c_prev.multiply_by_exp(params.m - params.mu_hat, rate_tol=tol)
-    integral = shifted.integrate_from_zero(rate_tol=tol)
-    return integral.multiply_by_exp(params.mu_hat, rate_tol=tol).scaled(-1.0, rate_tol=tol)
-
-
 def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
-    """Build all coefficients c_0..c_order and their integrals L_0..L_order."""
+    """Build all coefficients c_0..c_order and their integrals L_0..L_order.
+
+    c_0 solves the eps-free dynamics dl/dt = sigma2 - mu_hat l, l(0) = l0.
+    Each recursion step implements
+    -exp(-mu_hat t) * integral_0^t exp((mu_hat - m) u) c_prev(u) du as: raise
+    all rates by (m - mu_hat), antidifferentiate from zero, raise rates by
+    mu_hat, negate.  So c_k(0) = 0 for k >= 1 by construction.  The
+    genericity condition on the parameters guarantees that no shifted rate
+    falls inside the degenerate band around zero.
+    """
     if not 0 <= order <= N_MAX:
         raise ValueError(f"expansion order must be in [0, {N_MAX}], got {order}")
     _require_finite(l0, "l0")
     if l0 <= 0:
         raise ValueError(f"initial consol rate l0 must be > 0, got {l0}")
     tol = params.delta_gen
-    c = [build_c0(params, l0)]
+    c01 = params.sigma2 / params.mu_hat
+    c = [ExpPolySeries.from_terms([ExpPolyTerm(c01, 0, 0.0), ExpPolyTerm(l0 - c01, 0, params.mu_hat)], rate_tol=tol)]
     for _ in range(order):
-        c.append(next_c(c[-1], params))
+        shifted = c[-1].multiply_by_exp(params.m - params.mu_hat, rate_tol=tol)
+        integral = shifted.integrate_from_zero(rate_tol=tol)
+        c.append(integral.multiply_by_exp(params.mu_hat, rate_tol=tol).scaled(-1.0, rate_tol=tol))
     L = [ck.integrate_from_zero(rate_tol=tol) for ck in c]
     return EllExpansion(order=order, c=tuple(c), L=tuple(L), params=params, l0=l0)
-
-
-def eval_ell(expansion: EllExpansion, eps: Epsilon | float, t: float) -> float:
-    """Truncated consol rate sum_k c_k(t) eps^k at time ``t`` >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    e = float(eps)
-    total = 0.0
-    power = 1.0
-    for ck in expansion.c:
-        total += ck.evaluate(t) * power
-        power *= e
-    return total
-
-
-def eval_tau_lbar(expansion: EllExpansion, eps: Epsilon | float, tau: float) -> float:
-    """Truncated integral term sum_k L_k(tau) eps^k at maturity ``tau`` > 0."""
-    if tau <= 0:
-        raise ValueError(f"maturity must be > 0, got {tau}")
-    e = float(eps)
-    total = 0.0
-    power = 1.0
-    for Lk in expansion.L:
-        total += Lk.evaluate(tau) * power
-        power *= e
-    return total
 
 
 def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:
@@ -126,13 +77,3 @@ def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:
     if tau <= 0:
         raise ValueError(f"maturity must be > 0, got {tau}")
     return [Lk.evaluate(tau) for Lk in expansion.L]
-
-
-def coefficients_csv(expansion: EllExpansion) -> str:
-    """CSV dump of the c_k coefficient tables (columns: k, power, rate, coeff)."""
-    buf = io.StringIO()
-    buf.write("k,power,rate,coeff\n")
-    for k, ck in enumerate(expansion.c):
-        for term in ck.terms:
-            buf.write(f"{k},{term.power},{term.rate:.17g},{term.coeff:.17g}\n")
-    return buf.getvalue()

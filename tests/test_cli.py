@@ -105,6 +105,16 @@ def test_path_equilibrium_order0_matches_rk4(capsys):
     for line in out.strip().split("\n")[1:]:
         vals = [float(v) for v in line.split(",")]
         assert abs(vals[2] - vals[1]) < 1e-9
+        # At eps = 0 every higher-order column is exactly the order-0 one.
+        assert vals[3:] == [vals[2]] * 3
+
+
+def test_path_order3_tracks_rk4(capsys):
+    rc, out, _ = run(capsys, "path", "--s0", "0.05")
+    assert rc == 0
+    for line in out.strip().split("\n")[1:]:
+        vals = [float(v) for v in line.split(",")]
+        assert abs(vals[5] - vals[1]) < 1e-6
 
 
 def test_path_order3_beats_order1(capsys):
@@ -331,6 +341,31 @@ def test_sweep_series_failure_writes_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_sweep_failure_leaves_existing_out_file_untouched(tmp_path, capsys):
+    # The grid is computed before --out is opened, so a numerical failure
+    # does not truncate a file that is already there.
+    target = tmp_path / "sweep.csv"
+    target.write_text("previous run\n", encoding="utf-8")
+    rc, out, _ = run(capsys, "sweep", "--tau-grid=1:100000:2", "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert target.read_text(encoding="utf-8") == "previous run\n"
+
+
+def test_sweep_reads_params_file(tmp_path, capsys):
+    base = tmp_path / "base.cfg"
+    base.write_text(BASE_CONFIG, encoding="utf-8")
+    perturbed = tmp_path / "perturbed.cfg"
+    perturbed.write_text(BASE_CONFIG.replace("m = 0.72", "m = 0.73"), encoding="utf-8")
+    _, default, _ = run(capsys, "sweep")
+    rc, from_base, _ = run(capsys, "sweep", "--params", str(base))
+    rc2, from_perturbed, _ = run(capsys, "sweep", "--params", str(perturbed))
+    assert rc == rc2 == 0
+    assert from_base == default
+    assert from_perturbed.split("\n")[:3] == default.split("\n")[:3]
+    assert from_perturbed != default
+
+
 @pytest.mark.filterwarnings("error")
 def test_sweep_oracle_numerical_failure_exit_code(capsys):
     rc, out, err = run(capsys, "sweep", "--s0-grid=-50000:0.05:3", "--l0-grid=0.1:0.1:1", "--oracle")
@@ -382,6 +417,14 @@ def test_invalid_config_file(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("command", ["shat", "sweep"])
+def test_missing_params_file_is_validation_error(tmp_path, capsys, command):
+    rc, out, err = run(capsys, command, "--params", str(tmp_path / "absent.cfg"))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "absent.cfg" in err
+
+
 def test_numerical_failure_exit_code(capsys):
     rc, _, err = run(capsys, "shat", "--s0", "-50000")
     assert rc == 2
@@ -396,6 +439,40 @@ def test_out_writes_file_and_keeps_stdout_clean(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("n,L_n,partial_sum")
     assert "\r" not in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shat",),
+        ("abar", "--format", "csv"),
+        ("path", "--samples", "3"),
+        ("tables", "--format", "csv"),
+        ("sweep", "--s0-grid=-0.05:0.05:2", "--l0-grid=0.1:0.1:1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_in_missing_directory_is_validation_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    rc, out, err = run(capsys, *argv, "--out", str(missing / "report"))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not missing.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tables", "--s0", "0.05"), ("tables", "--order", "2"), ("path", "--format", "csv")],
+    ids=["tables-s0", "tables-order", "path-format"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_validation_exit_codes(capsys):

@@ -234,10 +234,3 @@ def test_concurrent_solves_match_sequential(base_params, base_expansion):
             pool.map(lambda tau: solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3).k, taus)
         )
     assert concurrent == sequential
-
-
-def test_diagnostics_csv_shape(base_params, base_expansion):
-    shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
-    lines = shat.diagnostics_csv().strip().split("\n")
-    assert lines[0] == "n,k_n,residual"
-    assert len(lines) == 5

@@ -11,7 +11,7 @@ from sshat import (
     ExpPolySeries,
     ExpPolyTerm,
     NumericalFailure,
-    build_c0,
+    build_expansion,
     combine,
 )
 
@@ -49,7 +49,7 @@ def test_evaluate_exponential_with_power():
 
 
 def test_evaluate_c0_initial_condition(base_params):
-    c0 = build_c0(base_params, BASE_L0)
+    c0 = build_expansion(base_params, BASE_L0, 0).c[0]
     assert c0.evaluate(0.0) == pytest.approx(BASE_L0, abs=1e-16)
 
 
@@ -74,7 +74,7 @@ def test_integrate_pure_exponential():
 
 
 def test_integrate_c0_matches_order_zero_table_value(base_params):
-    c0 = build_c0(base_params, BASE_L0)
+    c0 = build_expansion(base_params, BASE_L0, 0).c[0]
     L0 = c0.integrate_from_zero(rate_tol=base_params.delta_gen)
     assert L0.evaluate(1.0) == pytest.approx(0.1006522, abs=5e-8)
 
@@ -161,7 +161,7 @@ def test_multiply_by_exp_shifts_rate():
 
 
 def test_multiply_by_exp_c0_rate_set(base_params):
-    c0 = build_c0(base_params, BASE_L0)
+    c0 = build_expansion(base_params, BASE_L0, 0).c[0]
     shifted = c0.multiply_by_exp(base_params.m, rate_tol=base_params.delta_gen)
     rates = sorted(t.rate for t in shifted.terms)
     mh, m = base_params.mu_hat, base_params.m

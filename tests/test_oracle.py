@@ -18,7 +18,7 @@ from sshat import (
     solve_shat_numeric,
     solve_shat_series,
 )
-from sshat.oracle import TOL_ROOT, path_csv, residual_cleared
+from sshat.oracle import TOL_ROOT, residual_cleared
 
 from _reference import BASE_L0, BASE_TAU, TABLE_S0, TRUE_SHAT, TRUE_TAU_LBAR
 
@@ -241,12 +241,3 @@ def test_oracle_matches_order3_expansion_closely(base_params, base_expansion):
 def test_residual_cleared_at_true_root_is_tiny(base_params):
     res = residual_cleared(TRUE_SHAT[-0.05], TRUE_TAU_LBAR[-0.05], BASE_L0, base_params.sigma2, BASE_TAU)
     assert abs(res) < 1e-16
-
-
-def test_path_csv_format(base_params):
-    path, _ = integrate_ell(InitialState(s0=0.0, l0=BASE_L0), base_params, 1.0, 16)
-    text = path_csv(path)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,ell"
-    assert len(lines) == 18
-    assert lines[1] == "0,0.10000000000000001"

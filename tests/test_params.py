@@ -1,4 +1,4 @@
-"""Parameter validation, derived quantities and the deterministic spread path."""
+"""Parameter validation, the risk-adjusted equilibrium and config files."""
 
 import math
 
@@ -6,15 +6,11 @@ import pytest
 
 from sshat import (
     DegenerateRateError,
-    Epsilon,
     InitialState,
     ModelParams,
     N_MAX,
     build_expansion,
-    epsilon,
     load_config,
-    mu_hat,
-    spread_path,
 )
 
 from _reference import BASE
@@ -22,17 +18,17 @@ from _reference import BASE
 
 def test_mu_hat_base_parameters(base_params):
     # lam = 0 makes the risk adjustment vanish.
-    assert mu_hat(base_params) == -0.01
+    assert base_params.mu_hat == -0.01
 
 
 def test_mu_hat_zero_gamma_ignores_lambda():
     p = ModelParams(m=1.0, mu=0.02, gamma=0.0, sigma2=1e-4, lam=5.0)
-    assert mu_hat(p) == 0.02
+    assert p.mu_hat == 0.02
 
 
 def test_mu_hat_risk_adjustment():
     p = ModelParams(m=0.5, mu=-0.01, gamma=0.01, sigma2=1e-4, lam=0.25)
-    assert mu_hat(p) == pytest.approx(-0.015, rel=1e-15)
+    assert p.mu_hat == pytest.approx(-0.015, rel=1e-15)
 
 
 @pytest.mark.parametrize("m", [0.0, -1.0])
@@ -103,70 +99,6 @@ def test_initial_state_requires_positive_l0():
         InitialState(s0=0.0, l0=0.0)
     with pytest.raises(ValueError):
         InitialState(s0=0.0, l0=-0.1)
-
-
-def test_epsilon_standard_spreads(base_params):
-    assert epsilon(InitialState(s0=0.05, l0=0.1), base_params).value == pytest.approx(0.06, abs=1e-16)
-    assert epsilon(InitialState(s0=-0.05, l0=0.1), base_params).value == pytest.approx(-0.04, abs=1e-16)
-
-
-def test_epsilon_at_equilibrium_is_exactly_zero(base_params):
-    state = InitialState(s0=base_params.mu_hat, l0=0.1)
-    assert epsilon(state, base_params).value == 0.0
-
-
-def test_epsilon_float_coercion():
-    assert float(Epsilon(0.25)) == 0.25
-
-
-def test_spread_path_initial_condition(base_params):
-    state = InitialState(s0=0.05, l0=0.1)
-    assert spread_path(state, base_params, 0.0) == 0.05
-
-
-def test_spread_path_long_time_limit(base_params):
-    state = InitialState(s0=0.05, l0=0.1)
-    eps = 0.06
-    t = 10.0 / base_params.m
-    assert abs(spread_path(state, base_params, t) - base_params.mu_hat) < abs(eps) * math.exp(-10) + 1e-15
-
-
-def test_spread_path_value_against_rk4(base_params):
-    # Independent check: integrate ds/dt = m (mu_hat - s) with RK4 and
-    # compare to the closed form at t = 1.
-    state = InitialState(s0=0.05, l0=0.1)
-    m, mh = base_params.m, base_params.mu_hat
-    s = state.s0
-    n = 4000
-    h = 1.0 / n
-    for _ in range(n):
-        k1 = m * (mh - s)
-        k2 = m * (mh - (s + 0.5 * h * k1))
-        k3 = m * (mh - (s + 0.5 * h * k2))
-        k4 = m * (mh - (s + h * k3))
-        s += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    closed = spread_path(state, base_params, 1.0)
-    assert closed == pytest.approx(-0.01 + 0.06 * math.exp(-0.72), rel=1e-14)
-    assert closed == pytest.approx(s, abs=1e-12)
-
-
-def test_spread_path_rejects_negative_time(base_params):
-    with pytest.raises(ValueError):
-        spread_path(InitialState(s0=0.05, l0=0.1), base_params, -0.1)
-
-
-def test_spread_path_satisfies_its_ode(base_params):
-    # Central differences of the path against the drift m (mu_hat - s).
-    import random
-
-    rng = random.Random(20240811)
-    state = InitialState(s0=0.05, l0=0.1)
-    h = 1e-5
-    for _ in range(100):
-        t = rng.uniform(h, 30.0)
-        ds = (spread_path(state, base_params, t + h) - spread_path(state, base_params, t - h)) / (2 * h)
-        drift = base_params.m * (base_params.mu_hat - spread_path(state, base_params, t))
-        assert abs(ds - drift) < 1e-8
 
 
 def _write(path, text):

@@ -9,14 +9,9 @@ from sshat import (
     ExpPolySeries,
     InitialState,
     ModelParams,
-    build_c0,
     build_expansion,
-    coefficients_csv,
     combine,
-    eval_ell,
-    eval_tau_lbar,
     integrate_ell,
-    next_c,
     tau_lbar_terms,
 )
 
@@ -72,6 +67,26 @@ def closed_form_L_coeffs(mu_hat: float, m: float, c01: float, c02: float) -> dic
     return out
 
 
+def _forward_sum(terms, eps: float) -> float:
+    """sum_k terms[k] eps^k, summed in increasing powers as the CLI sums it."""
+    total = 0.0
+    power = 1.0
+    for term in terms:
+        total += term * power
+        power *= eps
+    return total
+
+
+def _eval_ell(expansion, eps: float, t: float) -> float:
+    """Truncated consol rate sum_k c_k(t) eps^k."""
+    return _forward_sum([ck.evaluate(t) for ck in expansion.c], eps)
+
+
+def _eval_tau_lbar(expansion, eps: float, tau: float) -> float:
+    """Truncated integral term sum_k L_k(tau) eps^k."""
+    return _forward_sum(tau_lbar_terms(expansion, tau), eps)
+
+
 def _random_valid_params(rng) -> ModelParams:
     while True:
         try:
@@ -89,7 +104,7 @@ def _random_valid_params(rng) -> ModelParams:
 
 
 def test_build_c0_base(base_params):
-    c0 = build_c0(base_params, BASE_L0)
+    c0 = build_expansion(base_params, BASE_L0, 0).c[0]
     tol = base_params.delta_gen
     assert _coeff_at(c0, 0, 0.0, tol) == pytest.approx(-0.03, rel=1e-15)
     assert _coeff_at(c0, 0, base_params.mu_hat, tol) == pytest.approx(0.13, rel=1e-15)
@@ -99,7 +114,7 @@ def test_build_c0_base(base_params):
 def test_build_c0_equilibrium_start_is_constant():
     p = ModelParams(m=0.72, mu=0.02, gamma=0.0, sigma2=3e-4)
     l0 = p.sigma2 / p.mu_hat
-    c0 = build_c0(p, l0)
+    c0 = build_expansion(p, l0, 0).c[0]
     assert len(c0.terms) == 1
     assert c0.terms[0].rate == 0.0
     assert c0.evaluate(13.0) == pytest.approx(l0, rel=1e-15)
@@ -107,8 +122,7 @@ def test_build_c0_equilibrium_start_is_constant():
 
 def test_next_c_first_order_coefficients(base_params):
     mh, m = base_params.mu_hat, base_params.m
-    c0 = build_c0(base_params, BASE_L0)
-    c1 = next_c(c0, base_params)
+    c1 = build_expansion(base_params, BASE_L0, 1).c[1]
     c01 = base_params.sigma2 / mh
     c02 = BASE_L0 - c01
     tol = base_params.delta_gen
@@ -120,16 +134,10 @@ def test_next_c_first_order_coefficients(base_params):
 
 def test_next_c_second_order_spot_check(base_params):
     mh, m = base_params.mu_hat, base_params.m
-    c0 = build_c0(base_params, BASE_L0)
-    c1 = next_c(c0, base_params)
-    c2 = next_c(c1, base_params)
+    _, c1, c2 = build_expansion(base_params, BASE_L0, 2).c
     tol = base_params.delta_gen
     c11 = _coeff_at(c1, 0, mh + m, tol)
     assert _coeff_at(c2, 0, mh + 2 * m, tol) == pytest.approx(c11 / (2 * m), rel=1e-13)
-
-
-def test_next_c_of_empty_is_empty(base_params):
-    assert next_c(ExpPolySeries.zero(), base_params).is_zero()
 
 
 @pytest.mark.parametrize("seed", [None, 101, 202, 303])
@@ -213,24 +221,19 @@ def test_tau_lbar_table_values(base_params, base_expansion):
 
 def test_order_zero_column_is_constant(base_params):
     expansion = build_expansion(base_params, BASE_L0, 0)
-    values = {eval_tau_lbar(expansion, s0 - base_params.mu_hat, 1.0) for s0 in TABLE_S0}
+    values = {_eval_tau_lbar(expansion, s0 - base_params.mu_hat, 1.0) for s0 in TABLE_S0}
     assert len(values) == 1
     assert values.pop() == pytest.approx(0.1006522, abs=5e-8)
 
 
 def test_eval_ell_reduces_to_c0_at_zero_eps(base_expansion):
     for t in (0.0, 0.4, 2.0):
-        assert eval_ell(base_expansion, 0.0, t) == base_expansion.c[0].evaluate(t)
+        assert _eval_ell(base_expansion, 0.0, t) == base_expansion.c[0].evaluate(t)
 
 
 def test_eval_ell_initial_condition(base_expansion):
     for eps in (-0.04, 0.01, 0.06):
-        assert eval_ell(base_expansion, eps, 0.0) == pytest.approx(BASE_L0, abs=1e-15)
-
-
-def test_eval_ell_rejects_negative_time(base_expansion):
-    with pytest.raises(ValueError):
-        eval_ell(base_expansion, 0.01, -1.0)
+        assert _eval_ell(base_expansion, eps, 0.0) == pytest.approx(BASE_L0, abs=1e-15)
 
 
 def test_eval_ell_tracks_integrated_path(base_params, base_expansion):
@@ -240,29 +243,29 @@ def test_eval_ell_tracks_integrated_path(base_params, base_expansion):
     for t in (0.25, 0.5, 1.0):
         path, _ = integrate_ell(state, base_params, t, 2000)
         reference = path[-1, 1]
-        assert abs(eval_ell(base_expansion, eps, t) - reference) < 1e-6
+        assert abs(_eval_ell(base_expansion, eps, t) - reference) < 1e-6
 
 
 def test_eval_tau_lbar_zero_eps_is_L0(base_expansion):
-    assert eval_tau_lbar(base_expansion, 0.0, 1.0) == base_expansion.L[0].evaluate(1.0)
+    assert _eval_tau_lbar(base_expansion, 0.0, 1.0) == base_expansion.L[0].evaluate(1.0)
 
 
 def test_eval_tau_lbar_vanishes_at_zero_maturity(base_expansion):
     # L_k(0) = 0, so the value decays like l0 * tau for small maturities.
-    assert abs(eval_tau_lbar(base_expansion, 0.06, 1e-9)) < 1.1 * BASE_L0 * 1e-9
-    assert abs(eval_tau_lbar(base_expansion, 0.06, 1e-12)) < 1.1 * BASE_L0 * 1e-12
-    assert eval_tau_lbar(base_expansion, 0.06, 1e-9) == pytest.approx(BASE_L0 * 1e-9, rel=1e-3)
+    assert abs(_eval_tau_lbar(base_expansion, 0.06, 1e-9)) < 1.1 * BASE_L0 * 1e-9
+    assert abs(_eval_tau_lbar(base_expansion, 0.06, 1e-12)) < 1.1 * BASE_L0 * 1e-12
+    assert _eval_tau_lbar(base_expansion, 0.06, 1e-9) == pytest.approx(BASE_L0 * 1e-9, rel=1e-3)
 
 
 def test_eval_tau_lbar_mid_column_value(base_params):
     expansion = build_expansion(base_params, BASE_L0, 1)
     eps = 0.0 - base_params.mu_hat
-    assert eval_tau_lbar(expansion, eps, 1.0) == pytest.approx(0.1002504, abs=5e-8)
+    assert _eval_tau_lbar(expansion, eps, 1.0) == pytest.approx(0.1002504, abs=5e-8)
 
 
 def test_eval_tau_lbar_rejects_nonpositive_maturity(base_expansion):
     with pytest.raises(ValueError):
-        eval_tau_lbar(base_expansion, 0.01, 0.0)
+        _eval_tau_lbar(base_expansion, 0.01, 0.0)
 
 
 def test_truncation_error_halves_at_expected_rate(base_params, base_expansion):
@@ -279,13 +282,3 @@ def test_truncation_error_halves_at_expected_rate(base_params, base_expansion):
         ]
         ratio = errs[0] / errs[1]
         assert 2 ** (order + 1) * 0.8 <= ratio <= 2 ** (order + 1) * 1.25
-
-
-def test_coefficients_csv_layout(base_expansion):
-    text = coefficients_csv(base_expansion)
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,power,rate,coeff"
-    expected_rows = sum(len(ck.terms) for ck in base_expansion.c)
-    assert len(lines) == 1 + expected_rows
-    first = lines[1].split(",")
-    assert first[0] == "0" and len(first) == 4
