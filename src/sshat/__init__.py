@@ -11,7 +11,7 @@ closed form and to arbitrary order, and by an independent numerical oracle
 
 from .epsseries import ShatExpansion, rhs1_printed, solve_shat_series
 from .errors import BracketingError, DegenerateRateError, NumericalFailure
-from .expseries import ExpPolySeries, ExpPolyTerm, combine
+from .expseries import ExpPolySeries, ExpPolyTerm
 from .oracle import (
     OracleResult,
     abar_closed_s0_equals_muhat,
@@ -40,7 +40,6 @@ __all__ = [
     "ShatExpansion",
     "abar_closed_s0_equals_muhat",
     "build_expansion",
-    "combine",
     "compute_oracle",
     "compute_oracles",
     "default_n_steps",

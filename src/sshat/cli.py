@@ -31,7 +31,7 @@ import numpy as np
 from .epsseries import solve_shat_series
 from .errors import NumericalFailure
 from .oracle import compute_oracle, compute_oracles, default_n_steps, integrate_ell
-from .params import InitialState, ModelParams, load_config
+from .params import InitialState, ModelParams, _require_finite, load_config
 from .perturbation import build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
@@ -151,6 +151,7 @@ def _resolve_config(args) -> RunConfig:
     l0 = pick(getattr(args, "l0", None), file_state.l0 if file_state else None, DEFAULT_L0)
     tau = pick(getattr(args, "tau", None), None, DEFAULT_TAU)
     order = pick(getattr(args, "order", None), None, DEFAULT_ORDER)
+    _require_finite(tau, "maturity tau")
     if tau <= 0:
         raise ValueError(f"maturity must be > 0, got {tau}")
     steps = pick(getattr(args, "steps", None), None, default_n_steps(tau))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .params import ModelParams
+from .params import ModelParams, _require_finite
 from .perturbation import EllExpansion, tau_lbar_terms
 
 __all__ = [
@@ -136,6 +136,11 @@ class ShatExpansion:
         return total
 
 
+def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):
+    if l0 != expansion.l0 or params != expansion.params:
+        raise ValueError("l0 and params must be the ones the expansion was built from")
+
+
 def solve_shat_series(
     expansion: EllExpansion,
     tau: float,
@@ -147,8 +152,11 @@ def solve_shat_series(
 
     k_0 equals mu_hat; each k_n for n >= 1 is read off its own order with
     the slope f_1 = F'(mu_hat), which is strictly negative for l0 > 0.
+    ``l0`` and ``params`` must be the ones ``expansion`` was built from.
     Raises NumericalFailure when the Taylor coefficients of F overflow.
     """
+    _require_match(expansion, l0, params)
+    _require_finite(tau, "maturity tau")
     if tau <= 0:
         raise ValueError(f"maturity must be > 0, got {tau}")
     if not 0 <= order <= expansion.order:
@@ -174,6 +182,7 @@ def rhs1_printed(expansion: EllExpansion, tau: float, l0: float, params: ModelPa
     Kept as an independent cross-check of the generic order-by-order solve;
     ``k_1`` must equal this value divided by the bracket.
     """
+    _require_match(expansion, l0, params)
     if expansion.order < 1:
         raise ValueError("expansion must carry at least order 1")
     L1 = expansion.L[1].evaluate(tau)

@@ -8,11 +8,9 @@ the two families to distinct exit codes.
 
 
 class DegenerateRateError(ValueError):
-    """A rate or parameter combination lands inside a forbidden tolerance band.
-
-    Raised when an exponential rate is too close to zero to integrate, or when
-    the risk-adjusted spread equilibrium collides with a multiple of the
-    mean-reversion speed (which would blow up expansion denominators).
+    """The risk-adjusted spread equilibrium lies inside the genericity band
+    around zero or around a multiple of the mean-reversion speed, where
+    expansion denominators would blow up.
     """
 
 

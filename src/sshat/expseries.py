@@ -1,33 +1,15 @@
-"""Exact algebra for finite sums of ``coeff * t**p * exp(-rate * t)``.
-
-Every expansion coefficient produced in this package lives in this function
-class: it is closed under differentiation, under multiplication by a single
-exponential, and under antidifferentiation from zero (for rate 0 the power
-rises by one, which is why a polynomial power is carried at all; powers above
-one do not occur in practice but are supported).
-
-Series are immutable and kept in canonical form: terms sorted by
-``(power, rate)``, no two terms sharing a ``(power, rate)`` key, zero
-coefficients dropped.  Rates are compared with an explicit tolerance
-``rate_tol`` so that the same mathematical rate reached through different
-floating-point routes (for example ``mu_hat + m`` built by successive shifts)
-still merges; callers working with model parameters pass
-``ModelParams.delta_gen``, which keeps the merge policy and the degeneracy
-rejection policy identical.
+"""Finite sums of ``coeff * t**power * exp(-rate * t)``: the type of every
+expansion coefficient, which :func:`sshat.perturbation.build_expansion` writes out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import DegenerateRateError, NumericalFailure
-from .params import N_MAX
+from .errors import NumericalFailure
 
-__all__ = ["ExpPolyTerm", "ExpPolySeries", "combine"]
-
-_MAX_POWER = N_MAX + 1
+__all__ = ["ExpPolyTerm", "ExpPolySeries"]
 
 
 @dataclass(frozen=True)
@@ -45,59 +27,21 @@ class ExpPolyTerm:
             raise ValueError(f"term rate must be finite, got {self.rate!r}")
         if not isinstance(self.power, int) or self.power < 0:
             raise ValueError(f"term power must be a non-negative integer, got {self.power!r}")
-        if self.power > _MAX_POWER:
-            raise ValueError(f"term power {self.power} exceeds the supported bound {_MAX_POWER}")
-
-
-def _canonicalize(terms: Iterable[ExpPolyTerm], rate_tol: float) -> tuple[ExpPolyTerm, ...]:
-    """Sort by (power, rate), merge near-equal rates per power, drop zeros."""
-    ordered = sorted(terms, key=lambda term: (term.power, term.rate))
-    merged: list[ExpPolyTerm] = []
-    for term in ordered:
-        if merged:
-            last = merged[-1]
-            if last.power == term.power and abs(last.rate - term.rate) <= rate_tol:
-                merged[-1] = ExpPolyTerm(last.coeff + term.coeff, last.power, last.rate)
-                continue
-        merged.append(term)
-    return tuple(t for t in merged if t.coeff != 0.0)
 
 
 @dataclass(frozen=True)
 class ExpPolySeries:
-    """Canonical finite sum of exponential-polynomial terms.
+    """An immutable sum of terms, kept in the order given."""
 
-    Build instances through :meth:`from_terms` (or the operations below),
-    which canonicalize; the raw constructor trusts its input.
-    """
-
-    terms: tuple[ExpPolyTerm, ...] = ()
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[ExpPolyTerm | tuple], rate_tol: float = 0.0) -> "ExpPolySeries":
-        normalized = [
-            term if isinstance(term, ExpPolyTerm) else ExpPolyTerm(float(term[0]), int(term[1]), float(term[2]))
-            for term in terms
-        ]
-        return cls(_canonicalize(normalized, rate_tol))
-
-    @classmethod
-    def zero(cls) -> "ExpPolySeries":
-        return cls(())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
+    terms: tuple[ExpPolyTerm, ...]
 
     def evaluate(self, t: float) -> float:
         """Sum of ``coeff * t**power * exp(-rate * t)`` over all terms.
 
         Uses exact compensated summation so that structurally-cancelling
-        series (an antiderivative at zero, a residual identity) come out at
-        the rounding floor.  Raises NumericalFailure on overflow, which can
-        happen for strongly negative ``rate * t``.
+        series (an integral near zero, a coefficient with c_k(0) = 0) come
+        out at the rounding floor.  Raises NumericalFailure on overflow,
+        which can happen for strongly negative ``rate * t``.
         """
         if not math.isfinite(t):
             raise ValueError(f"evaluation point must be finite, got {t!r}")
@@ -107,72 +51,3 @@ class ExpPolySeries:
             )
         except OverflowError as exc:
             raise NumericalFailure(f"series evaluation overflowed at t={t!r}") from exc
-
-    def integrate_from_zero(self, rate_tol: float = 0.0) -> "ExpPolySeries":
-        """Exact antiderivative F with F(0) = 0 and F' equal to this series.
-
-        For a term with rate 0 the power rises by one.  For rate r != 0 the
-        closed form is produced by integrating by parts down to power zero;
-        each step contributes the boundary constant at rate 0 so that F(0)
-        vanishes.  Rates inside (0, rate_tol] are rejected: the 1/r
-        denominators are about to blow up and the caller's parameters are
-        effectively degenerate.
-        """
-        out: list[ExpPolyTerm] = []
-        for term in self.terms:
-            if term.rate == 0.0:
-                out.append(ExpPolyTerm(term.coeff / (term.power + 1), term.power + 1, 0.0))
-                continue
-            if abs(term.rate) <= rate_tol:
-                raise DegenerateRateError(
-                    f"rate {term.rate!r} is within {rate_tol!r} of zero; "
-                    "antiderivative denominator degenerates"
-                )
-            # integral of c t^p e^{-rt}: repeated integration by parts.
-            coeff = term.coeff
-            for p in range(term.power, 0, -1):
-                out.append(ExpPolyTerm(-coeff / term.rate, p, term.rate))
-                coeff = coeff * p / term.rate
-            out.append(ExpPolyTerm(-coeff / term.rate, 0, term.rate))
-            out.append(ExpPolyTerm(coeff / term.rate, 0, 0.0))
-        return ExpPolySeries(_canonicalize(out, rate_tol))
-
-    def differentiate(self, rate_tol: float = 0.0) -> "ExpPolySeries":
-        """Exact term-wise derivative."""
-        out: list[ExpPolyTerm] = []
-        for term in self.terms:
-            if term.power > 0:
-                out.append(ExpPolyTerm(term.coeff * term.power, term.power - 1, term.rate))
-            if term.rate != 0.0:
-                out.append(ExpPolyTerm(-term.coeff * term.rate, term.power, term.rate))
-        return ExpPolySeries(_canonicalize(out, rate_tol))
-
-    def multiply_by_exp(self, shift: float, rate_tol: float = 0.0) -> "ExpPolySeries":
-        """Multiply by ``exp(-shift * t)``, i.e. raise every rate by ``shift``."""
-        return ExpPolySeries(
-            _canonicalize(
-                (ExpPolyTerm(t.coeff, t.power, t.rate + shift) for t in self.terms), rate_tol
-            )
-        )
-
-    def scaled(self, factor: float, rate_tol: float = 0.0) -> "ExpPolySeries":
-        return ExpPolySeries(
-            _canonicalize((ExpPolyTerm(t.coeff * factor, t.power, t.rate) for t in self.terms), rate_tol)
-        )
-
-    def to_debug_lines(self) -> list[str]:
-        """One term per line, coefficients at 17 significant digits."""
-        return [f"{t.coeff:.17g} * t^{t.power} * exp(-{t.rate:.17g}*t)" for t in self.terms]
-
-
-def combine(
-    a: ExpPolySeries,
-    b: ExpPolySeries,
-    scale_a: float = 1.0,
-    scale_b: float = 1.0,
-    rate_tol: float = 0.0,
-) -> ExpPolySeries:
-    """Canonicalized ``scale_a * a + scale_b * b``."""
-    terms = [ExpPolyTerm(t.coeff * scale_a, t.power, t.rate) for t in a.terms]
-    terms += [ExpPolyTerm(t.coeff * scale_b, t.power, t.rate) for t in b.terms]
-    return ExpPolySeries(_canonicalize(terms, rate_tol))

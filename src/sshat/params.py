@@ -28,8 +28,8 @@ __all__ = [
     "load_config",
 ]
 
-# Largest supported expansion order.  Caps the genericity scan and the term
-# powers; far beyond the 3 orders needed in practice.
+# Largest supported expansion order.  Caps the genericity scan; far beyond
+# the 3 orders needed in practice.
 N_MAX = 16
 
 
@@ -93,7 +93,7 @@ class ModelParams:
 
     @property
     def delta_gen(self) -> float:
-        """Shared rate-collision tolerance: 1e-8 * max(|mu_hat|, m)."""
+        """Half-width of the genericity band around 0 and +-j*m: 1e-8 * max(|mu_hat|, m)."""
         return 1e-8 * max(abs(self.mu_hat), self.m)
 
 

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "ShatExpansion",
     "abar_closed_s0_equals_muhat",
     "build_expansion",
-    "combine",
     "compute_oracle",
     "compute_oracles",
     "default_n_steps",

@@ -475,6 +475,16 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("tau", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", ["shat", "abar", "path", "tables"])
+def test_non_finite_tau_is_validation_error(capsys, command, tau):
+    rc, out, err = run(capsys, command, f"--tau={tau}")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "tau must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_validation_exit_codes(capsys):
     assert run(capsys, "shat", "--l0", "-0.1")[0] == 1
     assert run(capsys, "shat", "--tau", "0")[0] == 1

@@ -151,8 +151,24 @@ def test_solve_validation(base_params, base_expansion):
         solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 4)
 
 
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_solve_rejects_non_finite_maturity(base_params, base_expansion, tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3)
+
+
+def test_solve_rejects_l0_or_params_other_than_the_expansions(base_params, base_expansion):
+    # F would be built for one configuration and the L_k for another.
+    other = ModelParams(**dict(BASE, sigma2=4e-4))
+    for l0, params in ((2 * BASE_L0, base_params), (BASE_L0, other)):
+        with pytest.raises(ValueError, match="expansion"):
+            solve_shat_series(base_expansion, BASE_TAU, l0, params, 3)
+        with pytest.raises(ValueError, match="expansion"):
+            rhs1_printed(base_expansion, BASE_TAU, l0, params)
+
+
 def test_zero_L1_gives_zero_k1(base_params, base_expansion):
-    L = (base_expansion.L[0], ExpPolySeries.zero()) + base_expansion.L[2:]
+    L = (base_expansion.L[0], ExpPolySeries(())) + base_expansion.L[2:]
     fake = EllExpansion(
         order=base_expansion.order, c=base_expansion.c, L=L, params=base_params, l0=base_expansion.l0
     )

@@ -73,6 +73,7 @@ def test_genericity_accepts_just_outside_band(j):
     m = 0.72
     p = ModelParams(m=m, mu=j * m * (1 + 3e-8), gamma=0.0, sigma2=3e-4)
     assert p.mu_hat == pytest.approx(j * m, rel=1e-7)
+    assert build_expansion(p, 0.1, N_MAX).order == N_MAX
 
 
 @pytest.mark.parametrize("mu", [-0.72 + 5e-9, -1.44 + 1e-8])

@@ -9,8 +9,8 @@ from sshat import (
     ExpPolySeries,
     InitialState,
     ModelParams,
+    N_MAX,
     build_expansion,
-    combine,
     integrate_ell,
     tau_lbar_terms,
 )
@@ -22,6 +22,31 @@ def _coeff_at(series: ExpPolySeries, power: int, rate: float, tol: float) -> flo
     matches = [t for t in series.terms if t.power == power and abs(t.rate - rate) <= tol]
     assert len(matches) == 1, f"expected one term at (p={power}, r={rate}), got {matches}"
     return matches[0].coeff
+
+
+def _max_abs_coeff(series: ExpPolySeries) -> float:
+    return max((abs(t.coeff) for t in series.terms), default=0.0)
+
+
+def _ode_residual(ck: ExpPolySeries, prev: ExpPolySeries, mu_hat: float, m: float, tol: float) -> list[float]:
+    """Coefficients of c_k' + mu_hat c_k + exp(-m t) c_{k-1}, collected by rate.
+
+    Applied term by term: a exp(-r t) in c_k gives (mu_hat - r) a at rate r,
+    and a exp(-r t) in c_{k-1} gives a at rate r + m.  Rates within ``tol``
+    are collected as one.
+    """
+    assert all(t.power == 0 for t in ck.terms + prev.terms)
+    collected = []  # [rate, coeff] pairs
+    contributions = [(t.rate, (mu_hat - t.rate) * t.coeff) for t in ck.terms]
+    contributions += [(t.rate + m, t.coeff) for t in prev.terms]
+    for rate, coeff in contributions:
+        for entry in collected:
+            if abs(entry[0] - rate) <= tol:
+                entry[1] += coeff
+                break
+        else:
+            collected.append([rate, coeff])
+    return [coeff for _, coeff in collected]
 
 
 def closed_form_c_coeffs(mu_hat: float, m: float, c01: float, c02: float) -> dict:
@@ -171,18 +196,11 @@ def test_closed_form_conformance(base_params, seed):
 def test_ode_residual_identity_through_order_six(base_params, seed):
     """d/dt c_k + mu_hat c_k + exp(-m t) c_{k-1} cancels exactly, k = 1..6."""
     params = base_params if seed is None else _random_valid_params(random.Random(seed))
-    tol = params.delta_gen
     expansion = build_expansion(params, 0.1, 6)
     for k in range(1, 7):
         ck, prev = expansion.c[k], expansion.c[k - 1]
-        residual = combine(
-            combine(ck.differentiate(rate_tol=tol), ck, 1.0, params.mu_hat, rate_tol=tol),
-            prev.multiply_by_exp(params.m, rate_tol=tol),
-            1.0,
-            1.0,
-            rate_tol=tol,
-        )
-        assert residual.max_abs_coeff() <= 1e-12 * ck.max_abs_coeff()
+        residual = _ode_residual(ck, prev, params.mu_hat, params.m, params.delta_gen)
+        assert max(map(abs, residual)) <= 1e-12 * _max_abs_coeff(ck)
 
 
 def test_coefficient_sum_rule(base_expansion_6):
@@ -190,9 +208,25 @@ def test_coefficient_sum_rule(base_expansion_6):
     for k, ck in enumerate(base_expansion_6.c):
         if k == 0:
             continue
-        assert abs(ck.evaluate(0.0)) <= 1e-14 * ck.max_abs_coeff()
+        assert abs(ck.evaluate(0.0)) <= 1e-14 * _max_abs_coeff(ck)
     for Lk in base_expansion_6.L:
-        assert abs(Lk.evaluate(0.0)) <= 1e-14 * max(1.0, Lk.max_abs_coeff())
+        assert abs(Lk.evaluate(0.0)) <= 1e-14 * max(1.0, _max_abs_coeff(Lk))
+
+
+@pytest.mark.parametrize("seed", [None, 31, 62])
+def test_two_family_structure_through_n_max(base_params, seed):
+    """c_k: one term at k m, k + 1 at mu_hat + j m; L_k: k + 3 terms, a slope only in L_0."""
+    params = base_params if seed is None else _random_valid_params(random.Random(seed))
+    mh, m = params.mu_hat, params.m
+    expansion = build_expansion(params, 0.1, N_MAX)
+    for k, (ck, Lk) in enumerate(zip(expansion.c, expansion.L)):
+        assert all(t.power == 0 for t in ck.terms)
+        assert sorted(t.rate for t in ck.terms) == sorted([k * m] + [mh + j * m for j in range(k + 1)])
+        assert len(Lk.terms) == k + 3
+        slopes = [t for t in Lk.terms if t.power == 1]
+        assert [(t.coeff, t.rate) for t in slopes] == ([(params.sigma2 / mh, 0.0)] if k == 0 else [])
+        assert all(t.power == 0 for t in Lk.terms if t not in slopes)
+        assert all(math.isfinite(t.coeff) and math.isfinite(t.rate) for t in ck.terms + Lk.terms)
 
 
 def test_build_expansion_validation(base_params):
@@ -266,6 +300,12 @@ def test_eval_tau_lbar_mid_column_value(base_params):
 def test_eval_tau_lbar_rejects_nonpositive_maturity(base_expansion):
     with pytest.raises(ValueError):
         _eval_tau_lbar(base_expansion, 0.01, 0.0)
+
+
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_tau_lbar_terms_rejects_non_finite_maturity(base_expansion, tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        tau_lbar_terms(base_expansion, tau)
 
 
 def test_truncation_error_halves_at_expected_rate(base_params, base_expansion):
