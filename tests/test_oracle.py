@@ -1,6 +1,7 @@
 """Integrator and root-finder ground truth: convergence order, closed forms."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,7 @@ from sshat import (
 )
 from sshat.oracle import TOL_ROOT, residual_cleared
 
-from _reference import BASE_L0, BASE_TAU, TABLE_S0, TRUE_SHAT, TRUE_TAU_LBAR
+from _reference import BASE_L0, BASE_MU_HAT, BASE_TAU, RK4_REFERENCE, TABLE_S0, TRUE_SHAT, TRUE_TAU_LBAR
 
 
 def test_default_step_counts():
@@ -35,6 +36,24 @@ def test_integrate_validation(base_params):
         integrate_ell(state, base_params, 0.0, 1000)
     with pytest.raises(ValueError):
         integrate_ell(state, base_params, 1.0, 15)
+
+
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, tau: default_n_steps(tau),
+        lambda p, tau: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, tau, 1000),
+        lambda p, tau: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, tau),
+        lambda p, tau: compute_oracles([InitialState(s0=0.0, l0=BASE_L0)], p, tau, 1000),
+        lambda p, tau: solve_shat_numeric(0.1, BASE_L0, p, tau),
+        lambda p, tau: abar_closed_s0_equals_muhat(p, BASE_L0, tau),
+    ],
+    ids=["default_n_steps", "integrate_ell", "compute_oracle", "compute_oracles", "solve_shat_numeric", "abar_closed"],
+)
+def test_oracle_rejects_non_finite_maturity(base_params, call, tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        call(base_params, tau)
 
 
 def test_integrate_near_zero_dynamics(base_params):
@@ -103,19 +122,66 @@ def _scalar_rk4_reference(state, params, tau, n_steps):
     return rows, acc
 
 
+def _max_rel_diff(values, reference):
+    return max(abs(v - r) / abs(r) for v, r in zip(values, reference))
+
+
 @pytest.mark.parametrize("tau, n_steps", [(1.0, 1000), (7.5, 333)])
-def test_integrators_bitwise_equal_scalar_reference(base_params, tau, n_steps):
-    # The shared loop must keep the reference's operations and their order:
-    # the path, A(tau) and every batch row agree bit for bit.
+def test_integrators_match_scalar_reference(base_params, tau, n_steps):
+    # The scan sums the reference's steps in another order, so the path and
+    # A(tau) agree to rounding only (2e-14 relative, about 100 ulps); every
+    # entry point shares the scan, so they agree with each other bit for bit.
     states = [InitialState(s0=s0, l0=l0) for s0 in (-0.05, base_params.mu_hat, 0.05) for l0 in (0.01, 0.2)]
     batch = compute_oracles(states, base_params, tau, n_steps)
     for state, batched in zip(states, batch):
         rows, acc = _scalar_rk4_reference(state, base_params, tau, n_steps)
         path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
-        assert tau_lbar == acc
-        assert path.tolist() == [list(row) for row in rows]
-        assert compute_oracle(state, base_params, tau, n_steps).tau_lbar == acc
-        assert batched.tau_lbar == acc
+        assert abs(tau_lbar - acc) <= 2e-14 * abs(acc)
+        assert path[:, 0].tolist() == [row[0] for row in rows]
+        assert _max_rel_diff(path[:, 1], [row[1] for row in rows]) <= 2e-14
+        assert compute_oracle(state, base_params, tau, n_steps).tau_lbar == tau_lbar
+        assert batched.tau_lbar == tau_lbar
+
+
+@pytest.mark.parametrize("s0, tau", [(2000.0, 1.0), (2.0, 30.0)])
+def test_scan_matches_scalar_reference_at_large_spreads(base_params, s0, tau):
+    # At s0 = 2000 the product of the RK4 step factors over [0, 1] is about
+    # exp(-1400), far below the smallest double; at s0 = 2, tau = 30 the
+    # scan runs 118 blocks.
+    state = InitialState(s0=s0, l0=BASE_L0)
+    n_steps = default_n_steps(tau)
+    rows, acc = _scalar_rk4_reference(state, base_params, tau, n_steps)
+    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
+    assert abs(tau_lbar - acc) <= 2e-14 * abs(acc)
+    assert _max_rel_diff(path[:, 1], [row[1] for row in rows]) <= 2e-14
+
+
+@pytest.mark.parametrize("s0, tau", sorted(RK4_REFERENCE))
+def test_integrate_matches_exact_rk4(base_params, s0, tau):
+    # Against the same RK4 steps in exact arithmetic: only rounding separates
+    # them.
+    n_steps, acc, ell = RK4_REFERENCE[s0, tau]
+    state = InitialState(s0=base_params.mu_hat if s0 == BASE_MU_HAT else s0, l0=BASE_L0)
+    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
+    assert abs(tau_lbar - acc) <= 1e-15 * acc
+    assert abs(path[-1, 1] - ell) <= 1e-15 * ell
+
+
+def test_long_batch_memory_is_bounded(base_params):
+    # 100k steps for 100 states: the scan holds one block of steps at a time.
+    states = [InitialState(s0=0.01 * i - 0.05, l0=0.01 + 0.02 * j) for i in range(10) for j in range(10)]
+    tracemalloc.start()
+    try:
+        results = compute_oracles(states, base_params, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 100 and all(math.isfinite(r.s_hat) for r in results)
+    assert peak < 2_000_000
+
+
+def test_empty_batch(base_params):
+    assert compute_oracles([], base_params, 1.0) == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -130,6 +196,16 @@ def test_integrate_overflow_raises(base_params):
     batch = [InitialState(s0=-0.05, l0=BASE_L0), state, InitialState(s0=0.05, l0=BASE_L0)]
     with pytest.raises(NumericalFailure, match="state 1 of the batch"):
         compute_oracles(batch, base_params, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_positive_step_factor_raises():
+    # With m h = 10 the spread falls from 100 to about 0.7 by the middle of
+    # the first step, which multiplies l by about -0.6: a step that long
+    # gives no meaningful integral, so it is reported, not returned.
+    params = ModelParams(m=100.0, mu=-0.01, gamma=0.0, sigma2=3e-4)
+    with pytest.raises(NumericalFailure):
+        integrate_ell(InitialState(s0=100.0, l0=BASE_L0), params, 1.6, 16)
 
 
 @pytest.mark.parametrize("tau", [1.0, 7.5])
