@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epsseries import solve_shat_series
+from .epsseries import _power_sum, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
 from .oracle import compute_oracle, compute_oracles, default_n_steps, integrate_ell
-from .params import InitialState, ModelParams, _require_finite, load_config
+from .params import InitialState, ModelParams, _require_maturity, load_config
 from .perturbation import build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
@@ -63,6 +63,8 @@ REFERENCE_SHAT = (
 )
 
 MAX_SWEEP_POINTS = 10**6
+# (l0, tau) pairs per write of sweep rows.
+_SPAN = 4096
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,7 @@ def _resolve_config(args) -> RunConfig:
     l0 = pick(getattr(args, "l0", None), file_state.l0 if file_state else None, DEFAULT_L0)
     tau = pick(getattr(args, "tau", None), None, DEFAULT_TAU)
     order = pick(getattr(args, "order", None), None, DEFAULT_ORDER)
-    _require_finite(tau, "maturity tau")
-    if tau <= 0:
-        raise ValueError(f"maturity must be > 0, got {tau}")
+    _require_maturity(tau)
     steps = pick(getattr(args, "steps", None), None, default_n_steps(tau))
     return RunConfig(
         params=params,
@@ -352,32 +352,27 @@ def cmd_sweep(args) -> int:
         raise ValueError("tau grid must be strictly positive")
 
     # All numerical work is done before the first output byte, into arrays
-    # indexed [s0, l0, tau]: entry [i_s0] is one block of rows in row order.
-    shape = (len(s0_grid), len(l0_grid), len(tau_grid))
-    shares = np.zeros(len(tau_grid))  # per row, an equal share of its tau's oracle batch
+    # indexed [s0, pair] with the (l0, tau) pairs l0-major: row [i_s0] holds
+    # the rows of one s0 in output order.
+    n_tau = len(tau_grid)
+    pairs = len(l0_grid) * n_tau
+    shares = np.zeros(n_tau)  # per row, an equal share of its tau's oracle batch
     if args.oracle:
-        oracle = np.empty(shape)
+        oracle = np.empty((len(s0_grid), pairs))
         states = [InitialState(s0=s0, l0=l0) for s0 in s0_grid.tolist() for l0 in l0_grid.tolist()]
         for i_tau, tau in enumerate(tau_grid.tolist()):
             started = time.perf_counter()
             batch = compute_oracles(states, params, tau, args.steps)
             shares[i_tau] = (time.perf_counter() - started) / len(states)
-            oracle[:, :, i_tau] = np.reshape([result.s_hat for result in batch], shape[:2])
+            oracle[:, i_tau::n_tau] = np.reshape([result.s_hat for result in batch], (len(s0_grid), len(l0_grid)))
 
-    # One expansion per distinct l0; one series solve and one evaluation over
-    # the whole s0 grid per distinct (l0, tau).
+    # One batched solve over every (l0, tau) pair; each block of pairs is
+    # evaluated over the whole s0 grid at once.
     started = time.perf_counter()
-    eps = s0_grid - params.mu_hat
-    values = np.empty(shape)
-    expansions = {}
-    evaluated = {}
-    for i_l0, l0 in enumerate(l0_grid.tolist()):
-        for i_tau, tau in enumerate(tau_grid.tolist()):
-            if (l0, tau) not in evaluated:
-                if l0 not in expansions:
-                    expansions[l0] = build_expansion(params, l0, order)
-                evaluated[l0, tau] = solve_shat_series(expansions[l0], tau, l0, params, order).value(eps)
-            values[:, i_l0, i_tau] = evaluated[l0, tau]
+    eps = (s0_grid - params.mu_hat)[:, None]
+    values = np.empty((len(s0_grid), pairs))
+    for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
+        values[:, start : start + k.shape[1]] = _power_sum(k, eps)
     series_share = (time.perf_counter() - started) / total
 
     header = ["s0", "l0", "tau", f"shat_order{order}"]
@@ -385,12 +380,22 @@ def cmd_sweep(args) -> int:
     if args.oracle:
         header += ["oracle_s_hat", "abs_diff"]
         columns += [oracle, np.abs(values - oracle)]
-    # The l0, tau and elapsed_ms columns are the same in every s0 block.
+    # Rows are written in spans of at most _SPAN (l0, tau) pairs, so the text
+    # held at once stays bounded; a grid of one span formats it once for all s0.
+    l0_text = [_g17(l0) + "," for l0 in l0_grid.tolist()]
     tau_text = [_g17(tau) for tau in tau_grid.tolist()]
-    l0_tau_text = [f"{_g17(l0)},{tau}" for l0 in l0_grid.tolist() for tau in tau_text]
     if args.timing:
         header.append("elapsed_ms")
-        elapsed_text = [f"{(series_share + share) * 1e3:.3f}" for share in shares.tolist()] * len(l0_grid)
+        elapsed_text = [f"{(series_share + share) * 1e3:.3f}" for share in shares.tolist()]
+
+    def span_text(lo, hi):
+        """Per pair lo..hi-1: the "l0,tau" text and, with --timing, the elapsed_ms text."""
+        index = range(lo, hi)
+        coordinates = [l0_text[p // n_tau] + tau_text[p % n_tau] for p in index]
+        return coordinates, [elapsed_text[p % n_tau] for p in index] if args.timing else None
+
+    spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
+    single = span_text(0, pairs) if len(spans) == 1 else None
     g17 = "{:.17g}".format  # _g17 without a Python call per value
     with _output(cfg.out) as fh:
         fh.write(
@@ -400,11 +405,13 @@ def cmd_sweep(args) -> int:
         )
         for i_s0, s0 in enumerate(s0_grid.tolist()):
             prefix = _g17(s0) + ","
-            fields = [[prefix + text for text in l0_tau_text]]
-            fields += [map(g17, column[i_s0].ravel().tolist()) for column in columns]
-            if args.timing:
-                fields.append(elapsed_text)
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            for lo, hi in spans:
+                coordinates, elapsed = single or span_text(lo, hi)
+                fields = [[prefix + text for text in coordinates]]
+                fields += [map(g17, column[i_s0, lo:hi].tolist()) for column in columns]
+                if args.timing:
+                    fields.append(elapsed)
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
     return 0
 
 

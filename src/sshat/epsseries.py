@@ -27,6 +27,11 @@ parameter set and no order amplifies the rounding error of the orders below.
 The first-order closed form ``k_1 = L_1 / f_1`` is kept as an independent
 cross-check, written as in the cleared equation: ``k_1 * bracket = L_1 k_0^2``
 with ``bracket = k_0^2 f_1``.
+
+Both sides are affine in l0: ``L_k = A_k + l0 B_k`` (perturbation) and
+``f_j = a_j + l0 b_j``.  So one solve covers a whole grid of (l0, tau) pairs:
+A_k, B_k, a_j and b_j once per maturity, then the reversion elementwise over
+blocks of pairs.  A scalar solve is a grid of one pair.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .params import ModelParams, _require_finite
-from .perturbation import EllExpansion, tau_lbar_terms
+from .params import ModelParams, _require_maturity
+from .perturbation import EllExpansion, _lbar_columns, _lbar_table, tau_lbar_terms
 
 __all__ = [
     "ShatExpansion",
@@ -68,36 +73,110 @@ def _moments(x: float, n: int) -> np.ndarray:
     return math.exp(-x) * np.cumprod(steps, axis=0).sum(axis=0)
 
 
-def _taylor_coefficients(k0: float, tau: float, l0: float, sigma2: float, n: int) -> np.ndarray:
-    """f_0..f_n, the Taylor coefficients of F at k0.
+def _taylor_terms(k0: float, tau: float, sigma2: float, n: int) -> np.ndarray:
+    """The l0-free parts of f_0..f_n at one maturity: ``f_j = a_j + l0 b_j``.
 
-    The weight l0 + sigma2 tau (1-u) enters as (l0 + sigma2 tau) I_j - sigma2 tau I_(j+1);
-    since I_(j+1) < I_j, that subtraction loses at most a factor
-    1 + 2 sigma2 tau / l0 of relative precision.
+    With the moments I_j at ``k0 tau``, ``b_j = c_j I_j`` and
+    ``a_j = c_j sigma2 tau (I_j - I_(j+1))``, where ``c_j = tau (-tau)^j / j!``.
+    Both parts of each f_j have one sign, so f_j has no cancellation.
+    Returns the array ``[a, b]`` of shape (2, n+1).  Raises NumericalFailure
+    when it overflows: then every f_j is non-finite, whatever l0.
     """
-    steps = np.full(n + 1, -tau) / np.maximum(np.arange(n + 1), 1)
-    steps[0] = tau
+    scale = [tau]
+    for j in range(1, n + 1):
+        scale.append(scale[-1] * (-tau / j))
     with np.errstate(over="ignore", invalid="ignore"):
         moments = _moments(k0 * tau, n + 1)
-        weighted = (l0 + sigma2 * tau) * moments[:-1] - sigma2 * tau * moments[1:]
-        f = np.cumprod(steps) * weighted
-    if not np.all(np.isfinite(f)):
+        terms = np.array([sigma2 * tau * (moments[:-1] - moments[1:]), moments[:-1]]) * scale
+    if not np.isfinite(terms).all():
         raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * tau!r}")
-    return f
+    return terms
 
 
-def _compose(f: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Coefficients of sum_j f_j delta^j, truncated to len(delta), by Horner.
+def _power_sum(terms, eps):
+    """sum_n terms[n] eps^n, summed in increasing powers.
 
-    ``delta`` has no constant term, so f_j for j >= len(delta) cannot
-    contribute and is skipped.
+    ``eps`` is a float or an ndarray; each term is a float or an ndarray
+    that broadcasts against ``eps``.  Each element has the bits of the float
+    call at that element.
     """
-    n = len(delta)
-    out = np.zeros(n)
-    for fj in f[n - 1 :: -1]:
-        out = np.convolve(out, delta)[:n]
-        out[0] += fj
-    return out
+    total = 0.0
+    power = np.ones_like(eps, dtype=float) if isinstance(eps, np.ndarray) else 1.0
+    for term in terms:
+        total += term * power
+        power *= eps
+    return total
+
+
+# (l0, tau) pairs per block of the batched solve.  The block length is fixed,
+# and no result depends on it; a block's two (order+1)^2 tables take
+# 2 * (order+1)^2 * _BLOCK floats, 4.7 MB at order N_MAX.
+_BLOCK = 1024
+
+
+def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray):
+    """Solve the reversion at every pair of ``l0`` x ``tau`` (1-D arrays).
+
+    Pairs run l0-major: pair p is (l0[p // len(tau)], tau[p % len(tau)]).
+    Yields ``(start, k, bracket, residuals)`` per block of _BLOCK pairs, with
+    ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
+    shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
+    reduction over the order index is an elementwise sum in a fixed order, so
+    each pair has the bits of a grid of that pair alone.  Raises
+    NumericalFailure at the first maturity where F's Taylor coefficients or
+    the L_k overflow, before the first block.
+    """
+    n = max(order, 1)
+    k0 = params.mu_hat
+    table = _lbar_table(params, order)
+    taus = tau.tolist()
+    # Both f_j and L_k are affine in l0.  Per maturity, the l0-free part
+    # [f_a, L_A] and the l0 slope [f_b, L_B]: shape (2, n + order + 2, len(tau)).
+    affine = np.empty((2, n + order + 2, len(taus)))
+    for i, t in enumerate(taus):
+        affine[:, : n + 1, i] = _taylor_terms(k0, t, params.sigma2, n)
+        affine[:, n + 1 :, i] = _lbar_columns(table, t)
+
+    pairs = len(l0) * len(taus)
+    for start in range(0, pairs, _BLOCK):
+        i_l0, i_tau = np.divmod(np.arange(start, min(start + _BLOCK, pairs)), len(taus))
+        x = l0[i_l0]
+        intercept, slope = affine[:, :, i_tau]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fL = intercept + x * slope
+        f, L = fL[: n + 1], fL[n + 1 :]
+        if not np.isfinite(f).all():
+            t = taus[i_tau[np.isfinite(f).all(axis=0).argmin()]]
+            raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * t!r}")
+
+        # delta_m is read off order m, with the composition carried by Horner's
+        # rule: Q[c, s] = [sum_(j>=1) f_(j+s) delta^j]_c obeys
+        # Q[m, s] = f_(s+1) delta_m + R[m, s+1] with R[m, s] = sum_(i<m) delta_i Q[m-i, s],
+        # and [sum_(j>=2) f_j delta^j]_m = R[m, 1].  Only m + s <= order is
+        # needed.  Each term of R[m] is added at the step t = max(i, m-i)
+        # that completes it, in a fixed order, so every order costs a few
+        # array operations and every pair gets the same additions whatever
+        # the block holds.
+        Q, R = np.zeros((2, order + 1, order + 1, len(x)))
+        # rest[m] = L_m - R[m, 1], so that delta_m = rest[m] / f_1 and the
+        # residual of order m is |f_1 delta_m - rest[m]|; rest[0] = L_0 - f_0.
+        delta, rest = np.zeros((2, order + 1, len(x)))
+        np.subtract(L[0], f[0], out=rest[0])
+        for t in range(1, order + 1):
+            np.subtract(L[t], R[t, 1], out=rest[t])
+            np.divide(rest[t], f[1], out=delta[t])
+            if t == order:
+                break
+            np.add(f[2 : order - t + 2] * delta[t], R[t, 2 : order - t + 2], out=Q[t, 1 : order - t + 1])
+            # The terms delta_t Q[c] (c <= t) of R[t+c] and delta_i Q[t] (i < t) of R[t+i].
+            c = min(t, order - t)
+            R[t + 1 : t + c + 1, 1:] += delta[t] * Q[1 : c + 1, 1:]
+            i = min(t - 1, order - t)
+            if i:
+                R[t + 1 : t + i + 1, 1:] += delta[1 : i + 1, None] * Q[t, 1:]
+        residuals = np.abs(f[1] * delta - rest)
+        delta[0] = k0
+        yield start, delta, k0 * k0 * f[1], residuals
 
 
 @dataclass(frozen=True)
@@ -128,12 +207,7 @@ class ShatExpansion:
         upto = self.order if order is None else order
         if not 0 <= upto <= self.order:
             raise ValueError(f"order must be in [0, {self.order}], got {order}")
-        total = 0.0
-        power = np.ones_like(eps, dtype=float) if isinstance(eps, np.ndarray) else 1.0
-        for n in range(upto + 1):
-            total += self.k[n] * power
-            power *= eps
-        return total
+        return _power_sum(self.k[: upto + 1], eps)
 
 
 def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):
@@ -156,23 +230,15 @@ def solve_shat_series(
     Raises NumericalFailure when the Taylor coefficients of F overflow.
     """
     _require_match(expansion, l0, params)
-    _require_finite(tau, "maturity tau")
-    if tau <= 0:
-        raise ValueError(f"maturity must be > 0, got {tau}")
+    _require_maturity(tau)
     if not 0 <= order <= expansion.order:
         raise ValueError(f"order must be in [0, {expansion.order}], got {order}")
-    k0 = params.mu_hat
-    f = _taylor_coefficients(k0, tau, l0, params.sigma2, max(order, 1))
-    L = np.array(tau_lbar_terms(expansion, tau)[: order + 1])
-    delta = np.zeros(order + 1)
-    for n in range(1, order + 1):
-        delta[n] = (L[n] - _compose(f, delta[: n + 1])[n]) / f[1]
-    residuals = np.abs(_compose(f, delta) - L)
+    ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([float(l0)]), np.array([float(tau)]))
     return ShatExpansion(
         tau=tau,
-        k=(k0,) + tuple(delta[1:].tolist()),
-        bracket=k0 * k0 * float(f[1]),
-        residuals=tuple(residuals.tolist()),
+        k=tuple(k[:, 0].tolist()),
+        bracket=float(bracket[0]),
+        residuals=tuple(residuals[:, 0].tolist()),
     )
 
 
@@ -185,6 +251,6 @@ def rhs1_printed(expansion: EllExpansion, tau: float, l0: float, params: ModelPa
     _require_match(expansion, l0, params)
     if expansion.order < 1:
         raise ValueError("expansion must carry at least order 1")
-    L1 = expansion.L[1].evaluate(tau)
+    L1 = tau_lbar_terms(expansion, tau)[1]
     k0 = params.mu_hat
     return L1 * k0 * k0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, NumericalFailure
-from .params import InitialState, ModelParams, _require_finite
+from .params import InitialState, ModelParams, _require_maturity
 
 __all__ = [
     "TOL_ROOT",
@@ -66,13 +66,6 @@ class OracleResult:
     residual: float
     bracket_lo: float
     bracket_hi: float
-
-
-def _require_maturity(tau: float) -> float:
-    tau = _require_finite(tau, "maturity tau")
-    if tau <= 0:
-        raise ValueError(f"maturity must be > 0, got {tau}")
-    return tau
 
 
 def default_n_steps(tau: float) -> int:

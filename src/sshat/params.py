@@ -40,6 +40,13 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
+def _require_maturity(tau: float) -> float:
+    tau = _require_finite(tau, "maturity tau")
+    if tau <= 0:
+        raise ValueError(f"maturity must be > 0, got {tau}")
+    return tau
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five model constants.

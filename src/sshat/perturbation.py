@@ -25,10 +25,12 @@ for evaluation at any number of (eps, t) or (eps, tau) pairs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
+from .errors import NumericalFailure
 from .expseries import ExpPolySeries, ExpPolyTerm
-from .params import ModelParams, N_MAX, _require_finite
+from .params import ModelParams, N_MAX, _require_finite, _require_maturity
 
 __all__ = [
     "EllExpansion",
@@ -63,31 +65,92 @@ def _integral(pairs) -> list[tuple[float, int, float]]:
     return slopes + [(-q, 0, r) for q, r in ratios] + [(math.fsum(q for q, _ in ratios), 0, 0.0)]
 
 
-def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
-    """Build c_0..c_order and L_0..L_order by the two-family recursion above."""
+def _require_order(order: int):
     if not 0 <= order <= N_MAX:
         raise ValueError(f"expansion order must be in [0, {N_MAX}], got {order}")
+
+
+def _recursion(params: ModelParams, alpha: float, beta: float, order: int):
+    """Yield ``(alpha_k, [beta_k0, ..., beta_kk])`` for k = 0..order by the recursion above.
+
+    Starts from ``alpha_0 = alpha`` and ``beta_00 = beta``; the recursion is
+    linear in the two.
+    """
+    mu_hat, m = params.mu_hat, params.m
+    jm = [j * m for j in range(1, order + 1)]
+    beta = [beta]
+    yield alpha, beta
+    for k in range(1, order + 1):
+        alpha = -alpha / (mu_hat - k * m)
+        beta = list(map(operator.truediv, beta, jm))
+        beta.insert(0, -math.fsum([alpha] + beta))
+        yield alpha, beta
+
+
+def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
+    """Build c_0..c_order and L_0..L_order by the two-family recursion above."""
+    _require_order(order)
     _require_finite(l0, "l0")
     if l0 <= 0:
         raise ValueError(f"initial consol rate l0 must be > 0, got {l0}")
     mu_hat, m = params.mu_hat, params.m
-    alpha = params.sigma2 / mu_hat
-    beta = [l0 - alpha]
+    alpha0 = params.sigma2 / mu_hat
     c, L = [], []
-    for k in range(order + 1):
-        if k:
-            alpha = -alpha / (mu_hat - k * m)
-            beta = [b / (j * m) for j, b in enumerate(beta, start=1)]
-            beta.insert(0, -math.fsum([alpha] + beta))
+    for k, (alpha, beta) in enumerate(_recursion(params, alpha0, l0 - alpha0, order)):
         pairs = [(alpha, k * m)] + [(b, mu_hat + j * m) for j, b in enumerate(beta)]
         c.append(_series((a, 0, r) for a, r in pairs))
         L.append(_series(_integral(pairs)))
     return EllExpansion(order=order, c=tuple(c), L=tuple(L), params=params, l0=l0)
 
 
+def _lbar_table(params: ModelParams, order: int):
+    """The l0-free table of L_0..L_order, built once per (params, order).
+
+    Every beta_{k,j} is u_{k,j} + l0 v_{k,j}, since the recursion is linear:
+    u starts from ``beta_00 = -alpha_0``, v from ``alpha_0 = 0, beta_00 = 1``.
+    So ``L_k(tau) = A_k(tau) + l0 B_k(tau)``, where each of A_k and B_k sums
+    ``a/r (1 - exp(-r tau))`` over its terms (the slope ``alpha_0 tau`` for
+    the rate zero of A_0).  Returns the rates ``k m`` (k = 1..order), the
+    rates ``mu_hat + j m`` (j = 0..order), the alpha coefficients of A (the
+    slope, then a/r per k) and, per k, the beta coefficients a/r of A and of B.
+    """
+    _require_order(order)
+    mu_hat, m = params.mu_hat, params.m
+    alpha_rates = [k * m for k in range(1, order + 1)]
+    beta_rates = [mu_hat + j * m for j in range(order + 1)]
+    alpha0 = params.sigma2 / mu_hat
+    u_rows, v_rows, alphas = [], [], []
+    u_family = _recursion(params, alpha0, -alpha0, order)
+    v_family = _recursion(params, 0.0, 1.0, order)
+    for (alpha, u), (_, v) in zip(u_family, v_family):
+        alphas.append(alpha)
+        u_rows.append(list(map(operator.truediv, u, beta_rates)))
+        v_rows.append(list(map(operator.truediv, v, beta_rates)))
+    alphas[1:] = map(operator.truediv, alphas[1:], alpha_rates)
+    return alpha_rates, beta_rates, alphas, u_rows, v_rows
+
+
+def _lbar_columns(table, tau: float) -> tuple[list[float], list[float]]:
+    """A_k(tau) and B_k(tau) for k = 0..order, each summed exactly by ``math.fsum``."""
+    alpha_rates, beta_rates, alphas, u_rows, v_rows = table
+    try:
+        alpha_basis = [tau] + [-math.expm1(-r * tau) for r in alpha_rates]
+        beta_basis = [-math.expm1(-r * tau) for r in beta_rates]
+    except OverflowError as exc:
+        raise NumericalFailure(f"series evaluation overflowed at t={tau!r}") from exc
+    A = [
+        math.fsum([a * x, *map(operator.mul, row, beta_basis)])
+        for a, x, row in zip(alphas, alpha_basis, u_rows)
+    ]
+    B = [math.fsum(map(operator.mul, row, beta_basis)) for row in v_rows]
+    return A, B
+
+
 def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:
-    """The scalar values L_k(tau) for k = 0..order (per-order building blocks)."""
-    _require_finite(tau, "maturity tau")
-    if tau <= 0:
-        raise ValueError(f"maturity must be > 0, got {tau}")
-    return [Lk.evaluate(tau) for Lk in expansion.L]
+    """The scalar values L_k(tau) = A_k(tau) + l0 B_k(tau) for k = 0..order.
+
+    The same values the series solve reads at (l0, tau).
+    """
+    tau = _require_maturity(tau)
+    A, B = _lbar_columns(_lbar_table(expansion.params, expansion.order), tau)
+    return [a + expansion.l0 * b for a, b in zip(A, B)]

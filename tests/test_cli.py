@@ -1,11 +1,13 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sshat import InitialState, build_expansion, compute_oracle, solve_shat_series
 from sshat.cli import BASE_PARAMS, main
+from sshat.epsseries import _BLOCK
 
 from _reference import BASE_L0, TRUE_SHAT
 
@@ -309,11 +311,7 @@ def _reference_sweep(order, s0_spec, l0_spec, tau_spec, oracle):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
-@pytest.mark.parametrize("order", [0, 3, 8])
-def test_sweep_bytes_equal_row_by_row_reference(tmp_path, capsys, order, oracle, to_file):
-    specs = ("-0.06:0.05:4", "0.02:0.2:3", "0.5:4:3")
+def _sweep_output(tmp_path, capsys, order, oracle, to_file, specs):
     argv = ["sweep", "--order", str(order), f"--s0-grid={specs[0]}", f"--l0-grid={specs[1]}", f"--tau-grid={specs[2]}"]
     argv += ["--oracle"] if oracle else []
     target = tmp_path / "sweep.csv"
@@ -323,7 +321,47 @@ def test_sweep_bytes_equal_row_by_row_reference(tmp_path, capsys, order, oracle,
     if to_file:
         assert out == ""
         out = target.read_bytes().decode("utf-8")
+    return out
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
+@pytest.mark.parametrize("order", [0, 1, 3, 8, 16])
+def test_sweep_bytes_equal_row_by_row_reference(tmp_path, capsys, order, oracle, to_file):
+    specs = ("-0.06:0.05:4", "0.02:0.2:3", "0.5:4:3")
+    out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
     assert out == _reference_sweep(order, *specs, oracle)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
+@pytest.mark.parametrize("order", [0, 1, 3, 8, 16])
+def test_sweep_bytes_equal_row_by_row_reference_repeated_grid(tmp_path, capsys, order, oracle):
+    # Repeated l0 and tau values, each solved as its own pair.
+    specs = ("-0.06:0.05:3", "0.1:0.1:3", "2:2:2")
+    out = _sweep_output(tmp_path, capsys, order, oracle, False, specs)
+    assert out == _reference_sweep(order, *specs, oracle)
+
+
+def test_sweep_memory_does_not_grow_with_the_pairs(tmp_path):
+    # The solve runs in blocks of _BLOCK pairs; at order 16 a block's two
+    # (order+1)^2 tables take 2 * 17^2 * _BLOCK * 8 bytes = 4.7 MB.  The bound,
+    # three times that, does not depend on the grid: besides the block's
+    # arrays and one write span of rows, only the values array (8 bytes a
+    # point, 0.7 MB here) grows with it.  Unblocked, the tables alone would
+    # take 2 * 17^2 * 90000 * 8 bytes = 416 MB here.
+    bound = 3 * 2 * 17**2 * _BLOCK * 8
+    target = tmp_path / "wide.csv"
+    argv = ["sweep", "--order", "16", "--s0-grid=0:0:1", "--l0-grid=0.01:0.2:300", "--tau-grid=0.5:10:300"]
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    with open(target, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 3 + 300 * 300
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,8 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import sshat.epsseries
+import sshat.perturbation
 from sshat import (
-    ExpPolySeries,
     InitialState,
     ModelParams,
     NumericalFailure,
@@ -17,9 +18,9 @@ from sshat import (
     rhs1_printed,
     solve_shat_series,
 )
-from sshat.epsseries import _moments, _taylor_coefficients
+from sshat.epsseries import _moments, _solve_grid, _taylor_terms
 from sshat.oracle import _phi1, _phi1_prime, _phi2, _phi2_prime
-from sshat.perturbation import EllExpansion
+from sshat.perturbation import _lbar_columns
 
 from _reference import (
     BASE,
@@ -47,7 +48,8 @@ def test_taylor_coefficients_match_oracle_phi(tau):
     l0, sigma2 = 0.1, 3e-4
     for x in list(np.linspace(-15.0, 15.0, 16)) + [-0.1, 0.1]:
         k0 = x / tau
-        f0, f1 = _taylor_coefficients(k0, tau, l0, sigma2, 1)
+        a, b = _taylor_terms(k0, tau, sigma2, 1)
+        f0, f1 = a + l0 * b
         F = l0 * tau * _phi1(x) - sigma2 * tau * tau * _phi2(x)
         F_prime = tau * tau * (l0 * _phi1_prime(x) - sigma2 * tau * _phi2_prime(x))
         assert f0 == pytest.approx(F, rel=1e-13)
@@ -62,7 +64,7 @@ def test_exp_overflow_raises(base_params):
     # an overflowing sum for k0 tau = +1000.  Neither may pass as a number.
     for k0 in (-1.0, 1.0):
         with pytest.raises(NumericalFailure):
-            _taylor_coefficients(k0, 1000.0, BASE_L0, base_params.sigma2, 3)
+            _taylor_terms(k0, 1000.0, base_params.sigma2, 3)
     params = ModelParams(**{**BASE, "mu": -1.0})
     with pytest.raises(NumericalFailure):
         solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
@@ -167,14 +169,72 @@ def test_solve_rejects_l0_or_params_other_than_the_expansions(base_params, base_
             rhs1_printed(base_expansion, BASE_TAU, l0, params)
 
 
-def test_zero_L1_gives_zero_k1(base_params, base_expansion):
-    L = (base_expansion.L[0], ExpPolySeries(())) + base_expansion.L[2:]
-    fake = EllExpansion(
-        order=base_expansion.order, c=base_expansion.c, L=L, params=base_params, l0=base_expansion.l0
-    )
-    assert rhs1_printed(fake, BASE_TAU, BASE_L0, base_params) == 0.0
-    shat = solve_shat_series(fake, BASE_TAU, BASE_L0, base_params, 1)
+def test_zero_L1_gives_zero_k1(monkeypatch, base_params, base_expansion):
+    # The solve reads L = A + l0 B from the columns of the l0-free table, and
+    # rhs1_printed reads it through tau_lbar_terms; zero L_1 in both.
+    def zero_L1(table, tau):
+        A, B = _lbar_columns(table, tau)
+        A[1] = B[1] = 0.0
+        return A, B
+
+    monkeypatch.setattr(sshat.epsseries, "_lbar_columns", zero_L1)
+    monkeypatch.setattr(sshat.perturbation, "_lbar_columns", zero_L1)
+    assert rhs1_printed(base_expansion, BASE_TAU, BASE_L0, base_params) == 0.0
+    shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 1)
     assert shat.k[1] == 0.0
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_rhs1_rejects_the_maturities_the_solve_rejects(base_params, base_expansion, tau):
+    # L_1(0) is exactly 0, so tau = 0 used to pass as a number.
+    with pytest.raises(ValueError) as solve_error:
+        solve_shat_series(base_expansion, tau, BASE_L0, base_params, 1)
+    with pytest.raises(ValueError) as rhs1_error:
+        rhs1_printed(base_expansion, tau, BASE_L0, base_params)
+    assert str(rhs1_error.value) == str(solve_error.value)
+
+
+def _grid_rows(params, order, l0, tau):
+    """k, bracket and residuals of every (l0, tau) pair of the batched solve, in pair order."""
+    rows = []
+    for start, k, bracket, residuals in _solve_grid(params, order, l0, tau):
+        assert start == len(rows)
+        rows += zip(k.T.tolist(), bracket.tolist(), residuals.T.tolist())
+    assert len(rows) == len(l0) * len(tau)
+    return rows
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 8, 16])
+def test_batched_solve_rows_equal_scalar_solves(monkeypatch, order):
+    # Each row of the grid solve has the bits of the scalar solve at its
+    # (l0, tau), with repeated grid values and at any block length.
+    rng = random.Random(1978 + order)
+    params = _random_valid_params(rng)
+    l0 = [rng.uniform(0.005, 0.25) for _ in range(3)]
+    tau = [rng.uniform(0.1, 10.0) for _ in range(3)]
+    l0, tau = np.array(l0 + l0[:2]), np.array(tau[:1] + tau + tau[1:2])
+    rows = _grid_rows(params, order, l0, tau)
+    monkeypatch.setattr(sshat.epsseries, "_BLOCK", 7)
+    assert _grid_rows(params, order, l0, tau) == rows
+    pairs = [(a, t) for a in l0.tolist() for t in tau.tolist()]
+    for (a, t), (k, bracket, residuals) in zip(pairs, rows):
+        shat = solve_shat_series(build_expansion(params, a, order), t, a, params, order)
+        assert (shat.k, shat.bracket, shat.residuals) == (tuple(k), bracket, tuple(residuals))
+
+
+def test_batched_solve_overflow_matches_scalar_solve():
+    # One maturity overflows the Taylor coefficients of F: the grid solve
+    # raises what the scalar solve at that pair raises, before any block.
+    params = ModelParams(**{**BASE, "mu": -1.0})
+    with pytest.raises(NumericalFailure) as scalar:
+        solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
+    with pytest.raises(NumericalFailure) as batched:
+        next(_solve_grid(params, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1000.0, 2.0])))
+    assert str(batched.value) == str(scalar.value)
+    assert "k0*tau=-1000.0" in str(scalar.value)
+    # A finite l0 large enough to overflow f_j fails in its own pair.
+    with pytest.raises(NumericalFailure, match="Taylor coefficients"):
+        next(_solve_grid(params, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
 
 
 def test_rhs1_cross_check_base(base_params, base_expansion):

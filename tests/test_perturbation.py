@@ -281,7 +281,10 @@ def test_eval_ell_tracks_integrated_path(base_params, base_expansion):
 
 
 def test_eval_tau_lbar_zero_eps_is_L0(base_expansion):
-    assert _eval_tau_lbar(base_expansion, 0.0, 1.0) == base_expansion.L[0].evaluate(1.0)
+    L0 = tau_lbar_terms(base_expansion, 1.0)[0]
+    assert _eval_tau_lbar(base_expansion, 0.0, 1.0) == L0
+    # The term table's L_0 sums exp(-r tau) terms, tau_lbar_terms 1 - exp(-r tau) ones.
+    assert L0 == pytest.approx(base_expansion.L[0].evaluate(1.0), rel=1e-14)
 
 
 def test_eval_tau_lbar_vanishes_at_zero_maturity(base_expansion):
