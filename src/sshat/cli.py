@@ -32,7 +32,7 @@ from .epsseries import _power_sum, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
 from .oracle import compute_oracle, compute_oracles, default_n_steps, integrate_ell
 from .params import InitialState, ModelParams, _require_maturity, load_config
-from .perturbation import build_expansion, tau_lbar_terms
+from .perturbation import _lbar_table, build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
 
@@ -244,12 +244,13 @@ def cmd_path(args) -> int:
     per_cell = max(1, -(-cfg.n_steps // (samples - 1)))
     n_steps = per_cell * (samples - 1)
     path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps)
+    c = expansion.c
 
     header = ["t", "ell_rk4"] + [f"ell_order{n}" for n in range(cfg.order + 1)]
     lines = [",".join(header)]
     for i in range(samples):
         t, ell_ref = path[i * per_cell]
-        values = [t, ell_ref] + _partial_sums([ck.evaluate(t) for ck in expansion.c], eps)
+        values = [t, ell_ref] + _partial_sums([ck.evaluate(t) for ck in c], eps)
         lines.append(",".join(_g17(v) for v in values))
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
@@ -319,7 +320,8 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str, name: str) -> np.ndarray:
+def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
+    """``(lo, hi, count)`` of a LO:HI:N grid spec."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must look like LO:HI:N, got {spec!r}")
@@ -331,21 +333,19 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         raise ValueError(f"{name}: LO and HI must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"{name}: N must be >= 1, got {count}")
-    if count == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, count)
+    return lo, hi, count
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     params, order = cfg.params, cfg.order
 
-    s0_grid = _parse_grid(args.s0_grid, "--s0-grid")
-    l0_grid = _parse_grid(args.l0_grid, "--l0-grid")
-    tau_grid = _parse_grid(args.tau_grid, "--tau-grid")
-    total = len(s0_grid) * len(l0_grid) * len(tau_grid)
+    specs = [_parse_grid(getattr(args, f"{axis}_grid"), f"--{axis}-grid") for axis in ("s0", "l0", "tau")]
+    total = math.prod(count for _, _, count in specs)
     if total > MAX_SWEEP_POINTS:
         raise ValueError(f"grid has {total} points, maximum is {MAX_SWEEP_POINTS}")
+    # No grid is allocated before the size check.
+    s0_grid, l0_grid, tau_grid = (np.linspace(lo, hi, n) if n > 1 else np.array([lo]) for lo, hi, n in specs)
     if np.any(l0_grid <= 0):
         raise ValueError("l0 grid must be strictly positive (use a floor such as 0.005)")
     if np.any(tau_grid <= 0):
@@ -371,7 +371,7 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     eps = (s0_grid - params.mu_hat)[:, None]
     values = np.empty((len(s0_grid), pairs))
-    for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
+    for start, k, _, _ in _solve_grid(params, _lbar_table(params, order), order, l0_grid, tau_grid):
         values[:, start : start + k.shape[1]] = _power_sum(k, eps)
     series_share = (time.perf_counter() - started) / total
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .params import ModelParams, _require_maturity
-from .perturbation import EllExpansion, _lbar_columns, _lbar_table, tau_lbar_terms
+from .perturbation import EllExpansion, _lbar_columns, tau_lbar_terms
 
 __all__ = [
     "ShatExpansion",
@@ -114,9 +114,10 @@ def _power_sum(terms, eps):
 _BLOCK = 1024
 
 
-def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray):
+def _solve_grid(params: ModelParams, table, order: int, l0: np.ndarray, tau: np.ndarray):
     """Solve the reversion at every pair of ``l0`` x ``tau`` (1-D arrays).
 
+    ``table`` is ``_lbar_table(params, N)``, N >= order; the solve reads L_0..L_order.
     Pairs run l0-major: pair p is (l0[p // len(tau)], tau[p % len(tau)]).
     Yields ``(start, k, bracket, residuals)`` per block of _BLOCK pairs, with
     ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
@@ -128,14 +129,14 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     """
     n = max(order, 1)
     k0 = params.mu_hat
-    table = _lbar_table(params, order)
     taus = tau.tolist()
     # Both f_j and L_k are affine in l0.  Per maturity, the l0-free part
     # [f_a, L_A] and the l0 slope [f_b, L_B]: shape (2, n + order + 2, len(tau)).
     affine = np.empty((2, n + order + 2, len(taus)))
     for i, t in enumerate(taus):
         affine[:, : n + 1, i] = _taylor_terms(k0, t, params.sigma2, n)
-        affine[:, n + 1 :, i] = _lbar_columns(table, t)
+        A, B = _lbar_columns(table, t)
+        affine[:, n + 1 :, i] = A[: order + 1], B[: order + 1]
 
     pairs = len(l0) * len(taus)
     for start in range(0, pairs, _BLOCK):
@@ -233,7 +234,9 @@ def solve_shat_series(
     _require_maturity(tau)
     if not 0 <= order <= expansion.order:
         raise ValueError(f"order must be in [0, {expansion.order}], got {order}")
-    ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([float(l0)]), np.array([float(tau)]))
+    ((_, k, bracket, residuals),) = _solve_grid(
+        params, expansion._table, order, np.array([float(l0)]), np.array([float(tau)])
+    )
     return ShatExpansion(
         tau=tau,
         k=tuple(k[:, 0].tolist()),

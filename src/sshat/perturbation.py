@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NumericalFailure
 from .expseries import ExpPolySeries, ExpPolyTerm
@@ -41,16 +41,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EllExpansion:
-    """Expansion coefficients c_0..c_N of l(t) and L_0..L_N of tau*lbar(tau).
+    """Expansion of l(t) and tau*lbar(tau) to ``order`` at one (params, l0).
 
-    Immutable; safe to share across threads and evaluate concurrently.
+    Holds the l0-free ``_lbar_table`` that the solve and ``tau_lbar_terms``
+    read; the term tables ``c`` (c_0..c_N) and ``L`` (L_0..L_N) are written on
+    each read.  Immutable; safe to share across threads and evaluate concurrently.
     """
 
     order: int
-    c: tuple[ExpPolySeries, ...]
-    L: tuple[ExpPolySeries, ...]
     params: ModelParams
     l0: float
+    _table: tuple = field(compare=False, repr=False)
+
+    def _pairs(self):
+        """Per k, the ``(coeff, rate)`` pairs of c_k's terms ``coeff exp(-rate t)``."""
+        mu_hat, m = self.params.mu_hat, self.params.m
+        alpha0 = self.params.sigma2 / mu_hat
+        for k, (alpha, beta) in enumerate(_recursion(self.params, alpha0, self.l0 - alpha0, self.order)):
+            yield [(alpha, k * m)] + [(b, mu_hat + j * m) for j, b in enumerate(beta)]
+
+    @property
+    def c(self) -> tuple[ExpPolySeries, ...]:
+        return tuple(_series((a, 0, r) for a, r in pairs) for pairs in self._pairs())
+
+    @property
+    def L(self) -> tuple[ExpPolySeries, ...]:
+        return tuple(_series(_integral(pairs)) for pairs in self._pairs())
 
 
 def _series(terms) -> ExpPolySeries:
@@ -63,11 +79,6 @@ def _integral(pairs) -> list[tuple[float, int, float]]:
     slopes = [(a, 1, 0.0) for a, r in pairs if r == 0.0]
     ratios = [(a / r, r) for a, r in pairs if r != 0.0]
     return slopes + [(-q, 0, r) for q, r in ratios] + [(math.fsum(q for q, _ in ratios), 0, 0.0)]
-
-
-def _require_order(order: int):
-    if not 0 <= order <= N_MAX:
-        raise ValueError(f"expansion order must be in [0, {N_MAX}], got {order}")
 
 
 def _recursion(params: ModelParams, alpha: float, beta: float, order: int):
@@ -88,23 +99,16 @@ def _recursion(params: ModelParams, alpha: float, beta: float, order: int):
 
 
 def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
-    """Build c_0..c_order and L_0..L_order by the two-family recursion above."""
-    _require_order(order)
+    """The expansion to ``order`` at (params, l0), with its l0-free table."""
+    table = _lbar_table(params, order)
     _require_finite(l0, "l0")
     if l0 <= 0:
         raise ValueError(f"initial consol rate l0 must be > 0, got {l0}")
-    mu_hat, m = params.mu_hat, params.m
-    alpha0 = params.sigma2 / mu_hat
-    c, L = [], []
-    for k, (alpha, beta) in enumerate(_recursion(params, alpha0, l0 - alpha0, order)):
-        pairs = [(alpha, k * m)] + [(b, mu_hat + j * m) for j, b in enumerate(beta)]
-        c.append(_series((a, 0, r) for a, r in pairs))
-        L.append(_series(_integral(pairs)))
-    return EllExpansion(order=order, c=tuple(c), L=tuple(L), params=params, l0=l0)
+    return EllExpansion(order=order, params=params, l0=l0, _table=table)
 
 
 def _lbar_table(params: ModelParams, order: int):
-    """The l0-free table of L_0..L_order, built once per (params, order).
+    """The l0-free table of L_0..L_order, built once per expansion (or sweep).
 
     Every beta_{k,j} is u_{k,j} + l0 v_{k,j}, since the recursion is linear:
     u starts from ``beta_00 = -alpha_0``, v from ``alpha_0 = 0, beta_00 = 1``.
@@ -114,7 +118,8 @@ def _lbar_table(params: ModelParams, order: int):
     rates ``mu_hat + j m`` (j = 0..order), the alpha coefficients of A (the
     slope, then a/r per k) and, per k, the beta coefficients a/r of A and of B.
     """
-    _require_order(order)
+    if not 0 <= order <= N_MAX:
+        raise ValueError(f"expansion order must be in [0, {N_MAX}], got {order}")
     mu_hat, m = params.mu_hat, params.m
     alpha_rates = [k * m for k in range(1, order + 1)]
     beta_rates = [mu_hat + j * m for j in range(order + 1)]
@@ -124,10 +129,10 @@ def _lbar_table(params: ModelParams, order: int):
     v_family = _recursion(params, 0.0, 1.0, order)
     for (alpha, u), (_, v) in zip(u_family, v_family):
         alphas.append(alpha)
-        u_rows.append(list(map(operator.truediv, u, beta_rates)))
-        v_rows.append(list(map(operator.truediv, v, beta_rates)))
+        u_rows.append(tuple(map(operator.truediv, u, beta_rates)))
+        v_rows.append(tuple(map(operator.truediv, v, beta_rates)))
     alphas[1:] = map(operator.truediv, alphas[1:], alpha_rates)
-    return alpha_rates, beta_rates, alphas, u_rows, v_rows
+    return tuple(alpha_rates), tuple(beta_rates), tuple(alphas), tuple(u_rows), tuple(v_rows)
 
 
 def _lbar_columns(table, tau: float) -> tuple[list[float], list[float]]:
@@ -152,5 +157,5 @@ def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:
     The same values the series solve reads at (l0, tau).
     """
     tau = _require_maturity(tau)
-    A, B = _lbar_columns(_lbar_table(expansion.params, expansion.order), tau)
+    A, B = _lbar_columns(expansion._table, tau)
     return [a + expansion.l0 * b for a, b in zip(A, B)]

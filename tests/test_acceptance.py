@@ -189,7 +189,7 @@ def test_criterion_6_generic_solver_cross_check():
 
 def test_criterion_7_path_deviation_ordering(base_params):
     failures = []
-    expansion = build_expansion(base_params, BASE_L0, 3)
+    c = build_expansion(base_params, BASE_L0, 3).c
     samples = 201
     per_cell = 10
     for s0 in TABLE_S0:
@@ -202,7 +202,7 @@ def test_criterion_7_path_deviation_ordering(base_params):
             for i in range(samples):
                 t, reference = path[i * per_cell]
                 value = math.fsum(
-                    expansion.c[k].evaluate(t) * eps**k for k in range(order + 1)
+                    c[k].evaluate(t) * eps**k for k in range(order + 1)
                 )
                 worst = max(worst, abs(value - reference))
             deviations.append(worst)

@@ -364,6 +364,20 @@ def test_sweep_memory_does_not_grow_with_the_pairs(tmp_path):
         assert sum(1 for _ in fh) == 3 + 300 * 300
 
 
+def test_oversized_sweep_is_rejected_before_any_grid_is_allocated(capsys):
+    # A 5 * 10^6-point s0 axis alone would take 40 MB as an array.
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "sweep", "--s0-grid=0:1:5000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: grid has 50000000 points, maximum is 1000000\n"
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.filterwarnings("error")
 def test_sweep_series_failure_writes_nothing(tmp_path, capsys):
     # The second maturity overflows the Taylor coefficients of F; the rows of

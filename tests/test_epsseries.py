@@ -17,10 +17,11 @@ from sshat import (
     compute_oracle,
     rhs1_printed,
     solve_shat_series,
+    tau_lbar_terms,
 )
 from sshat.epsseries import _moments, _solve_grid, _taylor_terms
 from sshat.oracle import _phi1, _phi1_prime, _phi2, _phi2_prime
-from sshat.perturbation import _lbar_columns
+from sshat.perturbation import _lbar_columns, _lbar_table
 
 from _reference import (
     BASE,
@@ -197,7 +198,7 @@ def test_rhs1_rejects_the_maturities_the_solve_rejects(base_params, base_expansi
 def _grid_rows(params, order, l0, tau):
     """k, bracket and residuals of every (l0, tau) pair of the batched solve, in pair order."""
     rows = []
-    for start, k, bracket, residuals in _solve_grid(params, order, l0, tau):
+    for start, k, bracket, residuals in _solve_grid(params, _lbar_table(params, order), order, l0, tau):
         assert start == len(rows)
         rows += zip(k.T.tolist(), bracket.tolist(), residuals.T.tolist())
     assert len(rows) == len(l0) * len(tau)
@@ -228,13 +229,67 @@ def test_batched_solve_overflow_matches_scalar_solve():
     params = ModelParams(**{**BASE, "mu": -1.0})
     with pytest.raises(NumericalFailure) as scalar:
         solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
+    table = _lbar_table(params, 3)
     with pytest.raises(NumericalFailure) as batched:
-        next(_solve_grid(params, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1000.0, 2.0])))
+        next(_solve_grid(params, table, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1000.0, 2.0])))
     assert str(batched.value) == str(scalar.value)
     assert "k0*tau=-1000.0" in str(scalar.value)
     # A finite l0 large enough to overflow f_j fails in its own pair.
     with pytest.raises(NumericalFailure, match="Taylor coefficients"):
-        next(_solve_grid(params, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
+        next(_solve_grid(params, table, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
+
+
+def test_consumers_read_the_table_built_with_the_expansion(monkeypatch, base_params):
+    # The solve, tau_lbar_terms and rhs1_printed read the l0-free table stored
+    # on the expansion; none of them builds another.
+    full = build_expansion(base_params, BASE_L0, 16)
+    expansions = [build_expansion(base_params, BASE_L0, n) for n in range(17)]
+
+    def results():
+        solves = [solve_shat_series(full, BASE_TAU, BASE_L0, base_params, n) for n in range(17)]
+        solves += [solve_shat_series(e, BASE_TAU, BASE_L0, base_params, e.order) for e in expansions]
+        return solves, tau_lbar_terms(full, BASE_TAU), rhs1_printed(full, BASE_TAU, BASE_L0, base_params)
+
+    before = results()
+
+    def no_table(*args):
+        raise RuntimeError("l0-free table rebuilt")
+
+    for module in (sshat.perturbation, sshat.epsseries):
+        if hasattr(module, "_lbar_table"):
+            monkeypatch.setattr(module, "_lbar_table", no_table)
+    assert results() == before
+
+
+def test_term_tables_are_written_only_when_read(monkeypatch, base_params):
+    def no_terms(*args):
+        raise RuntimeError("term table written")
+
+    monkeypatch.setattr(sshat.perturbation, "_series", no_terms)
+    expansion = build_expansion(base_params, BASE_L0, 16)
+    with pytest.raises(RuntimeError, match="term table"):
+        expansion.c
+    with pytest.raises(RuntimeError, match="term table"):
+        expansion.L
+
+
+def test_truncated_solve_equals_solve_of_a_lower_order_build():
+    rng = random.Random(2014)
+    for params in (ModelParams(**BASE), _random_valid_params(rng)):
+        full = build_expansion(params, BASE_L0, 16)
+        for tau in (0.1, 1.0, 10.0):
+            for n in range(17):
+                truncated = solve_shat_series(full, tau, BASE_L0, params, n)
+                own = solve_shat_series(build_expansion(params, BASE_L0, n), tau, BASE_L0, params, n)
+                assert (truncated.k, truncated.bracket, truncated.residuals) == (own.k, own.bracket, own.residuals)
+
+
+def test_expansions_compare_by_order_params_and_l0(base_params):
+    expansion = build_expansion(base_params, BASE_L0, 3)
+    twin = build_expansion(base_params, BASE_L0, 3)
+    assert expansion == twin and hash(expansion) == hash(twin)
+    assert expansion != build_expansion(base_params, 2 * BASE_L0, 3)
+    assert expansion != build_expansion(base_params, BASE_L0, 4)
 
 
 def test_rhs1_cross_check_base(base_params, base_expansion):
