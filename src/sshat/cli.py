@@ -130,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--timing",
         action="store_true",
-        help="add an elapsed_ms column: per row, an equal share of the series work (builds, solves, "
-        "evaluation) plus an equal share of its tau's oracle batch (not byte-deterministic)",
+        help="add an elapsed_ms column: per row, an equal share of the batched series solve and "
+        "evaluation plus an equal share of its tau's oracle batch (not byte-deterministic)",
     )
     return parser
 
@@ -263,9 +263,9 @@ def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
     shat = solve_shat_series(expansion, tau, l0, params, 3)
     tl_columns = []
     shat_columns = []
-    for s0 in TABLE_S0:
+    results = compute_oracles([InitialState(s0=s0, l0=l0) for s0 in TABLE_S0], params, tau, n_steps)
+    for s0, result in zip(TABLE_S0, results):
         eps = s0 - params.mu_hat
-        result = compute_oracle(InitialState(s0=s0, l0=l0), params, tau, n_steps)
         tl_columns.append(_partial_sums(terms, eps) + [result.tau_lbar])
         shat_columns.append(_partial_sums(shat.k, eps) + [result.s_hat])
     return list(zip(*tl_columns)), list(zip(*shat_columns))
@@ -356,6 +356,7 @@ def cmd_sweep(args) -> int:
     # the rows of one s0 in output order.
     n_tau = len(tau_grid)
     pairs = len(l0_grid) * n_tau
+    table = _lbar_table(params, order)  # checks --order before the oracle batch
     shares = np.zeros(n_tau)  # per row, an equal share of its tau's oracle batch
     if args.oracle:
         oracle = np.empty((len(s0_grid), pairs))
@@ -371,7 +372,7 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     eps = (s0_grid - params.mu_hat)[:, None]
     values = np.empty((len(s0_grid), pairs))
-    for start, k, _, _ in _solve_grid(params, _lbar_table(params, order), order, l0_grid, tau_grid):
+    for start, k, _, _ in _solve_grid(params, table, order, l0_grid, tau_grid):
         values[:, start : start + k.shape[1]] = _power_sum(k, eps)
     series_share = (time.perf_counter() - started) / total
 
@@ -381,22 +382,25 @@ def cmd_sweep(args) -> int:
         header += ["oracle_s_hat", "abs_diff"]
         columns += [oracle, np.abs(values - oracle)]
     # Rows are written in spans of at most _SPAN (l0, tau) pairs, so the text
-    # held at once stays bounded; a grid of one span formats it once for all s0.
-    l0_text = [_g17(l0) + "," for l0 in l0_grid.tolist()]
+    # held at once stays bounded.  A span's rows of one s0 are one %-template:
+    # per row "\0" where the s0 text goes, the l0 and tau text, "%.17g" per
+    # value column and the --timing text; a grid of one span builds it once
+    # for all s0.  No %.17g or %.3f text contains "%" or "\0".
+    l0_text = [_g17(l0) for l0 in l0_grid.tolist()]
     tau_text = [_g17(tau) for tau in tau_grid.tolist()]
+    row_end = ["\n"] * n_tau
     if args.timing:
         header.append("elapsed_ms")
-        elapsed_text = [f"{(series_share + share) * 1e3:.3f}" for share in shares.tolist()]
+        row_end = [f",{(series_share + share) * 1e3:.3f}\n" for share in shares.tolist()]
+    value_fields = ",%.17g" * len(columns)
 
-    def span_text(lo, hi):
-        """Per pair lo..hi-1: the "l0,tau" text and, with --timing, the elapsed_ms text."""
-        index = range(lo, hi)
-        coordinates = [l0_text[p // n_tau] + tau_text[p % n_tau] for p in index]
-        return coordinates, [elapsed_text[p % n_tau] for p in index] if args.timing else None
+    def template(lo, hi):
+        return "".join(
+            f"\0,{l0_text[p // n_tau]},{tau_text[p % n_tau]}{value_fields}{row_end[p % n_tau]}" for p in range(lo, hi)
+        )
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
-    single = span_text(0, pairs) if len(spans) == 1 else None
-    g17 = "{:.17g}".format  # _g17 without a Python call per value
+    single = template(0, pairs) if len(spans) == 1 else None
     with _output(cfg.out) as fh:
         fh.write(
             f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
@@ -404,14 +408,10 @@ def cmd_sweep(args) -> int:
             f"{','.join(header)}\n"
         )
         for i_s0, s0 in enumerate(s0_grid.tolist()):
-            prefix = _g17(s0) + ","
+            s0_text = _g17(s0)
             for lo, hi in spans:
-                coordinates, elapsed = single or span_text(lo, hi)
-                fields = [[prefix + text for text in coordinates]]
-                fields += [map(g17, column[i_s0, lo:hi].tolist()) for column in columns]
-                if args.timing:
-                    fields.append(elapsed)
-                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+                rows = (single or template(lo, hi)).replace("\0", s0_text)
+                fh.write(rows % tuple(np.stack([c[i_s0, lo:hi] for c in columns], axis=-1).ravel().tolist()))
     return 0
 
 

@@ -254,23 +254,8 @@ def test_sweep_oracle_columns_equal_compute_oracle(capsys):
         assert abs_diff == f"{abs(float(value) - oracle.s_hat):.17g}"
 
 
-def test_sweep_timing_column(capsys):
-    rc, plain, _ = run(capsys, *ORACLE_SWEEP)
-    rc2, timed, _ = run(capsys, *ORACLE_SWEEP, "--timing")
-    assert rc == rc2 == 0
-    plain_lines = plain.strip().split("\n")
-    timed_lines = timed.strip().split("\n")
-    assert timed_lines[:2] == plain_lines[:2]
-    assert timed_lines[2] == plain_lines[2] + ",elapsed_ms"
-    assert len(timed_lines) == len(plain_lines)
-    for timed_row, plain_row in zip(timed_lines[3:], plain_lines[3:]):
-        head, elapsed = timed_row.rsplit(",", 1)
-        assert head == plain_row
-        assert float(elapsed) >= 0.0
-
-
-def test_sweep_timing_column_without_oracle(capsys):
-    args = ("sweep", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.05:0.15:2", "--tau-grid=1:4:2")
+def _assert_timing_column(capsys, args, rows):
+    """Each --timing row is the plain row plus a non-negative elapsed_ms field."""
     rc, plain, _ = run(capsys, *args)
     rc2, timed, _ = run(capsys, *args, "--timing")
     assert rc == rc2 == 0
@@ -278,11 +263,27 @@ def test_sweep_timing_column_without_oracle(capsys):
     timed_lines = timed.strip().split("\n")
     assert timed_lines[:2] == plain_lines[:2]
     assert timed_lines[2] == plain_lines[2] + ",elapsed_ms"
-    assert len(timed_lines) == len(plain_lines) == 3 + 12
+    assert len(timed_lines) == len(plain_lines) == 3 + rows
     for timed_row, plain_row in zip(timed_lines[3:], plain_lines[3:]):
         head, elapsed = timed_row.rsplit(",", 1)
         assert head == plain_row
         assert float(elapsed) >= 0.0
+
+
+def test_sweep_timing_column(capsys):
+    _assert_timing_column(capsys, ORACLE_SWEEP, 12)
+
+
+def test_sweep_timing_column_without_oracle(capsys):
+    _assert_timing_column(capsys, ("sweep", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.05:0.15:2", "--tau-grid=1:4:2"), 12)
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["series", "oracle"])
+def test_sweep_timing_column_multi_span(monkeypatch, capsys, oracle):
+    # 3 l0 x 4 tau = 12 pairs, written in spans of 5, 5 and 2.
+    monkeypatch.setattr("sshat.cli._SPAN", 5)
+    args = ("sweep", "--s0-grid=-0.05:0.05:2", "--l0-grid=0.05:0.15:3", "--tau-grid=1:4:4", *oracle)
+    _assert_timing_column(capsys, args, 24)
 
 
 def _reference_sweep(order, s0_spec, l0_spec, tau_spec, oracle):
@@ -339,6 +340,17 @@ def test_sweep_bytes_equal_row_by_row_reference_repeated_grid(tmp_path, capsys, 
     # Repeated l0 and tau values, each solved as its own pair.
     specs = ("-0.06:0.05:3", "0.1:0.1:3", "2:2:2")
     out = _sweep_output(tmp_path, capsys, order, oracle, False, specs)
+    assert out == _reference_sweep(order, *specs, oracle)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
+@pytest.mark.parametrize("order", [0, 3])
+def test_sweep_bytes_equal_row_by_row_reference_multi_span(monkeypatch, tmp_path, capsys, order, oracle, to_file):
+    # 3 l0 x 4 tau = 12 pairs, written in spans of 5, 5 and a short last 2.
+    monkeypatch.setattr("sshat.cli._SPAN", 5)
+    specs = ("-0.06:0.05:3", "0.02:0.2:3", "0.5:4:4")
+    out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
     assert out == _reference_sweep(order, *specs, oracle)
 
 
@@ -424,6 +436,17 @@ def test_sweep_oracle_numerical_failure_exit_code(capsys):
     assert rc == 2
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_sweep_invalid_order_fails_before_the_oracle_batch(monkeypatch, capsys):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle batch ran before --order was checked")
+
+    monkeypatch.setattr("sshat.cli.compute_oracles", no_oracle)
+    rc, out, err = run(capsys, "sweep", "--oracle", "--order", "17")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: expansion order must be in [0, 16], got 17\n"
 
 
 def test_sweep_grid_too_large(capsys):
