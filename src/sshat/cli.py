@@ -30,7 +30,7 @@ import numpy as np
 
 from .epsseries import _power_sum, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
-from .oracle import compute_oracle, compute_oracles, default_n_steps, integrate_ell
+from .oracle import _oracle_grid, compute_oracle, compute_oracles, default_n_steps, integrate_ell
 from .params import InitialState, ModelParams, _require_maturity, load_config
 from .perturbation import _lbar_table, build_expansion, tau_lbar_terms
 
@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing",
         action="store_true",
         help="add an elapsed_ms column: per row, an equal share of the batched series solve and "
-        "evaluation plus an equal share of its tau's oracle batch (not byte-deterministic)",
+        "evaluation plus an equal share of the whole oracle batch, its shared RK4 scans and its "
+        "batched root solve (not byte-deterministic)",
     )
     return parser
 
@@ -357,15 +358,14 @@ def cmd_sweep(args) -> int:
     n_tau = len(tau_grid)
     pairs = len(l0_grid) * n_tau
     table = _lbar_table(params, order)  # checks --order before the oracle batch
-    shares = np.zeros(n_tau)  # per row, an equal share of its tau's oracle batch
+    oracle_share = 0.0  # per row, an equal share of the whole oracle batch
     if args.oracle:
-        oracle = np.empty((len(s0_grid), pairs))
-        states = [InitialState(s0=s0, l0=l0) for s0 in s0_grid.tolist() for l0 in l0_grid.tolist()]
-        for i_tau, tau in enumerate(tau_grid.tolist()):
-            started = time.perf_counter()
-            batch = compute_oracles(states, params, tau, args.steps)
-            shares[i_tau] = (time.perf_counter() - started) / len(states)
-            oracle[:, i_tau::n_tau] = np.reshape([result.s_hat for result in batch], (len(s0_grid), len(l0_grid)))
+        # One batch over every (s0, l0) state, s0-major, at every tau.
+        started = time.perf_counter()
+        eps = np.repeat(s0_grid - params.mu_hat, len(l0_grid))
+        _, roots, _ = _oracle_grid(eps, np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)
+        oracle = roots.s_hat.T.reshape(len(s0_grid), pairs)
+        oracle_share = (time.perf_counter() - started) / total
 
     # One batched solve over every (l0, tau) pair; each block of pairs is
     # evaluated over the whole s0 grid at once.
@@ -388,15 +388,15 @@ def cmd_sweep(args) -> int:
     # for all s0.  No %.17g or %.3f text contains "%" or "\0".
     l0_text = [_g17(l0) for l0 in l0_grid.tolist()]
     tau_text = [_g17(tau) for tau in tau_grid.tolist()]
-    row_end = ["\n"] * n_tau
+    row_end = "\n"
     if args.timing:
         header.append("elapsed_ms")
-        row_end = [f",{(series_share + share) * 1e3:.3f}\n" for share in shares.tolist()]
+        row_end = f",{(series_share + oracle_share) * 1e3:.3f}\n"
     value_fields = ",%.17g" * len(columns)
 
     def template(lo, hi):
         return "".join(
-            f"\0,{l0_text[p // n_tau]},{tau_text[p % n_tau]}{value_fields}{row_end[p % n_tau]}" for p in range(lo, hi)
+            f"\0,{l0_text[p // n_tau]},{tau_text[p % n_tau]}{value_fields}{row_end}" for p in range(lo, hi)
         )
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]

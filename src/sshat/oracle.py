@@ -9,9 +9,12 @@ fixed-step fourth-order Runge-Kutta (the system is smooth and non-stiff at
 the parameter scales of interest, so adaptivity would buy nothing).  Each
 RK4 step of this linear system is an affine map of (l, A), so the steps run
 as a prefix scan over fixed blocks of steps, once per distinct initial
-spread of a batch, with no Python loop over single steps (``_rk4``).  The
-oracle then solves the defining equation for the effective spread constant
-by a safeguarded Newton iteration with bisection fallback.
+spread of a batch, with no Python loop over single steps (``_rk4``).
+Maturities integrated with the same step size share one scan, read at each
+maturity's last step.  The oracle then solves the defining equation for the
+effective spread constant by a safeguarded Newton iteration with bisection
+fallback, vectorised over every (state, maturity) pair of a batch
+(``_solve_roots``).
 
 The cleared form of the defining equation,
 
@@ -30,11 +33,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BracketingError, NumericalFailure
-from .params import InitialState, ModelParams, _require_maturity
+from .params import InitialState, ModelParams, _require_consol_rate, _require_finite, _require_maturity
 
 __all__ = [
     "TOL_ROOT",
@@ -58,7 +62,12 @@ _MAX_NEWTON_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Numerically computed integral term and root, with solver diagnostics."""
+    """Numerically computed integral term and root, with solver diagnostics.
+
+    ``iterations`` counts the passes of the safeguarded Newton loop,
+    ``bisections`` those of them that fell back to bisection, and
+    ``widenings`` the doublings of the initial bracket.
+    """
 
     tau_lbar: float
     s_hat: float
@@ -66,11 +75,19 @@ class OracleResult:
     residual: float
     bracket_lo: float
     bracket_hi: float
+    iterations: int
+    bisections: int
+    widenings: int
 
 
 def default_n_steps(tau: float) -> int:
     """Default integrator resolution: at least 1000 steps, 1000 per year."""
     return max(1000, math.ceil(1000 * _require_maturity(tau)))
+
+
+def _require_steps(n_steps: int) -> None:
+    if n_steps < 16:
+        raise ValueError(f"n_steps must be >= 16, got {n_steps}")
 
 
 # RK4 steps per block of the scan.  The block length is fixed, so no result
@@ -112,11 +129,12 @@ def _rk4_step(ell, sigma2: float, s_a, s_mid, s_b, h: float):
     return sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), sixth * (ell + 2.0 * y2 + 2.0 * y3 + y4)
 
 
-def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, tau: float, n_steps: int, path: bool = False):
-    """Classical RK4 for l and its running integral A over [0, tau], as an affine scan.
+def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: Sequence[int], path: bool = False):
+    """Classical RK4 for l and its running integral A with step ``h``, as an affine scan.
 
     ``eps = s0 - mu_hat`` and ``l0`` are 1-D float64 arrays, one entry per
-    state of a batch that shares ``tau`` and ``n_steps``.
+    state of a batch.  ``ends`` are step counts in ascending order; the scan
+    runs to the last of them and reads every state after each end's steps.
 
     RK4 on dl/dt = sigma2 - s(t) l is affine in the state: step i maps
     l_{i+1} = (1 + alpha_i) l_i + b_i and A_{i+1} = A_i + c_i l_i + d_i.
@@ -131,31 +149,35 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, tau: float, n_ste
 
     l and A are affine in l0, so each distinct eps is integrated once, with
     l = p l0 + q and A = a_p l0 + a_q carried from block to block; a state
-    reads a_p l0 + a_q at the end.  Every row is bitwise equal to the same
-    state integrated alone.  A step whose factor 1 + alpha_i is not
-    positive (only with steps far too long for the spread's decay) makes
-    the state non-finite.
+    reads a_p l0 + a_q at an end.  An end inside a block reads the block's
+    first k steps exactly as a scan that stopped there would (sums over
+    the first k columns, the carry formula at column k - 1), and prefix sums
+    and RK4 are causal, so every row at every end is bitwise equal to the
+    same state integrated alone to that end.  A step whose factor
+    1 + alpha_i is not positive (only with steps far too long for the
+    spread's decay) makes the state non-finite.
 
-    Returns A(tau) per state, and with ``path`` also l after every step,
-    shape (states, n_steps + 1).  Raises NumericalFailure, naming the
-    state, if any state ends non-finite.
+    Returns ``(tau_lbar, ell)``, A and l per end and state, shape
+    (len(ends), states), and with ``path`` also l after every step to the
+    last end, shape (states, ends[-1] + 1).  A state that blows up is left
+    non-finite; ``_check_finite`` reports it.
     """
-    tau = _require_maturity(tau)
-    if n_steps < 16:
-        raise ValueError(f"n_steps must be >= 16, got {n_steps}")
     mh = params.mu_hat
     m = params.m
     sigma2 = params.sigma2
-    h = tau / n_steps
+    n_steps = ends[-1]
     eps_u, row = np.unique(eps, return_inverse=True)
     e = eps_u[:, None]
     p = np.ones(eps_u.size)
     q = np.zeros(eps_u.size)
     a_p = np.zeros(eps_u.size)
     a_q = np.zeros(eps_u.size)
+    tau_lbar = np.empty((len(ends), eps.size))
+    ell = np.empty((len(ends), eps.size))
     ells = [l0[:, None]]
-    # A blown-up state overflows to inf/nan without warning; the finiteness
-    # check below reports it.
+    i_end = 0
+    # A blown-up state overflows to inf/nan without warning; the caller's
+    # finiteness check reports it.
     with np.errstate(all="ignore"):
         for start in range(0, n_steps, _BLOCK):
             t = np.arange(start, min(start + _BLOCK, n_steps)) * h
@@ -172,33 +194,50 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, tau: float, n_ste
             q_next = r * (q[:, None] + sums)
             p_prev = np.concatenate((p[:, None], p_next[:, :-1]), axis=1)
             q_prev = np.concatenate((q[:, None], q_next[:, :-1]), axis=1)
-            a_p = a_p + np.sum(c * p_prev, axis=1)
-            a_q = a_q + np.sum(c * q_prev + d, axis=1)
+            da_p = c * p_prev
+            da_q = c * q_prev + d
             if path:
                 ells.append(p_next[row] * l0[:, None] + q_next[row])
-            # Carry p and q to the next block.  A block factor R near 1
-            # rounds the same way in every block when s is constant, and
-            # those roundings would add up, so the carry applies it as
-            # x + x (R - 1); for R far below 1 that sum would cancel, and
-            # the product is kept.
-            rm1 = np.expm1(log_r[:, -1])
-            v = q + sums[:, -1]
-            near = rm1 > -0.5
-            p = np.where(near, p + p * rm1, p_next[:, -1])
-            q = np.where(near, v + v * rm1, q_next[:, -1])
-        tau_lbar = a_p[row] * l0 + a_q[row]
-        ell = p[row] * l0 + q[row]
+
+            def after(k):
+                # a_p, a_q, p and q after the block's first k steps.  A block
+                # factor R near 1 rounds the same way in every block when s is
+                # constant, and those roundings would add up, so the carry
+                # applies it as x + x (R - 1); for R far below 1 that sum
+                # would cancel, and the product is kept.
+                rm1 = np.expm1(log_r[:, k - 1])
+                v = q + sums[:, k - 1]
+                near = rm1 > -0.5
+                return (
+                    a_p + np.sum(da_p[:, :k], axis=1),
+                    a_q + np.sum(da_q[:, :k], axis=1),
+                    np.where(near, p + p * rm1, p_next[:, k - 1]),
+                    np.where(near, v + v * rm1, q_next[:, k - 1]),
+                )
+
+            carried = after(t.size)
+            while i_end < len(ends) and ends[i_end] <= start + t.size:
+                k = ends[i_end] - start
+                end_a_p, end_a_q, end_p, end_q = carried if k == t.size else after(k)
+                tau_lbar[i_end] = end_a_p[row] * l0 + end_a_q[row]
+                ell[i_end] = end_p[row] * l0 + end_q[row]
+                i_end += 1
+            a_p, a_q, p, q = carried
+    if path:
+        return tau_lbar, ell, np.concatenate(ells, axis=1)
+    return tau_lbar, ell
+
+
+def _check_finite(tau_lbar: np.ndarray, ell: np.ndarray) -> None:
+    """Raise NumericalFailure, naming the first such state, if any state of a batch ended non-finite."""
     bad = np.flatnonzero(~(np.isfinite(ell) & np.isfinite(tau_lbar)))
     if bad.size:
         first = bad[0]
-        where = f" in state {first} of the batch" if eps.size > 1 else ""
+        where = f" in state {first} of the batch" if ell.size > 1 else ""
         raise NumericalFailure(
             f"integration produced a non-finite state{where} "
             f"(l={float(ell[first])!r}, integral={float(tau_lbar[first])!r})"
         )
-    if path:
-        return tau_lbar, np.concatenate(ells, axis=1)
-    return tau_lbar
 
 
 def integrate_ell(
@@ -213,13 +252,17 @@ def integrate_ell(
     (n_steps + 1, 2) with columns (t, l(t)), and ``tau_lbar`` is A(tau),
     the integral of l over [0, tau].
     """
-    tau_lbar, ells = _rk4(
-        np.array([state.s0 - params.mu_hat]), np.array([state.l0]), params, tau, n_steps, path=True
+    tau = _require_maturity(tau)
+    _require_steps(n_steps)
+    h = tau / n_steps
+    tau_lbar, ell, ells = _rk4(
+        np.array([state.s0 - params.mu_hat]), np.array([state.l0]), params, h, [n_steps], path=True
     )
+    _check_finite(tau_lbar[0], ell[0])
     path = np.empty((n_steps + 1, 2))
-    path[:, 0] = np.arange(n_steps + 1) * (tau / n_steps)
+    path[:, 0] = np.arange(n_steps + 1) * h
     path[:, 1] = ells[0]
-    return path, float(tau_lbar[0])
+    return path, float(tau_lbar[0, 0])
 
 
 def abar_closed_s0_equals_muhat(params: ModelParams, l0: float, tau: float) -> float:
@@ -236,42 +279,158 @@ def abar_closed_s0_equals_muhat(params: ModelParams, l0: float, tau: float) -> f
     return (l0 * mh - params.sigma2) * (-math.expm1(-mh * tau)) / (mh * mh * tau) + params.sigma2 / mh
 
 
-# phi1(x) = (1 - exp(-x)) / x and phi2(x) = ((1 - exp(-x)) - x) / x^2 along
-# with their derivatives; series branches keep full precision through the
-# cancellation region near x = 0.
+# Below this |x|, Taylor polynomials replace the closed forms of phi2 and of
+# the derivatives, which cancel near x = 0.
 _SERIES_CUTOFF = 1e-4
 
 
-def _phi1(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    return -math.expm1(-x) / x
+def _phi(x: np.ndarray):
+    """phi1(x) = (1 - exp(-x)) / x, phi2(x) = ((1 - exp(-x)) - x) / x^2 and their derivatives.
+
+    Elementwise over a 1-D array, as ``(phi1, phi2, phi1', phi2')``; series
+    branches keep full precision through the cancellation region near
+    x = 0.  Call under ``np.errstate(all="ignore")``: the closed forms are
+    evaluated everywhere and give 0/0 at x = 0, where the series replace
+    them.
+    """
+    em1 = np.expm1(-x)  # exp(-x) - 1
+    x2 = x * x
+    phi1 = -em1 / x
+    phi2 = (-em1 - x) / x2
+    phi1_prime = (x * np.exp(-x) + em1) / x2
+    phi2_prime = (em1 * x + 2.0 * em1 + 2.0 * x) / (x2 * x)
+    small = np.abs(x) < _SERIES_CUTOFF
+    if small.any():
+        y = x[small]
+        phi1[small] = np.where(y == 0.0, 1.0, phi1[small])
+        phi2[small] = -0.5 + y * (1.0 / 6.0 + y * (-1.0 / 24.0 + y * (1.0 / 120.0 - y / 720.0)))
+        phi1_prime[small] = -0.5 + y * (1.0 / 3.0 + y * (-1.0 / 8.0 + y * (1.0 / 30.0 - y / 144.0)))
+        phi2_prime[small] = 1.0 / 6.0 + y * (-1.0 / 12.0 + y * (1.0 / 40.0 + y * (-1.0 / 180.0 + y / 1008.0)))
+    return phi1, phi2, phi1_prime, phi2_prime
 
 
-def _phi2(x: float) -> float:
-    if abs(x) < _SERIES_CUTOFF:
-        return -0.5 + x * (1.0 / 6.0 + x * (-1.0 / 24.0 + x * (1.0 / 120.0 - x / 720.0)))
-    return (-math.expm1(-x) - x) / (x * x)
-
-
-def _phi1_prime(x: float) -> float:
-    if abs(x) < _SERIES_CUTOFF:
-        return -0.5 + x * (1.0 / 3.0 + x * (-1.0 / 8.0 + x * (1.0 / 30.0 - x / 144.0)))
-    e = math.exp(-x)
-    return (x * e + math.expm1(-x)) / (x * x)
-
-
-def _phi2_prime(x: float) -> float:
-    if abs(x) < _SERIES_CUTOFF:
-        return 1.0 / 6.0 + x * (-1.0 / 12.0 + x * (1.0 / 40.0 + x * (-1.0 / 180.0 + x / 1008.0)))
-    e1 = -math.expm1(-x)  # 1 - exp(-x)
-    return (-e1 * x - 2.0 * e1 + 2.0 * x) / (x * x * x)
-
-
-def residual_cleared(s_hat: float, tau_lbar: float, l0: float, sigma2: float, tau: float) -> float:
-    """Residual of the cleared defining equation at a candidate root."""
-    one_minus_exp = -math.expm1(-s_hat * tau)
+def residual_cleared(s_hat, tau_lbar, l0, sigma2, tau):
+    """Residual of the cleared defining equation at candidate roots, elementwise."""
+    one_minus_exp = -np.expm1(-s_hat * tau)
     return tau_lbar * s_hat * s_hat - (l0 * s_hat - sigma2) * one_minus_exp - sigma2 * s_hat * tau
+
+
+class _Roots(NamedTuple):
+    """Per-entry results of ``_solve_roots``, each an array shaped like its inputs."""
+
+    s_hat: np.ndarray
+    residual: np.ndarray
+    bracket_lo: np.ndarray
+    bracket_hi: np.ndarray
+    iterations: np.ndarray
+    bisections: np.ndarray
+    widenings: np.ndarray
+
+
+def _deflated(s, tau_lbar, l0, sigma2: float, tau):
+    """The deflated residual q(s) = g(s) / s^2 and its derivative, elementwise."""
+    x = s * tau
+    phi1, phi2, phi1_prime, phi2_prime = _phi(x)
+    return (
+        tau_lbar - l0 * tau * phi1 + sigma2 * tau * tau * phi2,
+        tau * tau * (-l0 * phi1_prime + sigma2 * tau * phi2_prime),
+    )
+
+
+def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
+    """Safeguarded Newton (``rtsafe``) for every entry of 1-D arrays at once.
+
+    Entry i solves q(s) = 0 for ``tau_lbar[i]``, ``l0[i]`` and ``tau[i]``,
+    with the bracket sized by ``eps_hint[i]`` as ``solve_shat_numeric``
+    documents.  Every step is elementwise, so each entry's root, bracket
+    and counters are bitwise those of the entry solved alone.  Raises
+    BracketingError or NumericalFailure for the first entry, in index
+    order, that has no bracket or whose residual exceeds TOL_ROOT.
+    """
+    sigma2 = params.sigma2
+    mh = params.mu_hat
+    size = tau_lbar.size
+    iterations = np.zeros(size, dtype=int)
+    bisections = np.zeros(size, dtype=int)
+    widenings = np.zeros(size, dtype=int)
+    s_hat = np.full(size, math.nan)
+    with np.errstate(all="ignore"):
+        half_width = 10.0 * (np.abs(eps_hint) + sigma2 * tau + 0.01)
+        lo = mh - half_width
+        hi = mh + half_width
+        f_lo = _deflated(lo, tau_lbar, l0, sigma2, tau)[0]
+        f_hi = _deflated(hi, tau_lbar, l0, sigma2, tau)[0]
+        # Widen by doubling, per entry, while there is no sign change.
+        wide = np.flatnonzero(f_lo * f_hi > 0.0)
+        for _ in range(_MAX_BRACKET_WIDENINGS):
+            if not wide.size:
+                break
+            half_width[wide] *= 2.0
+            lo[wide] = mh - half_width[wide]
+            hi[wide] = mh + half_width[wide]
+            f_lo[wide] = _deflated(lo[wide], tau_lbar[wide], l0[wide], sigma2, tau[wide])[0]
+            f_hi[wide] = _deflated(hi[wide], tau_lbar[wide], l0[wide], sigma2, tau[wide])[0]
+            widenings[wide] += 1
+            wide = wide[f_lo[wide] * f_hi[wide] > 0.0]
+        bracketed = np.ones(size, dtype=bool)
+        bracketed[wide] = False
+
+        # Safeguarded Newton: orient so q(xl) < 0 < q(xh), keep the iterate
+        # inside [xl, xh], bisect whenever the Newton step escapes or stalls.
+        # ``live`` holds the entries still iterating, and every per-entry
+        # array below is compressed to them.
+        live = np.flatnonzero(bracketed)
+        tl, l, t = tau_lbar[live], l0[live], tau[live]
+        up = f_lo[live] < 0.0
+        xl = np.where(up, lo[live], hi[live])
+        xh = np.where(up, hi[live], lo[live])
+        x = 0.5 * (lo[live] + hi[live])
+        dx_old = np.abs(hi[live] - lo[live])
+        dx = dx_old
+        f, df = _deflated(x, tl, l, sigma2, t)
+        for _ in range(_MAX_NEWTON_ITERATIONS):
+            if not live.size:
+                break
+            iterations[live] += 1
+            bisect = (((x - xh) * df - f) * ((x - xl) * df - f) > 0.0) | (np.abs(2.0 * f) > np.abs(dx_old * df))
+            bisections[live] += bisect
+            dx_old = dx
+            dx = np.where(bisect, 0.5 * (xh - xl), f / df)
+            stepped = np.where(bisect, xl + dx, x - dx)
+            done = np.where(bisect, stepped == xl, stepped == x)
+            x = stepped
+            done |= np.abs(dx) < 1e-15 * np.maximum(1.0, np.abs(x))
+            s_hat[live] = x
+            if done.any():
+                go = ~done
+                live, x, xl, xh, dx, dx_old, tl, l, t = (a[go] for a in (live, x, xl, xh, dx, dx_old, tl, l, t))
+            f, df = _deflated(x, tl, l, sigma2, t)
+            xl = np.where(f < 0.0, x, xl)
+            xh = np.where(f > 0.0, x, xh)
+            root = f == 0.0
+            if root.any():
+                go = ~root
+                live, x, xl, xh, dx, dx_old, tl, l, t, f, df = (
+                    a[go] for a in (live, x, xl, xh, dx, dx_old, tl, l, t, f, df)
+                )
+        residual = np.abs(residual_cleared(s_hat, tau_lbar, l0, sigma2, tau))
+    failed = np.flatnonzero(~bracketed | ~(residual <= TOL_ROOT))
+    if failed.size:
+        i = failed[0]
+        if not bracketed[i]:
+            raise BracketingError(
+                f"no sign change in [{float(lo[i])!r}, {float(hi[i])!r}] after {int(widenings[i])} widenings"
+            )
+        raise NumericalFailure(f"root refinement stalled: residual {float(residual[i])!r} exceeds {TOL_ROOT!r}")
+    return _Roots(s_hat, residual, lo, hi, iterations, bisections, widenings)
+
+
+def _results(tau_lbar: np.ndarray, roots: _Roots, steps: int) -> list[OracleResult]:
+    """One OracleResult per entry of 1-D ``tau_lbar`` and ``roots``."""
+    return [
+        OracleResult(tl, s, steps, res, lo, hi, its, bis, wid)
+        for tl, s, res, lo, hi, its, bis, wid in zip(tau_lbar.tolist(), *(a.tolist() for a in roots))
+    ]
 
 
 def solve_shat_numeric(
@@ -293,90 +452,60 @@ def solve_shat_numeric(
 
     ``eps_hint`` sizes the bracket only; ``n_steps`` is carried into the
     result as a record of the integrator resolution that produced
-    ``tau_lbar`` (zero when unknown).
+    ``tau_lbar`` (zero when unknown).  A batch of one of the solve that
+    ``compute_oracles`` runs.
     """
     tau = _require_maturity(tau)
-    if not math.isfinite(tau_lbar):
-        raise ValueError(f"tau_lbar must be finite, got {tau_lbar!r}")
-    sigma2 = params.sigma2
-    mh = params.mu_hat
+    tau_lbar = _require_finite(tau_lbar, "tau_lbar")
+    l0 = _require_consol_rate(l0)
+    eps_hint = _require_finite(eps_hint, "eps_hint")
+    tl = np.array([tau_lbar])
+    roots = _solve_roots(tl, np.array([l0]), params, np.array([tau]), np.array([eps_hint]))
+    return _results(tl, roots, n_steps)[0]
 
-    def q(s):
-        x = s * tau
-        return tau_lbar - l0 * tau * _phi1(x) + sigma2 * tau * tau * _phi2(x)
 
-    def q_prime(s):
-        x = s * tau
-        return tau * tau * (-l0 * _phi1_prime(x) + sigma2 * tau * _phi2_prime(x))
+def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Sequence[float], n_steps: int | None = None):
+    """The oracle for every state at every maturity, as one batch.
 
-    half_width = 10.0 * (abs(eps_hint) + sigma2 * tau + 0.01)
-    lo = mh - half_width
-    hi = mh + half_width
-    f_lo = q(lo)
-    f_hi = q(hi)
-    widenings = 0
-    while f_lo * f_hi > 0.0:
-        if widenings >= _MAX_BRACKET_WIDENINGS:
-            raise BracketingError(
-                f"no sign change in [{lo!r}, {hi!r}] after {widenings} widenings"
-            )
-        half_width *= 2.0
-        lo = mh - half_width
-        hi = mh + half_width
-        f_lo = q(lo)
-        f_hi = q(hi)
-        widenings += 1
-    bracket_lo, bracket_hi = lo, hi
+    ``eps`` and ``l0`` are 1-D arrays, one entry per state.  Maturities
+    whose step sizes ``tau / steps`` are bitwise equal share one scan, so
+    the default 1000 steps per year integrates a grid of whole years once,
+    to its longest maturity.  All roots then come from one vectorised solve.
 
-    # Safeguarded Newton: orient so q(xl) < 0 < q(xh), keep the iterate
-    # inside [xl, xh], bisect whenever the Newton step escapes or stalls.
-    if f_lo < 0.0:
-        xl, xh = lo, hi
-    else:
-        xl, xh = hi, lo
-    x = 0.5 * (lo + hi)
-    dx_old = abs(hi - lo)
-    dx = dx_old
-    f = q(x)
-    df = q_prime(x)
-    for _ in range(_MAX_NEWTON_ITERATIONS):
-        if ((x - xh) * df - f) * ((x - xl) * df - f) > 0.0 or abs(2.0 * f) > abs(dx_old * df):
-            dx_old = dx
-            dx = 0.5 * (xh - xl)
-            x = xl + dx
-            if x == xl:
-                break
-        else:
-            dx_old = dx
-            dx = f / df
-            previous = x
-            x -= dx
-            if previous == x:
-                break
-        if abs(dx) < 1e-15 * max(1.0, abs(x)):
-            break
-        f = q(x)
-        df = q_prime(x)
-        if f == 0.0:
-            break
-        if f < 0.0:
-            xl = x
-        else:
-            xh = x
-
-    residual = abs(residual_cleared(x, tau_lbar, l0, sigma2, tau))
-    if not math.isfinite(residual) or residual > TOL_ROOT:
-        raise NumericalFailure(
-            f"root refinement stalled: residual {residual!r} exceeds {TOL_ROOT!r}"
-        )
-    return OracleResult(
-        tau_lbar=tau_lbar,
-        s_hat=x,
-        steps=n_steps,
-        residual=residual,
-        bracket_lo=bracket_lo,
-        bracket_hi=bracket_hi,
+    Returns ``(tau_lbar, roots, steps)``: A(tau) and the ``_Roots`` arrays
+    with shape (maturities, states), and the step count per maturity.  Each
+    entry is bitwise equal to ``compute_oracle`` of that state at that
+    maturity, and a failure is raised as the per-maturity batches would
+    raise it, taken in maturity order: a maturity's integration failure
+    first, then its first failed root.
+    """
+    taus = [_require_maturity(tau) for tau in taus]
+    if n_steps is not None:
+        _require_steps(n_steps)
+    steps = [default_n_steps(tau) if n_steps is None else n_steps for tau in taus]
+    groups: dict[float, list[int]] = {}
+    for i, (tau, n) in enumerate(zip(taus, steps)):
+        groups.setdefault(tau / n, []).append(i)
+    tau_lbar = np.empty((len(taus), eps.size))
+    ell = np.empty((len(taus), eps.size))
+    for h, members in groups.items():
+        ends = sorted({steps[i] for i in members})
+        group_tau_lbar, group_ell = _rk4(eps, l0, params, h, ends)
+        for i in members:
+            j = ends.index(steps[i])
+            tau_lbar[i], ell[i] = group_tau_lbar[j], group_ell[j]
+    finite = (np.isfinite(tau_lbar) & np.isfinite(ell)).all(axis=1)
+    solved = len(taus) if finite.all() else int(np.argmin(finite))
+    roots = _solve_roots(
+        tau_lbar[:solved].ravel(),
+        np.tile(l0, solved),
+        params,
+        np.repeat(taus[:solved], eps.size),
+        np.tile(eps, solved),
     )
+    if solved < len(taus):
+        _check_finite(tau_lbar[solved], ell[solved])
+    return tau_lbar, _Roots(*(a.reshape(solved, eps.size) for a in roots)), steps
 
 
 def compute_oracle(
@@ -397,15 +526,12 @@ def compute_oracles(
 ) -> list[OracleResult]:
     """``compute_oracle`` for many states at one maturity, integrated as a batch.
 
-    One scan integrates each distinct ``s0`` of the batch once; each result
-    is bitwise equal to ``compute_oracle`` of that state.  Raises
-    NumericalFailure if any state's integration blows up.
+    One scan integrates each distinct ``s0`` of the batch once, and one
+    vectorised solve finds every root; each result is bitwise equal to
+    ``compute_oracle`` of that state.  Raises NumericalFailure if any
+    state's integration blows up.
     """
-    steps = default_n_steps(tau) if n_steps is None else n_steps
-    eps = [state.s0 - params.mu_hat for state in states]
-    l0 = [state.l0 for state in states]
-    tau_lbar = _rk4(np.array(eps, dtype=float), np.array(l0, dtype=float), params, tau, steps)
-    return [
-        solve_shat_numeric(tl, state.l0, params, tau, eps_hint=e, n_steps=steps)
-        for state, e, tl in zip(states, eps, tau_lbar.tolist())
-    ]
+    eps = np.array([state.s0 - params.mu_hat for state in states], dtype=float)
+    l0 = np.array([state.l0 for state in states], dtype=float)
+    tau_lbar, roots, steps = _oracle_grid(eps, l0, params, [tau], n_steps)
+    return _results(tau_lbar[0], _Roots(*(a[0] for a in roots)), steps[0])

@@ -47,6 +47,13 @@ def _require_maturity(tau: float) -> float:
     return tau
 
 
+def _require_consol_rate(l0: float) -> float:
+    value = _require_finite(l0, "l0")
+    if value <= 0:
+        raise ValueError(f"initial consol rate l0 must be > 0, got {l0}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five model constants.
@@ -113,9 +120,7 @@ class InitialState:
 
     def __post_init__(self):
         _require_finite(self.s0, "s0")
-        _require_finite(self.l0, "l0")
-        if self.l0 <= 0:
-            raise ValueError(f"initial consol rate l0 must be > 0, got {self.l0}")
+        _require_consol_rate(self.l0)
 
 
 # Config files are flat "key = value" lines; keys are case-sensitive and

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .errors import NumericalFailure
 from .expseries import ExpPolySeries, ExpPolyTerm
-from .params import ModelParams, N_MAX, _require_finite, _require_maturity
+from .params import ModelParams, N_MAX, _require_consol_rate, _require_maturity
 
 __all__ = [
     "EllExpansion",
@@ -101,9 +101,7 @@ def _recursion(params: ModelParams, alpha: float, beta: float, order: int):
 def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
     """The expansion to ``order`` at (params, l0), with its l0-free table."""
     table = _lbar_table(params, order)
-    _require_finite(l0, "l0")
-    if l0 <= 0:
-        raise ValueError(f"initial consol rate l0 must be > 0, got {l0}")
+    _require_consol_rate(l0)
     return EllExpansion(order=order, params=params, l0=l0, _table=table)
 
 

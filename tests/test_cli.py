@@ -438,11 +438,40 @@ def test_sweep_oracle_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_oracle_failure_in_a_shared_scan(tmp_path, capsys):
+    # The three maturities share one scan; the failure is reported as the
+    # per-maturity batches reported it, and no --out file is written.
+    out = tmp_path / "sweep.csv"
+    rc, stdout, err = run(capsys, "sweep", "--oracle", "--s0-grid=-50000:0.05:3", "--tau-grid=1:3:3", "--out", str(out))
+    assert rc == 2
+    assert stdout == ""
+    assert err == "numerical failure: integration produced a non-finite state in state 0 of the batch (l=inf, integral=inf)\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "tau_grid, message",
+    [
+        ("1:3:3", "root refinement stalled: residual nan exceeds 1e-12"),
+        ("3:1:3", "integration produced a non-finite state in state 0 of the batch (l=inf, integral=inf)"),
+    ],
+    ids=["ascending", "descending"],
+)
+def test_sweep_oracle_failures_are_taken_in_maturity_order(capsys, tau_grid, message):
+    # At s0 = -800, l stays finite (about 1e246) to tau = 1, where no root
+    # is found, and overflows before tau = 2: the first maturity of the grid
+    # names the failure, though all three share one scan.
+    rc, out, err = run(capsys, "sweep", "--oracle", "--s0-grid=-800:0.05:3", f"--tau-grid={tau_grid}")
+    assert (rc, out, err) == (2, "", f"numerical failure: {message}\n")
+
+
 def test_sweep_invalid_order_fails_before_the_oracle_batch(monkeypatch, capsys):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle batch ran before --order was checked")
 
-    monkeypatch.setattr("sshat.cli.compute_oracles", no_oracle)
+    monkeypatch.setattr("sshat.cli._oracle_grid", no_oracle)
     rc, out, err = run(capsys, "sweep", "--oracle", "--order", "17")
     assert rc == 1
     assert out == ""

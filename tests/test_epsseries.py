@@ -20,7 +20,7 @@ from sshat import (
     tau_lbar_terms,
 )
 from sshat.epsseries import _moments, _solve_grid, _taylor_terms
-from sshat.oracle import _phi1, _phi1_prime, _phi2, _phi2_prime
+from sshat.oracle import _phi
 from sshat.perturbation import _lbar_columns, _lbar_table
 
 from _reference import (
@@ -51,8 +51,9 @@ def test_taylor_coefficients_match_oracle_phi(tau):
         k0 = x / tau
         a, b = _taylor_terms(k0, tau, sigma2, 1)
         f0, f1 = a + l0 * b
-        F = l0 * tau * _phi1(x) - sigma2 * tau * tau * _phi2(x)
-        F_prime = tau * tau * (l0 * _phi1_prime(x) - sigma2 * tau * _phi2_prime(x))
+        phi1, phi2, phi1_prime, phi2_prime = (float(v[0]) for v in _phi(np.array([x])))
+        F = l0 * tau * phi1 - sigma2 * tau * tau * phi2
+        F_prime = tau * tau * (l0 * phi1_prime - sigma2 * tau * phi2_prime)
         assert f0 == pytest.approx(F, rel=1e-13)
         assert f1 == pytest.approx(F_prime, rel=1e-13)
         params = ModelParams(m=0.72, mu=k0, gamma=0.0, sigma2=sigma2)

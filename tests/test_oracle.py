@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sshat import (
@@ -19,7 +20,8 @@ from sshat import (
     solve_shat_numeric,
     solve_shat_series,
 )
-from sshat.oracle import TOL_ROOT, residual_cleared
+import sshat.oracle
+from sshat.oracle import TOL_ROOT, _oracle_grid, _results, _rk4, _Roots, _solve_roots, residual_cleared
 
 from _reference import BASE_L0, BASE_MU_HAT, BASE_TAU, RK4_REFERENCE, TABLE_S0, TRUE_SHAT, TRUE_TAU_LBAR
 
@@ -220,6 +222,55 @@ def test_batched_oracle_equals_single_states(base_params, tau):
         assert result == compute_oracle(state, base_params, tau)
 
 
+@pytest.mark.parametrize(
+    "ends",
+    [[256, 512, 1000, 4000], [16, 255, 256, 257, 700], [1000, 4000, 7000, 10000]],
+    ids=["block-ends-and-inside", "around-one-boundary", "sweep-grid"],
+)
+def test_shared_scan_rows_equal_single_end_scans(base_params, ends):
+    # Ends on block boundaries (256, 512) and inside blocks (1000 = 3 * 256
+    # + 232, 4000): each end reads A and l bitwise as a scan that stops there.
+    eps = np.array([-0.06, -0.02, 0.0, 0.0, 0.05])
+    l0 = np.array([0.005, 0.1, 0.1, 0.2, 0.1])
+    tau_lbar, ell = _rk4(eps, l0, base_params, 0.001, ends)
+    for i, n in enumerate(ends):
+        alone_tau_lbar, alone_ell = _rk4(eps, l0, base_params, 0.001, [n])
+        assert tau_lbar[i].tolist() == alone_tau_lbar[0].tolist()
+        assert ell[i].tolist() == alone_ell[0].tolist()
+
+
+@pytest.mark.parametrize(
+    "taus, n_steps, scans",
+    [
+        (np.linspace(1.0, 10.0, 4).tolist(), None, 1),
+        ([0.25, 0.5, 1.0, 1.5, 2.8333, 10.0], None, 4),
+        ([0.25, 0.5, 1.0, 1.5, 2.8333, 10.0], 64, 6),
+        ([10.0, 7.0, 4.0, 1.0], None, 1),
+    ],
+    ids=["1:10:4", "mixed-groups", "fixed-steps", "descending"],
+)
+def test_oracle_grid_equals_per_maturity_batches(monkeypatch, base_params, taus, n_steps, scans):
+    # Maturities share a scan exactly when their step sizes tau / steps are
+    # bitwise equal: at the default 1000 steps per year, 1, 1.5 and 10 share
+    # one; 0.25 and 0.5 (1000 steps each) and 2.8333 (2834 steps) do not.
+    states = [InitialState(s0=s0, l0=l0) for s0 in (-0.06, -0.02, base_params.mu_hat, 0.05) for l0 in (0.005, 0.1, 0.2)]
+    eps = np.array([state.s0 - base_params.mu_hat for state in states])
+    l0 = np.array([state.l0 for state in states])
+    calls = []
+
+    def counted_rk4(*args, **kwargs):
+        calls.append(args[4])
+        return _rk4(*args, **kwargs)
+
+    monkeypatch.setattr(sshat.oracle, "_rk4", counted_rk4)
+    tau_lbar, roots, steps = _oracle_grid(eps, l0, base_params, taus, n_steps)
+    assert len(calls) == scans
+    monkeypatch.undo()
+    for i, tau in enumerate(taus):
+        batch = compute_oracles(states, base_params, tau, n_steps)
+        assert _results(tau_lbar[i], _Roots(*(a[i] for a in roots)), steps[i]) == batch
+
+
 @pytest.mark.parametrize("s0", TABLE_S0)
 def test_step_halving_shows_fourth_order(base_params, s0):
     # Truncation error at 64 steps is ~1e-13 and reaches the double-precision
@@ -300,6 +351,39 @@ def test_solve_widens_bracket_when_root_is_far(base_params):
     series = solve_shat_series(expansion, BASE_TAU, BASE_L0, base_params, 3)
     # eps = 0.31 is outside the asymptotic regime; just sanity-check agreement.
     assert result.s_hat == pytest.approx(series.value(0.31), rel=0.05)
+
+
+def test_batched_solve_counters_equal_single_solves(base_params):
+    # The first entry is the far root of the widening test above, with a
+    # bracket sized by eps_hint = 0, in one batch with ordinary states: each
+    # entry's root, bracket and counters are those of the entry solved alone.
+    _, far = integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, BASE_TAU, 4000)
+    states = [InitialState(s0=s0, l0=l0) for s0 in TABLE_S0 for l0 in (0.01, BASE_L0)]
+    near = compute_oracles(states, base_params, BASE_TAU)
+    tau_lbar = np.array([far] + [result.tau_lbar for result in near])
+    l0 = np.array([BASE_L0] + [state.l0 for state in states])
+    eps_hint = np.array([0.0] + [state.s0 - base_params.mu_hat for state in states])
+    roots = _solve_roots(tau_lbar, l0, base_params, np.full(tau_lbar.size, BASE_TAU), eps_hint)
+    assert roots.widenings[0] > 0 and not roots.widenings[1:].any()
+    for i in range(tau_lbar.size):
+        alone = solve_shat_numeric(float(tau_lbar[i]), float(l0[i]), base_params, BASE_TAU, float(eps_hint[i]))
+        fields = (alone.s_hat, alone.residual, alone.bracket_lo, alone.bracket_hi)
+        counters = (alone.iterations, alone.bisections, alone.widenings)
+        assert fields + counters == tuple(a[i].item() for a in roots)
+        assert 1 <= alone.iterations <= 200 and 0 <= alone.bisections <= alone.iterations
+    assert near == [compute_oracle(state, base_params, BASE_TAU) for state in states]
+
+
+@pytest.mark.parametrize("l0", [math.nan, -0.1, 0.0, math.inf])
+def test_solve_rejects_invalid_consol_rate(base_params, l0):
+    with pytest.raises(ValueError, match="l0"):
+        solve_shat_numeric(0.1, l0, base_params, BASE_TAU)
+
+
+@pytest.mark.parametrize("eps_hint", [math.nan, math.inf, -math.inf])
+def test_solve_rejects_non_finite_eps_hint(base_params, eps_hint):
+    with pytest.raises(ValueError, match="eps_hint must be finite"):
+        solve_shat_numeric(0.1, BASE_L0, base_params, BASE_TAU, eps_hint)
 
 
 def test_solve_unbracketable_raises(base_params):
