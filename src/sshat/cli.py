@@ -24,15 +24,16 @@ import contextlib
 import math
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .epsseries import _power_sum, _solve_grid, solve_shat_series
+from .epsseries import _partial_sums, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
 from .oracle import _oracle_grid, compute_oracle, compute_oracles, default_n_steps, integrate_ell
-from .params import InitialState, ModelParams, _require_maturity, load_config
-from .perturbation import _lbar_table, build_expansion, tau_lbar_terms
+from .params import InitialState, ModelParams, _require_maturity, _require_order, load_config
+from .perturbation import build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
 
@@ -187,18 +188,6 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _partial_sums(terms, eps) -> list[float]:
-    """Partial sums of sum_n terms[n] eps^n, in increasing powers as ShatExpansion.value sums them."""
-    sums = []
-    total = 0.0
-    power = 1.0
-    for term in terms:
-        total += term * power
-        power *= eps
-        sums.append(total)
-    return sums
-
-
 def _report(cfg: RunConfig, label: str, name: str, terms, oracle: float) -> str:
     """Per-order ``terms``, their partial sums and the distance of each from ``oracle``."""
     eps = cfg.state.s0 - cfg.params.mu_hat
@@ -251,7 +240,7 @@ def cmd_path(args) -> int:
     lines = [",".join(header)]
     for i in range(samples):
         t, ell_ref = path[i * per_cell]
-        values = [t, ell_ref] + _partial_sums([ck.evaluate(t) for ck in c], eps)
+        values = [t, ell_ref, *_partial_sums([ck.evaluate(t) for ck in c], eps)]
         lines.append(",".join(_g17(v) for v in values))
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0
@@ -267,8 +256,8 @@ def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
     results = compute_oracles([InitialState(s0=s0, l0=l0) for s0 in TABLE_S0], params, tau, n_steps)
     for s0, result in zip(TABLE_S0, results):
         eps = s0 - params.mu_hat
-        tl_columns.append(_partial_sums(terms, eps) + [result.tau_lbar])
-        shat_columns.append(_partial_sums(shat.k, eps) + [result.s_hat])
+        tl_columns.append([*_partial_sums(terms, eps), result.tau_lbar])
+        shat_columns.append([*_partial_sums(shat.k, eps), result.s_hat])
     return list(zip(*tl_columns)), list(zip(*shat_columns))
 
 
@@ -357,7 +346,7 @@ def cmd_sweep(args) -> int:
     # the rows of one s0 in output order.
     n_tau = len(tau_grid)
     pairs = len(l0_grid) * n_tau
-    table = _lbar_table(params, order)  # checks --order before the oracle batch
+    _require_order(order)  # before the oracle batch
     oracle_share = 0.0  # per row, an equal share of the whole oracle batch
     if args.oracle:
         # One batch over every (s0, l0) state, s0-major, at every tau.
@@ -372,8 +361,8 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     eps = (s0_grid - params.mu_hat)[:, None]
     values = np.empty((len(s0_grid), pairs))
-    for start, k, _, _ in _solve_grid(params, table, order, l0_grid, tau_grid):
-        values[:, start : start + k.shape[1]] = _power_sum(k, eps)
+    for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
+        values[:, start : start + k.shape[1]] = deque(_partial_sums(k, eps), maxlen=1)[0]
     series_share = (time.perf_counter() - started) / total
 
     header = ["s0", "l0", "tau", f"shat_order{order}"]

@@ -13,17 +13,19 @@ at ``k_0 = mu_hat``,
 
     sum_j f_j delta^j = sum_k L_k eps^k.
 
-The zeroth order holds by the closed form of L_0, and order n >= 1 is linear
-in k_n with the slope f_1:
+The zeroth order holds exactly, since L_0 and f_0 are the same quadrature
+sum, and order n >= 1 is linear in k_n with the slope f_1:
 
     k_n = (L_n - [sum_{j>=2} f_j delta^j]_n) / f_1.
 
-The f_j are moments of a positive weight,
+The f_j are the integrals of the L_k with m -> 0, moments of a positive weight,
 
-    f_j = tau (-tau)^j / j! * integral_0^1 u^j (l0 + sigma2 tau (1-u)) exp(-k_0 tau u) du,
+    f_j = (-1)^j / j! * integral_0^tau v^j (l0 + sigma2 (tau - v)) exp(-k_0 v) dv,
 
-summed from series of positive terms, so ``f_1 < 0`` for every admissible
-parameter set and no order amplifies the rounding error of the orders below.
+and one quadrature gives both (``perturbation._quadrature``), so ``f_1 < 0``
+for every admissible parameter set and no order amplifies the rounding
+error of the orders below.
+
 The first-order closed form ``k_1 = L_1 / f_1`` is kept as an independent
 cross-check, written as in the cleared equation: ``k_1 * bracket = L_1 k_0^2``
 with ``bracket = k_0^2 f_1``.
@@ -36,14 +38,14 @@ blocks of pairs.  A scalar solve is a grid of one pair.
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .params import ModelParams, _require_maturity
-from .perturbation import EllExpansion, _lbar_columns, tau_lbar_terms
+from .perturbation import EllExpansion, _quadrature, tau_lbar_terms
 
 __all__ = [
     "ShatExpansion",
@@ -52,60 +54,19 @@ __all__ = [
 ]
 
 
-def _moments(x: float, n: int) -> np.ndarray:
-    """I_j(x) = integral_0^1 u^j exp(-x u) du for j = 0..n.
-
-    Every series term is positive: for x <= 0 the exponential's Maclaurin
-    series gives sum_i (-x)^i / (i! (i+j+1)); for x > 0 the incomplete-gamma
-    series gives exp(-x) j! sum_i x^i / (i+j+1)!.  Terms past i = 3|x| + 40
-    are below 1e-25 of the sum.  Overflow (|x| beyond about 700) leaves a
-    non-finite entry.
-    """
-    i = np.arange(int(3 * abs(x)) + 40)
-    j = np.arange(n + 1)
-    if x <= 0:
-        steps = -x / np.maximum(i, 1)
-        steps[0] = 1.0
-        return np.cumprod(steps) @ (1.0 / np.add.outer(i, j + 1))
-    # Term i over term i-1 is x / (i+j+1); term 0 is 1 / (j+1).
-    steps = x / np.add.outer(i, j + 1.0)
-    steps[0] = 1.0 / (j + 1)
-    return math.exp(-x) * np.cumprod(steps, axis=0).sum(axis=0)
-
-
-def _taylor_terms(k0: float, tau: float, sigma2: float, n: int) -> np.ndarray:
-    """The l0-free parts of f_0..f_n at one maturity: ``f_j = a_j + l0 b_j``.
-
-    With the moments I_j at ``k0 tau``, ``b_j = c_j I_j`` and
-    ``a_j = c_j sigma2 tau (I_j - I_(j+1))``, where ``c_j = tau (-tau)^j / j!``.
-    Both parts of each f_j have one sign, so f_j has no cancellation.
-    Returns the array ``[a, b]`` of shape (2, n+1).  Raises NumericalFailure
-    when it overflows: then every f_j is non-finite, whatever l0.
-    """
-    scale = [tau]
-    for j in range(1, n + 1):
-        scale.append(scale[-1] * (-tau / j))
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = _moments(k0 * tau, n + 1)
-        terms = np.array([sigma2 * tau * (moments[:-1] - moments[1:]), moments[:-1]]) * scale
-    if not np.isfinite(terms).all():
-        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * tau!r}")
-    return terms
-
-
-def _power_sum(terms, eps):
-    """sum_n terms[n] eps^n, summed in increasing powers.
+def _partial_sums(terms, eps):
+    """Yield the partial sums of sum_n terms[n] eps^n, added in increasing powers.
 
     ``eps`` is a float or an ndarray; each term is a float or an ndarray
     that broadcasts against ``eps``.  Each element has the bits of the float
-    call at that element.
+    call at that element.  Every yielded sum is a new object.
     """
     total = 0.0
     power = np.ones_like(eps, dtype=float) if isinstance(eps, np.ndarray) else 1.0
     for term in terms:
-        total += term * power
-        power *= eps
-    return total
+        total = term * power + total
+        power = power * eps
+        yield total
 
 
 # (l0, tau) pairs per block of the batched solve.  The block length is fixed,
@@ -114,29 +75,24 @@ def _power_sum(terms, eps):
 _BLOCK = 1024
 
 
-def _solve_grid(params: ModelParams, table, order: int, l0: np.ndarray, tau: np.ndarray):
+def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray):
     """Solve the reversion at every pair of ``l0`` x ``tau`` (1-D arrays).
 
-    ``table`` is ``_lbar_table(params, N)``, N >= order; the solve reads L_0..L_order.
     Pairs run l0-major: pair p is (l0[p // len(tau)], tau[p % len(tau)]).
     Yields ``(start, k, bracket, residuals)`` per block of _BLOCK pairs, with
     ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
     shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
     reduction over the order index is an elementwise sum in a fixed order, so
     each pair has the bits of a grid of that pair alone.  Raises
-    NumericalFailure at the first maturity where F's Taylor coefficients or
-    the L_k overflow, before the first block.
+    NumericalFailure at the first maturity where ``_quadrature`` overflows,
+    before the first block.
     """
     n = max(order, 1)
     k0 = params.mu_hat
     taus = tau.tolist()
     # Both f_j and L_k are affine in l0.  Per maturity, the l0-free part
     # [f_a, L_A] and the l0 slope [f_b, L_B]: shape (2, n + order + 2, len(tau)).
-    affine = np.empty((2, n + order + 2, len(taus)))
-    for i, t in enumerate(taus):
-        affine[:, : n + 1, i] = _taylor_terms(k0, t, params.sigma2, n)
-        A, B = _lbar_columns(table, t)
-        affine[:, n + 1 :, i] = A[: order + 1], B[: order + 1]
+    affine = np.stack([_quadrature(params, t, n, order) for t in taus], axis=2)
 
     pairs = len(l0) * len(taus)
     for start in range(0, pairs, _BLOCK):
@@ -208,7 +164,7 @@ class ShatExpansion:
         upto = self.order if order is None else order
         if not 0 <= upto <= self.order:
             raise ValueError(f"order must be in [0, {self.order}], got {order}")
-        return _power_sum(self.k[: upto + 1], eps)
+        return deque(_partial_sums(self.k[: upto + 1], eps), maxlen=1)[0]
 
 
 def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):
@@ -234,9 +190,7 @@ def solve_shat_series(
     _require_maturity(tau)
     if not 0 <= order <= expansion.order:
         raise ValueError(f"order must be in [0, {expansion.order}], got {order}")
-    ((_, k, bracket, residuals),) = _solve_grid(
-        params, expansion._table, order, np.array([float(l0)]), np.array([float(tau)])
-    )
+    ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([float(l0)]), np.array([float(tau)]))
     return ShatExpansion(
         tau=tau,
         k=tuple(k[:, 0].tolist()),
@@ -246,10 +200,10 @@ def solve_shat_series(
 
 
 def rhs1_printed(expansion: EllExpansion, tau: float, l0: float, params: ModelParams) -> float:
-    """First-order right-hand side in closed form: L_1(tau) * k_0^2.
+    """First-order right-hand side L_1(tau) * k_0^2, with the quadrature's L_1 from ``tau_lbar_terms``.
 
-    Kept as an independent cross-check of the generic order-by-order solve;
-    ``k_1`` must equal this value divided by the bracket.
+    Kept as a cross-check of the generic order-by-order solve; ``k_1`` must
+    equal this value divided by the bracket.
     """
     _require_match(expansion, l0, params)
     if expansion.order < 1:

@@ -47,6 +47,11 @@ def _require_maturity(tau: float) -> float:
     return tau
 
 
+def _require_order(order: int) -> None:
+    if not 0 <= order <= N_MAX:
+        raise ValueError(f"expansion order must be in [0, {N_MAX}], got {order}")
+
+
 def _require_consol_rate(l0: float) -> float:
     value = _require_finite(l0, "l0")
     if value <= 0:

@@ -1,35 +1,51 @@
 """Regenerate the high-precision s_hat coefficients frozen in _reference.py.
 
 Run ``python tests/_make_shat_reference.py``; it needs mpmath, which the
-package itself does not use, and takes about a minute.  It prints the
-``SHAT_K_REFERENCE`` and ``MOMENT_REFERENCE`` tables to paste into
-_reference.py.
+package itself does not use, and takes a few minutes.  It prints the
+``SHAT_K_REFERENCE``, ``SHAT_K_SHORT_REFERENCE``, ``COEFFICIENT_REFERENCE``,
+``MOMENT_REFERENCE`` and ``PHI_REFERENCE`` tables to paste into _reference.py.
 
-The computation shares no code and no formula with the package:
+The computation shares no code with the package:
 
-- L_k(tau) come from the integral representation of the consol-rate path,
-  l(t) = exp(-A(t)) (l0 + sigma2 int_0^t exp(A(u)) du) with
-  A(t) = mu_hat t + eps g(t), g(t) = (1 - exp(-m t))/m, expanded in eps
-  under the integral and integrated by tensor Gauss-Legendre quadrature;
-- the Taylor coefficients of F(s) = l0 tau phi1(s tau) - sigma2 tau^2 phi2(s tau)
-  come from mpmath's numerical differentiation of its closed form;
-- the reversion F(k_0 + delta(eps)) = sum_k L_k eps^k runs in 60-digit
+- L_k(tau) = A_k + l0 B_k come from the integral representation of the
+  consol-rate path, l(t) = exp(-A(t)) (l0 + sigma2 int_0^t exp(A(u)) du)
+  with A(t) = mu_hat t + eps g(t), g(t) = (1 - exp(-m t))/m, expanded in
+  eps under the integral and integrated by tensor Gauss-Legendre
+  quadrature: B_k is the l0 term, A_k the sigma2 term;
+- the Taylor coefficients f_j = a_j + l0 b_j of
+  F(s) = l0 tau phi1(s tau) - sigma2 tau^2 phi2(s tau) come from mpmath's
+  numerical differentiation of its closed form, b_j of the l0 term and
+  a_j of the sigma2 term;
+- the reversion F(k_0 + delta(eps)) = sum_k L_k eps^k runs in 100-digit
   arithmetic.
 
-Each stage is checked against a second route (a finer quadrature, the
-moment integrals of F, and a root solve at a sample eps) before printing.
+Each stage is checked against a second route (a finer quadrature, an
+adaptive ``mpmath.quad`` of the one-dimensional integrals
+
+    (-1)^k k! B_k = int_0^tau e(v) g(v)^k dv,
+    (-1)^k k! A_k = sigma2 int_0^tau e(v) g(v)^k h_k(tau - v) dv,
+    (-1)^j j! b_j = int_0^tau e(v) v^j dv,
+    (-1)^j j! a_j = sigma2 int_0^tau e(v) v^j (tau - v) dv,
+
+with e(v) = exp(-mu_hat v) and h_k(w) = (1 - exp(-k m w))/(k m),
+h_0(w) = w, and a root solve at a sample eps) before printing.
 """
 
 import mpmath as mp
 
-mp.mp.dps = 60
+mp.mp.dps = 100
 
 BASE = dict(m=0.72, mu=-0.01, gamma=0.007, sigma2=0.0003, lam=0.0)
 L0 = 0.1
 TAUS = (1.0, 10.0)
+SHORT_TAUS = (0.01, 0.1)
+COEFFICIENT_TAUS = (0.01, 0.1, 1.0, 10.0)
 ORDER = 16
 MOMENT_X = (-15.0, -3.0, -0.1, 0.1, 3.0, 9.0, 15.0)
 MOMENT_J = 17
+# Points for the oracle's phi functions: near zero, and 0.99 and 1.01 times
+# its quadrature cutoff |x| = 4.
+PHI_X = tuple(sign * x for x in (1e-8, 1.01e-4, 1e-2, 3.96, 4.04, 10.0) for sign in (-1.0, 1.0))
 
 
 def gauss_legendre(a, b, degree):
@@ -47,22 +63,38 @@ def scaled_powers(x, order):
     return out
 
 
-def tau_lbar_coefficients(m, mu_hat, sigma2, l0, tau, order, degree):
-    """L_0..L_order, the eps-coefficients of int_0^tau l(t) dt."""
+def tau_lbar_coefficients(m, mu_hat, sigma2, tau, order, degree):
+    """A_0..A_order and B_0..B_order, the eps-coefficients of int_0^tau l(t) dt = sum_k (A_k + l0 B_k) eps^k."""
     g = lambda t: -mp.expm1(-m * t) / m
-    L = [mp.mpf(0)] * (order + 1)
+    A = [mp.mpf(0)] * (order + 1)
+    B = [mp.mpf(0)] * (order + 1)
     inner = gauss_legendre(0, 1, degree)
     for t, wt in gauss_legendre(0, tau, degree):
         gt = g(t)
-        outer = l0 * mp.exp(-mu_hat * t) * wt
+        outer = mp.exp(-mu_hat * t) * wt
         for k, p in enumerate(scaled_powers(-gt, order)):
-            L[k] += outer * p
+            B[k] += outer * p
         # The sigma2 term, with u = t v: t exp(-mu_hat t (1 - v)) (g(t v) - g(t))^k / k!.
         for v, wv in inner:
             weight = sigma2 * wt * wv * t * mp.exp(-mu_hat * t * (1 - v))
             for k, p in enumerate(scaled_powers(g(t * v) - gt, order)):
-                L[k] += weight * p
-    return L
+                A[k] += weight * p
+    return A, B
+
+
+def taylor_parts(k0, tau, sigma2, order):
+    """a_0..a_order and b_0..b_order: the Taylor coefficients at k0 of the two terms of F."""
+    def phi1(s):
+        x = s * tau
+        return -mp.expm1(-x) / x
+
+    def phi2(s):
+        x = s * tau
+        return (-mp.expm1(-x) - x) / (x * x)
+
+    b = mp.taylor(lambda s: tau * phi1(s), k0, order)
+    a = mp.taylor(lambda s: -sigma2 * tau * tau * phi2(s), k0, order)
+    return a, b
 
 
 def F(s, tau, l0, sigma2):
@@ -72,15 +104,22 @@ def F(s, tau, l0, sigma2):
     return l0 * tau * phi1 - sigma2 * tau * tau * phi2
 
 
-def taylor_moments(k0, tau, l0, sigma2, order, degree):
-    """Second route to the Taylor coefficients of F: its moment integrals."""
-    out = []
-    for j in range(order + 1):
-        total = mp.mpf(0)
-        for u, w in gauss_legendre(0, 1, degree):
-            total += w * u**j * (l0 + sigma2 * tau * (1 - u)) * mp.exp(-k0 * tau * u)
-        out.append(tau * (-tau) ** j / mp.factorial(j) * total)
-    return out
+def one_dimensional_integrals(m, mu_hat, sigma2, tau, order):
+    """Second route to A_k, B_k, a_j and b_j: adaptive quadrature of the integrals in the docstring."""
+    e = lambda v: mp.exp(-mu_hat * v)
+    g = lambda v: -mp.expm1(-m * v) / m
+
+    def h(k, w):
+        return w if k == 0 else -mp.expm1(-k * m * w) / (k * m)
+
+    def integral(f, k):
+        return (-1) ** k / mp.factorial(k) * mp.quad(f, [0, tau])
+
+    A = [sigma2 * integral(lambda v: e(v) * g(v) ** k * h(k, tau - v), k) for k in range(order + 1)]
+    B = [integral(lambda v: e(v) * g(v) ** k, k) for k in range(order + 1)]
+    a = [sigma2 * integral(lambda v: e(v) * v**j * (tau - v), j) for j in range(order + 1)]
+    b = [integral(lambda v: e(v) * v**j, j) for j in range(order + 1)]
+    return A, B, a, b
 
 
 def revert(f, L):
@@ -106,19 +145,48 @@ def relative_gap(a, b):
     return max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b))
 
 
+def phi_functions(x):
+    """phi1, phi2, phi1' and phi2' at x != 0 from their closed forms, and by quadrature as a check."""
+    e = mp.exp(-x)
+    closed = (
+        -mp.expm1(-x) / x,
+        (-mp.expm1(-x) - x) / x**2,
+        (x * e + mp.expm1(-x)) / x**2,
+        (mp.expm1(-x) * (x + 2) + 2 * x) / x**3,
+    )
+    weights = (lambda u: 1, lambda u: u - 1, lambda u: -u, lambda u: u * (1 - u))
+    integrals = [mp.quad(lambda u: w(u) * mp.exp(-x * u), [0, 1]) for w in weights]
+    check(relative_gap(closed, integrals) < mp.mpf(10) ** -40, f"phi functions at {x}")
+    return closed
+
+
+def print_table(name, rows):
+    """``name = {key: (values...), ...}``, three values to a line."""
+    print(f"{name} = {{")
+    for key, values in rows.items():
+        print(f"    {key!r}: (")
+        for row in range(0, len(values), 3):
+            print("        " + " ".join(f"{float(v)!r}," for v in values[row : row + 3]))
+        print("    ),")
+    print("}")
+
+
 def main():
     m, mu, gamma, sigma2, lam = (BASE[k] for k in ("m", "mu", "gamma", "sigma2", "lam"))
     k0 = mp.mpf(mu - lam * gamma / m)  # the double the package uses for mu_hat
     m, sigma2, l0 = mp.mpf(m), mp.mpf(sigma2), mp.mpf(L0)
-    table = {}
-    for tau_float in TAUS:
+    shat = {}
+    coefficients = {}
+    for tau_float in COEFFICIENT_TAUS:
         tau = mp.mpf(tau_float)
-        L = tau_lbar_coefficients(m, k0, sigma2, l0, tau, ORDER, 6)
-        L_fine = tau_lbar_coefficients(m, k0, sigma2, l0, tau, ORDER, 7)
-        check(relative_gap(L, L_fine) < mp.mpf(10) ** -45, "quadrature not converged")
-        f = mp.taylor(lambda s: F(s, tau, l0, sigma2), k0, ORDER)
-        f_moments = taylor_moments(k0, tau, l0, sigma2, ORDER, 7)
-        check(relative_gap(f, f_moments) < mp.mpf(10) ** -40, "Taylor coefficients disagree")
+        A, B = tau_lbar_coefficients(m, k0, sigma2, tau, ORDER, 6)
+        A_fine, B_fine = tau_lbar_coefficients(m, k0, sigma2, tau, ORDER, 7)
+        check(relative_gap(A + B, A_fine + B_fine) < mp.mpf(10) ** -45, "quadrature not converged")
+        a, b = taylor_parts(k0, tau, sigma2, ORDER)
+        second = one_dimensional_integrals(m, k0, sigma2, tau, ORDER)
+        check(relative_gap(A + B + a + b, sum(second, [])) < mp.mpf(10) ** -40, "the two routes disagree")
+        L = [x + l0 * y for x, y in zip(A, B)]
+        f = [x + l0 * y for x, y in zip(a, b)]
         delta = revert(f, L)
         k = [k0] + delta[1:]
         # The truncated reversion must solve F(s) = sum_k L_k eps^k to O(eps^(N+1)).
@@ -126,24 +194,32 @@ def main():
         root = mp.findroot(lambda s: F(s, tau, l0, sigma2) - mp.polyval(L[::-1], eps), k0)
         gap = abs(root - mp.polyval(k[::-1], eps))
         check(gap < 10 * abs(k[ORDER]) * eps ** (ORDER + 1) + mp.mpf(10) ** -50, "reversion misses the root")
-        table[tau_float] = k
+        shat[tau_float] = k
+        coefficients[tau_float] = (A, B, a, b)
     print("SHAT_K_REFERENCE = {")
-    for tau_float, k in table.items():
+    for tau_float in TAUS:
         print(f"    {tau_float!r}: (")
-        for kn in k:
+        for kn in shat[tau_float]:
             print(f"        {float(kn)!r},")
         print("    ),")
     print("}")
-    # I_j(x) = int_0^1 u^j exp(-x u) du by adaptive quadrature.
-    print("MOMENT_REFERENCE = {")
-    for x in MOMENT_X:
-        values = [mp.quad(lambda u: u**j * mp.exp(-mp.mpf(x) * u), [0, 1]) for j in range(MOMENT_J + 1)]
-        print(f"    {x!r}: (")
-        for row in range(0, len(values), 3):
-            print("        " + " ".join(f"{float(v)!r}," for v in values[row : row + 3]))
-        print("    ),")
+    print_table("SHAT_K_SHORT_REFERENCE", {tau: shat[tau] for tau in SHORT_TAUS})
+    print("COEFFICIENT_REFERENCE = {")
+    for tau_float, families in coefficients.items():
+        print(f"    {tau_float!r}: {{")
+        for name, values in zip("ABab", families):
+            print(f"        {name!r}: (")
+            for row in range(0, len(values), 3):
+                print("            " + " ".join(f"{float(v)!r}," for v in values[row : row + 3]))
+            print("        ),")
+        print("    },")
     print("}")
-
+    # I_j(x) = int_0^1 u^j exp(-x u) du by adaptive quadrature.
+    moments = {}
+    for x in MOMENT_X:
+        moments[x] = [mp.quad(lambda u: u**j * mp.exp(-mp.mpf(x) * u), [0, 1]) for j in range(MOMENT_J + 1)]
+    print_table("MOMENT_REFERENCE", moments)
+    print_table("PHI_REFERENCE", {x: phi_functions(mp.mpf(x)) for x in PHI_X})
 
 if __name__ == "__main__":
     main()

@@ -454,7 +454,7 @@ def test_sweep_oracle_failure_in_a_shared_scan(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tau_grid, message",
     [
-        ("1:3:3", "root refinement stalled: residual nan exceeds 1e-12"),
+        ("1:3:3", "root refinement stalled: residual 2.4840289476811343e+232 exceeds 1e-12"),
         ("3:1:3", "integration produced a non-finite state in state 0 of the batch (l=inf, integral=inf)"),
     ],
     ids=["ascending", "descending"],

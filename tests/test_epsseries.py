@@ -17,18 +17,19 @@ from sshat import (
     compute_oracle,
     rhs1_printed,
     solve_shat_series,
-    tau_lbar_terms,
 )
-from sshat.epsseries import _moments, _solve_grid, _taylor_terms
+from sshat.epsseries import _solve_grid
 from sshat.oracle import _phi
-from sshat.perturbation import _lbar_columns, _lbar_table
+from sshat.perturbation import _quadrature
 
 from _reference import (
     BASE,
     BASE_L0,
     BASE_TAU,
+    COEFFICIENT_REFERENCE,
     MOMENT_REFERENCE,
     SHAT_K_REFERENCE,
+    SHAT_K_SHORT_REFERENCE,
     TRUE_SHAT_PARTIALS,
 )
 
@@ -37,9 +38,31 @@ from test_perturbation import _random_valid_params
 
 @pytest.mark.parametrize("x", sorted(MOMENT_REFERENCE))
 def test_moments_match_mpmath(x):
-    got = _moments(x, 17)
-    for j, expected in enumerate(MOMENT_REFERENCE[x]):
-        assert got[j] == pytest.approx(expected, rel=2e-15, abs=0), f"I_{j}({x})"
+    # b_j = (-1)^j tau^(j+1) / j! * I_j(mu_hat tau); at tau = 1 the scale is exact.
+    params = ModelParams(m=0.72, mu=x, gamma=0.0, sigma2=3e-4)
+    b = _quadrature(params, 1.0, 17, 0)[1]
+    for j, moment in enumerate(MOMENT_REFERENCE[x]):
+        assert b[j] == pytest.approx((-1) ** j * moment / math.factorial(j), rel=2e-15, abs=0), f"I_{j}({x})"
+
+
+@pytest.mark.parametrize("tau", sorted(COEFFICIENT_REFERENCE))
+def test_quadrature_matches_mpmath_coefficients(base_params, tau):
+    # Both sides of the reversion to a small relative error at every order,
+    # where the closed form's alternating sums lost up to 1e23 at tau = 0.01.
+    terms = _quadrature(base_params, tau, 16, 16)
+    got = {"a": terms[0, :17], "b": terms[1, :17], "A": terms[0, 17:], "B": terms[1, 17:]}
+    for name, expected in COEFFICIENT_REFERENCE[tau].items():
+        for k, value in enumerate(expected):
+            assert got[name][k] == pytest.approx(value, rel=1e-13, abs=0), f"{name}_{k}"
+
+
+@pytest.mark.parametrize("tau", sorted(SHAT_K_SHORT_REFERENCE))
+def test_solve_matches_mpmath_coefficients_at_short_maturities(base_params, tau):
+    # The reversion's own cancellation (|L_n / (f_1 k_n)| up to 2e4 at
+    # tau = 0.01) leaves k_n good to about 1e-9 even with exact inputs.
+    shat = solve_shat_series(build_expansion(base_params, BASE_L0, 16), tau, BASE_L0, base_params, 16)
+    for n, expected in enumerate(SHAT_K_SHORT_REFERENCE[tau]):
+        assert shat.k[n] == pytest.approx(expected, rel=1e-8, abs=0), f"k_{n}"
 
 
 @pytest.mark.parametrize("tau", [1.0, 10.0])
@@ -49,27 +72,33 @@ def test_taylor_coefficients_match_oracle_phi(tau):
     l0, sigma2 = 0.1, 3e-4
     for x in list(np.linspace(-15.0, 15.0, 16)) + [-0.1, 0.1]:
         k0 = x / tau
-        a, b = _taylor_terms(k0, tau, sigma2, 1)
+        params = ModelParams(m=0.72, mu=k0, gamma=0.0, sigma2=sigma2)
+        a, b = _quadrature(params, tau, 1, 0)[:, :2]
         f0, f1 = a + l0 * b
         phi1, phi2, phi1_prime, phi2_prime = (float(v[0]) for v in _phi(np.array([x])))
         F = l0 * tau * phi1 - sigma2 * tau * tau * phi2
         F_prime = tau * tau * (l0 * phi1_prime - sigma2 * tau * phi2_prime)
         assert f0 == pytest.approx(F, rel=1e-13)
         assert f1 == pytest.approx(F_prime, rel=1e-13)
-        params = ModelParams(m=0.72, mu=k0, gamma=0.0, sigma2=sigma2)
         shat = solve_shat_series(build_expansion(params, l0, 1), tau, l0, params, 1)
         assert shat.bracket / (k0 * k0) == pytest.approx(F_prime, rel=1e-13)
 
 
 def test_exp_overflow_raises(base_params):
-    # exp(-k0 tau u) overflows for k0 tau = -1000; exp(-x) underflows under
-    # an overflowing sum for k0 tau = +1000.  Neither may pass as a number.
-    for k0 in (-1.0, 1.0):
-        with pytest.raises(NumericalFailure):
-            _taylor_terms(k0, 1000.0, base_params.sigma2, 3)
+    # exp(-k0 v) overflows for k0 tau = -1000, which may not pass as a number.
     params = ModelParams(**{**BASE, "mu": -1.0})
+    with pytest.raises(NumericalFailure, match="k0\\*tau=-1000.0"):
+        _quadrature(params, 1000.0, 3, 3)
     with pytest.raises(NumericalFailure):
         solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
+    # For k0 tau = +1000, exp(-k0 v) underflows long before tau, and the
+    # moments are those of [0, inf): b_j = (-1)^j and a_j = (-1)^j sigma2 (tau - j - 1).
+    params = ModelParams(**{**BASE, "mu": 1.0})
+    a, b = _quadrature(params, 1000.0, 16, 0)[:, :17]
+    for j in range(17):
+        assert b[j] == pytest.approx((-1) ** j, rel=1e-15, abs=0), f"b_{j}"
+        assert a[j] == pytest.approx((-1) ** j * params.sigma2 * (1000.0 - j - 1), rel=1e-15, abs=0), f"a_{j}"
+    assert all(map(math.isfinite, solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3).k))
 
 
 def test_residual_vanishes_at_solution(base_params, base_expansion):
@@ -172,15 +201,15 @@ def test_solve_rejects_l0_or_params_other_than_the_expansions(base_params, base_
 
 
 def test_zero_L1_gives_zero_k1(monkeypatch, base_params, base_expansion):
-    # The solve reads L = A + l0 B from the columns of the l0-free table, and
-    # rhs1_printed reads it through tau_lbar_terms; zero L_1 in both.
-    def zero_L1(table, tau):
-        A, B = _lbar_columns(table, tau)
-        A[1] = B[1] = 0.0
-        return A, B
+    # The solve reads L = A + l0 B from the quadrature, and rhs1_printed
+    # reads it through tau_lbar_terms; zero L_1 in both.
+    def zero_L1(params, tau, n, order):
+        terms = _quadrature(params, tau, n, order)
+        terms[:, n + 2] = 0.0
+        return terms
 
-    monkeypatch.setattr(sshat.epsseries, "_lbar_columns", zero_L1)
-    monkeypatch.setattr(sshat.perturbation, "_lbar_columns", zero_L1)
+    monkeypatch.setattr(sshat.epsseries, "_quadrature", zero_L1)
+    monkeypatch.setattr(sshat.perturbation, "_quadrature", zero_L1)
     assert rhs1_printed(base_expansion, BASE_TAU, BASE_L0, base_params) == 0.0
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 1)
     assert shat.k[1] == 0.0
@@ -199,7 +228,7 @@ def test_rhs1_rejects_the_maturities_the_solve_rejects(base_params, base_expansi
 def _grid_rows(params, order, l0, tau):
     """k, bracket and residuals of every (l0, tau) pair of the batched solve, in pair order."""
     rows = []
-    for start, k, bracket, residuals in _solve_grid(params, _lbar_table(params, order), order, l0, tau):
+    for start, k, bracket, residuals in _solve_grid(params, order, l0, tau):
         assert start == len(rows)
         rows += zip(k.T.tolist(), bracket.tolist(), residuals.T.tolist())
     assert len(rows) == len(l0) * len(tau)
@@ -230,36 +259,13 @@ def test_batched_solve_overflow_matches_scalar_solve():
     params = ModelParams(**{**BASE, "mu": -1.0})
     with pytest.raises(NumericalFailure) as scalar:
         solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
-    table = _lbar_table(params, 3)
     with pytest.raises(NumericalFailure) as batched:
-        next(_solve_grid(params, table, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1000.0, 2.0])))
+        next(_solve_grid(params, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1000.0, 2.0])))
     assert str(batched.value) == str(scalar.value)
     assert "k0*tau=-1000.0" in str(scalar.value)
     # A finite l0 large enough to overflow f_j fails in its own pair.
     with pytest.raises(NumericalFailure, match="Taylor coefficients"):
-        next(_solve_grid(params, table, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
-
-
-def test_consumers_read_the_table_built_with_the_expansion(monkeypatch, base_params):
-    # The solve, tau_lbar_terms and rhs1_printed read the l0-free table stored
-    # on the expansion; none of them builds another.
-    full = build_expansion(base_params, BASE_L0, 16)
-    expansions = [build_expansion(base_params, BASE_L0, n) for n in range(17)]
-
-    def results():
-        solves = [solve_shat_series(full, BASE_TAU, BASE_L0, base_params, n) for n in range(17)]
-        solves += [solve_shat_series(e, BASE_TAU, BASE_L0, base_params, e.order) for e in expansions]
-        return solves, tau_lbar_terms(full, BASE_TAU), rhs1_printed(full, BASE_TAU, BASE_L0, base_params)
-
-    before = results()
-
-    def no_table(*args):
-        raise RuntimeError("l0-free table rebuilt")
-
-    for module in (sshat.perturbation, sshat.epsseries):
-        if hasattr(module, "_lbar_table"):
-            monkeypatch.setattr(module, "_lbar_table", no_table)
-    assert results() == before
+        next(_solve_grid(params, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
 
 
 def test_term_tables_are_written_only_when_read(monkeypatch, base_params):

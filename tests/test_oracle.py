@@ -21,9 +21,18 @@ from sshat import (
     solve_shat_series,
 )
 import sshat.oracle
-from sshat.oracle import TOL_ROOT, _oracle_grid, _results, _rk4, _Roots, _solve_roots, residual_cleared
+from sshat.oracle import TOL_ROOT, _oracle_grid, _phi, _results, _rk4, _Roots, _solve_roots, residual_cleared
 
-from _reference import BASE_L0, BASE_MU_HAT, BASE_TAU, RK4_REFERENCE, TABLE_S0, TRUE_SHAT, TRUE_TAU_LBAR
+from _reference import (
+    BASE_L0,
+    BASE_MU_HAT,
+    BASE_TAU,
+    PHI_REFERENCE,
+    RK4_REFERENCE,
+    TABLE_S0,
+    TRUE_SHAT,
+    TRUE_TAU_LBAR,
+)
 
 
 def test_default_step_counts():
@@ -384,6 +393,38 @@ def test_solve_rejects_invalid_consol_rate(base_params, l0):
 def test_solve_rejects_non_finite_eps_hint(base_params, eps_hint):
     with pytest.raises(ValueError, match="eps_hint must be finite"):
         solve_shat_numeric(0.1, BASE_L0, base_params, BASE_TAU, eps_hint)
+
+
+def test_solve_bisects_a_non_finite_newton_step(monkeypatch, base_params):
+    # At s0 = -800 the bracket spans +-8000 and the second bisection lands
+    # where q overflows to -inf with a NaN slope.  No root is in reach of
+    # TOL_ROOT at tau_lbar ~ 1e244, but the entry fails in a few passes and
+    # with a finite residual, not after every Newton pass with a NaN one.
+    state = InitialState(s0=-800.0, l0=BASE_L0)
+    _, tau_lbar = integrate_ell(state, base_params, 1.0, 1000)
+    calls = []
+    deflated = sshat.oracle._deflated
+    monkeypatch.setattr(sshat.oracle, "_deflated", lambda *args: calls.append(args) or deflated(*args))
+    with pytest.raises(NumericalFailure, match="root refinement stalled") as failure:
+        solve_shat_numeric(tau_lbar, state.l0, base_params, 1.0, state.s0 - base_params.mu_hat)
+    assert len(calls) <= 100
+    assert math.isfinite(float(str(failure.value).split()[4]))
+
+
+@pytest.mark.parametrize("x", sorted(PHI_REFERENCE))
+def test_phi_matches_mpmath(x):
+    # Within 1e-15 relative on both sides of the cutoff |x| = 4 (the frozen
+    # points 3.96 and 4.04) and near zero, where the closed forms cancel.
+    with np.errstate(all="ignore"):
+        got = _phi(np.array([x]))[:, 0]
+    for name, value, expected in zip(("phi1", "phi2", "phi1'", "phi2'"), got.tolist(), PHI_REFERENCE[x]):
+        assert value == pytest.approx(expected, rel=1e-15, abs=0), name
+
+
+def test_phi_at_zero():
+    with np.errstate(all="ignore"):
+        got = _phi(np.array([0.0]))[:, 0]
+    assert got.tolist() == pytest.approx([1.0, -0.5, -0.5, 1.0 / 6.0], rel=1e-15, abs=0)
 
 
 def test_solve_unbracketable_raises(base_params):

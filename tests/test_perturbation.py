@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sshat import (
@@ -10,12 +11,14 @@ from sshat import (
     InitialState,
     ModelParams,
     N_MAX,
+    NumericalFailure,
     build_expansion,
     integrate_ell,
     tau_lbar_terms,
 )
+from sshat.perturbation import _nodes, _quadrature
 
-from _reference import BASE_L0, TABLE_S0
+from _reference import BASE, BASE_L0, TABLE_S0
 
 
 def _coeff_at(series: ExpPolySeries, power: int, rate: float, tol: float) -> float:
@@ -236,6 +239,24 @@ def test_build_expansion_validation(base_params):
         build_expansion(base_params, BASE_L0, 17)
     with pytest.raises(ValueError):
         build_expansion(base_params, 0.0, 3)
+
+
+@pytest.mark.parametrize("mu", [-0.01, 0.01])
+def test_quadrature_nodes_are_bounded(mu):
+    # The rule stops where |mu_hat| v leaves the range of exp, so no
+    # maturity needs more than 10^4 nodes; past that point exp(-mu_hat v)
+    # overflows (the coefficients raise) or underflows (they stay finite).
+    params = ModelParams(**{**BASE, "mu": mu})
+    for tau in np.logspace(-6, 6, 61).tolist():
+        v, u, w = _nodes(params, tau)
+        assert v.size <= 10**4
+        assert 0.0 <= v.min() and v.max() <= tau and u.min() >= 0.0
+        try:
+            terms = _quadrature(params, tau, 16, 16)
+        except NumericalFailure:
+            assert mu < 0, tau
+        else:
+            assert np.isfinite(terms).all()
 
 
 def test_tau_lbar_table_values(base_params, base_expansion):
