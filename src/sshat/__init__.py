@@ -4,14 +4,16 @@ The approximate bond-price formula for this model replaces the spread in one
 coefficient of the pricing equation by a constant, defined through a nonlinear
 equation involving the time average of the deterministic consol-rate path.
 This package computes that constant two ways: by a perturbation expansion in
-the initial spread's distance from equilibrium, with every coefficient in
-closed form and to arbitrary order, and by an independent numerical oracle
-(Runge-Kutta integration plus safeguarded root finding) used for validation.
+the initial spread's distance from equilibrium, to arbitrary order, and by an
+independent numerical oracle (Runge-Kutta integration plus safeguarded root
+finding) used for validation.  The coefficients of the consol-rate path have
+a closed form (``EllExpansion.alpha`` and ``.beta``); the values the package
+computes come from one quadrature of integrands of one sign instead, which
+keeps their relative accuracy at every order and maturity.
 """
 
 from .epsseries import ShatExpansion, rhs1_printed, solve_shat_series
 from .errors import BracketingError, DegenerateRateError, NumericalFailure
-from .expseries import ExpPolySeries, ExpPolyTerm
 from .oracle import (
     OracleResult,
     abar_closed_s0_equals_muhat,
@@ -30,8 +32,6 @@ __all__ = [
     "BracketingError",
     "DegenerateRateError",
     "EllExpansion",
-    "ExpPolySeries",
-    "ExpPolyTerm",
     "InitialState",
     "ModelParams",
     "N_MAX",

@@ -33,7 +33,7 @@ from .epsseries import _partial_sums, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
 from .oracle import _oracle_grid, compute_oracle, compute_oracles, default_n_steps, integrate_ell
 from .params import InitialState, ModelParams, _require_maturity, _require_order, load_config
-from .perturbation import build_expansion, tau_lbar_terms
+from .perturbation import _ell_terms, build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
 
@@ -234,13 +234,12 @@ def cmd_path(args) -> int:
     per_cell = max(1, -(-cfg.n_steps // (samples - 1)))
     n_steps = per_cell * (samples - 1)
     path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps)
-    c = expansion.c
 
     header = ["t", "ell_rk4"] + [f"ell_order{n}" for n in range(cfg.order + 1)]
     lines = [",".join(header)]
     for i in range(samples):
         t, ell_ref = path[i * per_cell]
-        values = [t, ell_ref, *_partial_sums([ck.evaluate(t) for ck in c], eps)]
+        values = [t, ell_ref, *_partial_sums(_ell_terms(expansion, t).tolist(), eps)]
         lines.append(",".join(_g17(v) for v in values))
     _emit("\n".join(lines) + "\n", cfg.out)
     return 0

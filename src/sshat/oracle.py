@@ -86,9 +86,14 @@ def default_n_steps(tau: float) -> int:
     return max(1000, math.ceil(1000 * _require_maturity(tau)))
 
 
+# The most RK4 steps one maturity may take: about 2.5 s of scan, and about
+# 400 MB at the peak of ``integrate_ell``, which returns the whole path.
+_MAX_STEPS = 10**7
+
+
 def _require_steps(n_steps: int) -> None:
-    if n_steps < 16:
-        raise ValueError(f"n_steps must be >= 16, got {n_steps}")
+    if not 16 <= n_steps <= _MAX_STEPS:
+        raise ValueError(f"n_steps must be in [16, {_MAX_STEPS}], got {n_steps}")
 
 
 # RK4 steps per block of the scan.  The block length is fixed, so no result
@@ -481,9 +486,9 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     first, then its first failed root.
     """
     taus = [_require_maturity(tau) for tau in taus]
-    if n_steps is not None:
-        _require_steps(n_steps)
     steps = [default_n_steps(tau) if n_steps is None else n_steps for tau in taus]
+    for n in steps:
+        _require_steps(n)
     groups: dict[float, list[int]] = {}
     for i, (tau, n) in enumerate(zip(taus, steps)):
         groups.setdefault(tau / n, []).append(i)

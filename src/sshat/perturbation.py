@@ -16,10 +16,11 @@ The running integral ``tau * lbar(tau) = sum_k L_k(tau) eps^k`` has
 ``L_k(t) = sum a/r (1 - exp(-r t))`` over the terms ``a exp(-r t)`` of c_k;
 the rate-zero term of c_0 gives the slope ``c01 t`` instead.  The genericity
 band of :class:`ModelParams` keeps every denominator, ``mu_hat - k m``,
-``j m`` and ``mu_hat + j m``, away from zero.  These closed forms are the
-term tables ``EllExpansion.c`` and ``.L``.  Their alternating sums lose
-relative accuracy at high orders and short maturities, so the L_k(tau) that
-the solve reads come from a quadrature of integrands of one sign instead.
+``j m`` and ``mu_hat + j m``, away from zero.  ``EllExpansion.alpha`` and
+``.beta`` hold this closed form.  Its alternating sums lose relative
+accuracy at high orders and short maturities, so every value the package
+computes, c_k(t) for ``path`` and L_k(tau) for the solve, comes from one
+quadrature of integrands of one sign instead (``_quadrature``, ``_ell_terms``).
 
 An :class:`EllExpansion` holds (params, l0, order) and is reused for
 evaluation at any number of (eps, t) or (eps, tau) pairs.
@@ -28,14 +29,12 @@ evaluation at any number of (eps, t) or (eps, tau) pairs.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .expseries import ExpPolySeries, ExpPolyTerm
 from .params import ModelParams, N_MAX, _require_consol_rate, _require_maturity, _require_order
 
 __all__ = [
@@ -49,57 +48,37 @@ __all__ = [
 class EllExpansion:
     """Expansion of l(t) and tau*lbar(tau) to ``order`` at one (params, l0).
 
-    The term tables ``c`` (c_0..c_N) and ``L`` (L_0..L_N) are written on
-    each read.  Immutable; safe to share across threads and evaluate concurrently.
+    The closed form, ``alpha`` with shape (N+1,) and lower-triangular
+    ``beta`` with shape (N+1, N+1), is written on each read as read-only
+    arrays.  Immutable; safe to share across threads and evaluate concurrently.
     """
 
     order: int
     params: ModelParams
     l0: float
 
-    def _pairs(self):
-        """Per k, the ``(coeff, rate)`` pairs of c_k's terms ``coeff exp(-rate t)``."""
-        mu_hat, m = self.params.mu_hat, self.params.m
-        alpha0 = self.params.sigma2 / mu_hat
-        for k, (alpha, beta) in enumerate(_recursion(self.params, alpha0, self.l0 - alpha0, self.order)):
-            yield [(alpha, k * m)] + [(b, mu_hat + j * m) for j, b in enumerate(beta)]
+    @property
+    def alpha(self) -> np.ndarray:
+        return _closed_form(self.params, self.l0, self.order)[0]
 
     @property
-    def c(self) -> tuple[ExpPolySeries, ...]:
-        return tuple(_series((a, 0, r) for a, r in pairs) for pairs in self._pairs())
-
-    @property
-    def L(self) -> tuple[ExpPolySeries, ...]:
-        return tuple(_series(_integral(pairs)) for pairs in self._pairs())
+    def beta(self) -> np.ndarray:
+        return _closed_form(self.params, self.l0, self.order)[1]
 
 
-def _series(terms) -> ExpPolySeries:
-    """The series of ``(coeff, power, rate)`` triples, without exact-zero coefficients."""
-    return ExpPolySeries(tuple(ExpPolyTerm(a, p, r) for a, p, r in terms if a != 0.0))
-
-
-def _integral(pairs) -> list[tuple[float, int, float]]:
-    """Terms of the integral from 0 to t of sum a exp(-r u) over ``(a, r)`` pairs."""
-    slopes = [(a, 1, 0.0) for a, r in pairs if r == 0.0]
-    ratios = [(a / r, r) for a, r in pairs if r != 0.0]
-    return slopes + [(-q, 0, r) for q, r in ratios] + [(math.fsum(q for q, _ in ratios), 0, 0.0)]
-
-
-def _recursion(params: ModelParams, alpha: float, beta: float, order: int):
-    """Yield ``(alpha_k, [beta_k0, ..., beta_kk])`` for k = 0..order by the recursion above.
-
-    Starts from ``alpha_0 = alpha`` and ``beta_00 = beta``; the recursion is
-    linear in the two.
-    """
+def _closed_form(params: ModelParams, l0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(alpha, beta)`` of c_0..c_order by the recursion above."""
     mu_hat, m = params.mu_hat, params.m
-    jm = [j * m for j in range(1, order + 1)]
-    beta = [beta]
-    yield alpha, beta
+    alpha = np.empty(order + 1)
+    beta = np.zeros((order + 1, order + 1))
+    alpha[0] = params.sigma2 / mu_hat
+    beta[0, 0] = l0 - alpha[0]
     for k in range(1, order + 1):
-        alpha = -alpha / (mu_hat - k * m)
-        beta = list(map(operator.truediv, beta, jm))
-        beta.insert(0, -math.fsum([alpha] + beta))
-        yield alpha, beta
+        alpha[k] = -alpha[k - 1] / (mu_hat - k * m)
+        beta[k, 1 : k + 1] = beta[k - 1, :k] / (np.arange(1, k + 1) * m)
+        beta[k, 0] = -math.fsum([alpha[k], *beta[k, 1 : k + 1].tolist()])
+    alpha.flags.writeable = beta.flags.writeable = False
+    return alpha, beta
 
 
 def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
@@ -154,15 +133,32 @@ def _nodes(params: ModelParams, tau: float):
     return np.concatenate((x, end - x)), np.concatenate((tau - x, (tau - end) + x)), np.concatenate((w, w))
 
 
+def _powers(params: ModelParams, tau: float, top: int):
+    """Distances ``u = tau - v`` and ``powers[k] = w e(v) (v^k, g(v)^k)``, k = 0..top.
+
+    At the nodes v and weights w of ``_nodes`` on [0, tau], with
+    ``e(v) = exp(-mu_hat v)`` and ``g(v) = -expm1(-m v)/m``; ``powers`` has
+    shape (top + 1, 2, nodes).  Call under ``np.errstate(over="ignore")``.
+    """
+    mu_hat, m = params.mu_hat, params.m
+    v, u, w = _nodes(params, tau)
+    powers = np.empty((top + 1, 2, v.size))
+    powers[0] = w * np.exp(-mu_hat * v)
+    base = np.array([v, np.expm1(-m * v) / -m])
+    for k in range(1, top + 1):
+        np.multiply(powers[k - 1], base, out=powers[k])
+    return u, powers
+
+
 def _quadrature(params: ModelParams, tau: float, n: int, order: int) -> np.ndarray:
     """The l0-free parts and l0 slopes of f_0..f_n and L_0..L_order at one maturity.
 
     Returns ``[[a_0..a_n, A_0..A_order], [b_0..b_n, B_0..B_order]]`` for n
     and order up to N_MAX + 1, with ``f_j = a_j + l0 b_j`` the Taylor
     coefficients of F (see :mod:`sshat.epsseries`) and
-    ``L_k = A_k + l0 B_k``.  With ``e(v) = exp(-mu_hat v)``,
-    ``g(v) = -expm1(-m v)/m`` and ``h_k(w) = -expm1(-k m w)/(k m)``,
-    ``h_0(w) = w``, integrated over [0, tau] by ``_nodes``:
+    ``L_k = A_k + l0 B_k``.  With e(v) and g(v) as in ``_powers`` and
+    ``h_k(w) = -expm1(-k m w)/(k m)``, ``h_0(w) = w``, integrated over
+    [0, tau] by ``_nodes``:
 
         (-1)^k k! B_k = integral e(v) g(v)^k dv,
         (-1)^k k! A_k = sigma2 integral e(v) g(v)^k h_k(tau - v) dv,
@@ -175,26 +171,45 @@ def _quadrature(params: ModelParams, tau: float, n: int, order: int) -> np.ndarr
     """
     mu_hat, m = params.mu_hat, params.m
     if -mu_hat * tau <= _EXP_LIMIT:
-        v, u, w = _nodes(params, tau)
         top = max(n, order)
         rates = -m * np.arange(1.0, top + 1)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            # integrands[1, k] = e(v) (v^k, g(v)^k) times the weights, and
-            # integrands[0, k] the same times (tau - v, h_k(tau - v)).
-            integrands = np.empty((2, top + 1, 2, v.size))
-            powers, weighted = integrands[1], integrands[0]
-            powers[0] = w * np.exp(-mu_hat * v)
-            base = np.array([v, np.expm1(-m * v) / -m])
-            for k in range(1, top + 1):
-                np.multiply(powers[k - 1], base, out=powers[k])
+            u, powers = _powers(params, tau, top)
+            # The powers times (tau - v, h_k(tau - v)).
+            weighted = np.empty_like(powers)
             weighted[...] = u
             weighted[1:, 1] = np.expm1(rates * u) / rates
             weighted *= powers
-            terms = np.sum(integrands, axis=3) / _SIGNED_FACTORIALS[: top + 1, None]
+            terms = np.array([np.sum(weighted, axis=2), np.sum(powers, axis=2)])
+            terms /= _SIGNED_FACTORIALS[: top + 1, None]
             terms[0] *= params.sigma2
         if np.isfinite(terms).all():
             return np.concatenate((terms[:, : n + 1, 0], terms[:, : order + 1, 1]), axis=1)
     raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={mu_hat * tau!r}")
+
+
+def _ell_terms(expansion: EllExpansion, t: float) -> np.ndarray:
+    """c_0(t)..c_N(t) at a time ``t >= 0``, by the rule of ``_quadrature``.
+
+    With e(v) and g(v) as in ``_powers``, both terms of
+
+        (-1)^k k! c_k(t) = l0 e(t) g(t)^k + sigma2 integral_0^t e(v) g(v)^k exp(-k m (t - v)) dv
+
+    are positive, so each c_k(t) has a small relative error at every order
+    and time; at t = 0 the rule has no width, so c_0 = l0 and c_k = 0.
+    Raises NumericalFailure when ``exp(-mu_hat t)`` or a coefficient overflows.
+    """
+    params, order = expansion.params, expansion.order
+    m = params.m
+    k = np.arange(order + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, powers = _powers(params, t, order)
+        integral = params.sigma2 * np.sum(powers[:, 1] * np.exp(-m * k[:, None] * u), axis=1)
+        closed = expansion.l0 * np.exp(-params.mu_hat * t) * (-math.expm1(-m * t) / m) ** k
+        terms = (closed + integral) / _SIGNED_FACTORIALS[: order + 1]
+    if not np.isfinite(terms).all():
+        raise NumericalFailure(f"path coefficients overflowed at k0*t={params.mu_hat * t!r}")
+    return terms
 
 
 def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:

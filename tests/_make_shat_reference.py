@@ -3,7 +3,8 @@
 Run ``python tests/_make_shat_reference.py``; it needs mpmath, which the
 package itself does not use, and takes a few minutes.  It prints the
 ``SHAT_K_REFERENCE``, ``SHAT_K_SHORT_REFERENCE``, ``COEFFICIENT_REFERENCE``,
-``MOMENT_REFERENCE`` and ``PHI_REFERENCE`` tables to paste into _reference.py.
+``MOMENT_REFERENCE``, ``PHI_REFERENCE`` and ``PATH_REFERENCE`` tables to paste
+into _reference.py.
 
 The computation shares no code with the package:
 
@@ -29,6 +30,15 @@ adaptive ``mpmath.quad`` of the one-dimensional integrals
 
 with e(v) = exp(-mu_hat v) and h_k(w) = (1 - exp(-k m w))/(k m),
 h_0(w) = w, and a root solve at a sample eps) before printing.
+
+The path coefficients c_k(t) come from the same representation of l(t),
+expanded in eps at fixed t:
+
+    (-1)^k k! c_k(t) = l0 e(t) g(t)^k + sigma2 int_0^t e(v) g(v)^k exp(-k m (t - v)) dv,
+
+by adaptive ``mpmath.quad`` at 60 digits, and are checked against the
+closed form c_k(t) = alpha_k exp(-k m t) + sum_j beta_kj exp(-(mu_hat + j m) t)
+of its recursion, summed at 100 digits.
 """
 
 import mpmath as mp
@@ -45,6 +55,7 @@ MOMENT_X = (-15.0, -3.0, -0.1, 0.1, 3.0, 9.0, 15.0)
 MOMENT_J = 17
 # Points for the oracle's phi functions: near zero, and 0.99 and 1.01 times
 # its quadrature cutoff |x| = 4.
+PATH_TIMES = (0.01, 0.1, 1.0, 10.0)
 PHI_X = tuple(sign * x for x in (1e-8, 1.01e-4, 1e-2, 3.96, 4.04, 10.0) for sign in (-1.0, 1.0))
 
 
@@ -160,6 +171,29 @@ def phi_functions(x):
     return closed
 
 
+def path_coefficients(m, mu_hat, sigma2, l0, t, order):
+    """c_0(t)..c_order(t): the integral form at 60 digits, checked against the closed form at 100."""
+    g = lambda v: -mp.expm1(-m * v) / m
+
+    def integral_form(k):
+        tail = mp.quad(lambda v: mp.exp(-mu_hat * v) * g(v) ** k * mp.exp(-k * m * (t - v)), [0, t])
+        return (l0 * mp.exp(-mu_hat * t) * g(t) ** k + sigma2 * tail) * (-1) ** k / mp.factorial(k)
+
+    with mp.workdps(60):
+        integral = [integral_form(k) for k in range(order + 1)]
+    alpha = [sigma2 / mu_hat]
+    beta = [l0 - alpha[0]]
+    closed = [alpha[0] + beta[0] * mp.exp(-mu_hat * t)]
+    for k in range(1, order + 1):
+        alpha.append(-alpha[-1] / (mu_hat - k * m))
+        beta = [b / (j * m) for j, b in enumerate(beta, start=1)]
+        beta.insert(0, -(alpha[-1] + mp.fsum(beta)))
+        terms = [b * mp.exp(-(mu_hat + j * m) * t) for j, b in enumerate(beta)]
+        closed.append(alpha[-1] * mp.exp(-k * m * t) + mp.fsum(terms))
+    check(relative_gap(integral, closed) < mp.mpf(10) ** -40, f"path coefficients at t={t}")
+    return integral
+
+
 def print_table(name, rows):
     """``name = {key: (values...), ...}``, three values to a line."""
     print(f"{name} = {{")
@@ -220,6 +254,7 @@ def main():
         moments[x] = [mp.quad(lambda u: u**j * mp.exp(-mp.mpf(x) * u), [0, 1]) for j in range(MOMENT_J + 1)]
     print_table("MOMENT_REFERENCE", moments)
     print_table("PHI_REFERENCE", {x: phi_functions(mp.mpf(x)) for x in PHI_X})
+    print_table("PATH_REFERENCE", {t: path_coefficients(m, k0, sigma2, l0, mp.mpf(t), ORDER) for t in PATH_TIMES})
 
 if __name__ == "__main__":
     main()

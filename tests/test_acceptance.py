@@ -26,12 +26,13 @@ from sshat.cli import REFERENCE_SHAT, REFERENCE_TAU_LBAR, TABLE_S0, main
 
 from _reference import BASE_L0, BASE_TAU
 
+from sshat.perturbation import _ell_terms
 from test_perturbation import (
-    _coeff_at,
     _max_abs_coeff,
     _ode_residual,
     _random_valid_params,
     closed_form_L_coeffs,
+    closed_form_L_value,
     closed_form_c_coeffs,
 )
 
@@ -131,33 +132,26 @@ def test_criterion_5_symbolic_conformance(base_params):
     rng = random.Random(50505)
     for params in (base_params, _random_valid_params(rng), _random_valid_params(rng)):
         mh, m = params.mu_hat, params.m
-        tol = params.delta_gen
         l0 = 0.1
         c01 = params.sigma2 / mh
         c02 = l0 - c01
         expansion = build_expansion(params, l0, 6)
-        expected_c = closed_form_c_coeffs(mh, m, c01, c02)
-        for k in (1, 2, 3):
-            for rate, coeff in expected_c[k].items():
-                got = _coeff_at(expansion.c[k], 0, rate, tol)
-                if not math.isclose(got, coeff, rel_tol=1e-12):
-                    failures.append(f"c_{k} coefficient at rate {rate:.4f}: {got} vs {coeff}")
+        alpha, beta = expansion.alpha, expansion.beta
+        for k, (expected_alpha, expected_beta) in closed_form_c_coeffs(mh, m, c01, c02).items():
+            if not math.isclose(alpha[k], expected_alpha, rel_tol=1e-12):
+                failures.append(f"alpha_{k}: {alpha[k]} vs {expected_alpha}")
+            for j, coeff in enumerate(expected_beta):
+                if not math.isclose(beta[k, j], coeff, rel_tol=1e-12):
+                    failures.append(f"beta_{k},{j}: {beta[k, j]} vs {coeff}")
         expected_L = closed_form_L_coeffs(mh, m, c01, c02)
-        for k in range(4):
-            exp_part, const, slope = expected_L[k]
-            for rate, coeff in exp_part.items():
-                got = _coeff_at(expansion.L[k], 0, rate, tol)
-                if not math.isclose(got, coeff, rel_tol=1e-12):
-                    failures.append(f"L_{k} coefficient at rate {rate:.4f}: {got} vs {coeff}")
-            got_const = _coeff_at(expansion.L[k], 0, 0.0, tol)
-            if not math.isclose(got_const, const, rel_tol=1e-12):
-                failures.append(f"L_{k} constant: {got_const} vs {const}")
-            if slope and not math.isclose(_coeff_at(expansion.L[k], 1, 0.0, tol), slope, rel_tol=1e-12):
-                failures.append(f"L_{k} linear slope mismatch")
+        for tau in (1.0, 2.0, 5.0):
+            for k, got in enumerate(tau_lbar_terms(expansion, tau)[:4]):
+                expected = closed_form_L_value(expected_L, k, tau)
+                if not math.isclose(got, expected, rel_tol=1e-12):
+                    failures.append(f"L_{k}({tau}): {got} vs {expected}")
         for k in range(1, 7):
-            ck, prev = expansion.c[k], expansion.c[k - 1]
-            residual = max(map(abs, _ode_residual(ck, prev, mh, m, tol)))
-            if residual > 1e-12 * _max_abs_coeff(ck):
+            residual = max(map(abs, _ode_residual(alpha, beta, k, mh, m)))
+            if residual > 1e-12 * _max_abs_coeff(alpha, beta, k):
                 failures.append(f"ODE residual for c_{k}: {residual:.2e}")
     _report(5, "closed-form coefficients and ODE identity", failures)
 
@@ -189,21 +183,20 @@ def test_criterion_6_generic_solver_cross_check():
 
 def test_criterion_7_path_deviation_ordering(base_params):
     failures = []
-    c = build_expansion(base_params, BASE_L0, 3).c
+    expansion = build_expansion(base_params, BASE_L0, 3)
     samples = 201
     per_cell = 10
     for s0 in TABLE_S0:
         state = InitialState(s0=s0, l0=BASE_L0)
         eps = s0 - base_params.mu_hat
         path, _ = integrate_ell(state, base_params, 1.0, per_cell * (samples - 1))
+        c = [_ell_terms(expansion, t).tolist() for t in path[::per_cell, 0]]  # as path prints them
         deviations = []
         for order in range(4):
             worst = 0.0
             for i in range(samples):
                 t, reference = path[i * per_cell]
-                value = math.fsum(
-                    c[k].evaluate(t) * eps**k for k in range(order + 1)
-                )
+                value = math.fsum(c[i][k] * eps**k for k in range(order + 1))
                 worst = max(worst, abs(value - reference))
             deviations.append(worst)
         for order in range(3):

@@ -6,8 +6,6 @@ PUBLIC_NAMES = [
     "BracketingError",
     "DegenerateRateError",
     "EllExpansion",
-    "ExpPolySeries",
-    "ExpPolyTerm",
     "InitialState",
     "ModelParams",
     "N_MAX",

@@ -130,6 +130,26 @@ def test_path_order3_beats_order1(capsys):
     assert dev3 < dev1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--oracle", "--s0-grid=0:0:1", "--l0-grid=0.1:0.1:1", "--tau-grid=1e12:1e12:1"),
+        ("shat", "--steps", "100000000000"),
+        ("abar", "--steps", "10000001"),
+        ("path", "--tau", "20000"),
+    ],
+    ids=["sweep_default_steps", "shat_steps", "abar_steps", "path_default_steps"],
+)
+def test_step_count_bound_is_validation_error(monkeypatch, capsys, argv):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("RK4 scan started")
+
+    monkeypatch.setattr("sshat.oracle._rk4", no_scan)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "n_steps must be in [16, 10000000]" in err
+
+
 def test_path_rejects_single_sample(capsys):
     rc, _, _ = run(capsys, "path", "--samples", "1")
     assert rc == 1

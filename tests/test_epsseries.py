@@ -17,10 +17,11 @@ from sshat import (
     compute_oracle,
     rhs1_printed,
     solve_shat_series,
+    tau_lbar_terms,
 )
 from sshat.epsseries import _solve_grid
 from sshat.oracle import _phi
-from sshat.perturbation import _quadrature
+from sshat.perturbation import _ell_terms, _quadrature
 
 from _reference import (
     BASE,
@@ -269,15 +270,19 @@ def test_batched_solve_overflow_matches_scalar_solve():
 
 
 def test_term_tables_are_written_only_when_read(monkeypatch, base_params):
+    # The closed-form arrays alpha and beta: no build, solve or path value reads them.
     def no_terms(*args):
         raise RuntimeError("term table written")
 
-    monkeypatch.setattr(sshat.perturbation, "_series", no_terms)
+    monkeypatch.setattr(sshat.perturbation, "_closed_form", no_terms)
     expansion = build_expansion(base_params, BASE_L0, 16)
+    solve_shat_series(expansion, 1.0, BASE_L0, base_params, 16)
+    tau_lbar_terms(expansion, 1.0)
+    _ell_terms(expansion, 1.0)
     with pytest.raises(RuntimeError, match="term table"):
-        expansion.c
+        expansion.alpha
     with pytest.raises(RuntimeError, match="term table"):
-        expansion.L
+        expansion.beta
 
 
 def test_truncated_solve_equals_solve_of_a_lower_order_build():
@@ -336,7 +341,7 @@ def test_scalar_residual_shrinks_at_least_at_expected_rate(base_params, base_exp
     from sshat.oracle import residual_cleared
 
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
-    terms = [Lk.evaluate(BASE_TAU) for Lk in base_expansion.L]
+    terms = tau_lbar_terms(base_expansion, BASE_TAU)
 
     # Order 0 is exact: k_0 = mu_hat solves the truncated system identically.
     for eps in (0.04, 0.02):

@@ -19,6 +19,7 @@ from sshat import (
     integrate_ell,
     solve_shat_numeric,
     solve_shat_series,
+    tau_lbar_terms,
 )
 import sshat.oracle
 from sshat.oracle import TOL_ROOT, _oracle_grid, _phi, _results, _rk4, _Roots, _solve_roots, residual_cleared
@@ -47,6 +48,31 @@ def test_integrate_validation(base_params):
         integrate_ell(state, base_params, 0.0, 1000)
     with pytest.raises(ValueError):
         integrate_ell(state, base_params, 1.0, 15)
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("RK4 scan started")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, n: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n),
+        lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n),
+        lambda p, n: compute_oracles([InitialState(s0=0.0, l0=BASE_L0)] * 2, p, 1.0, n),
+        # Default step counts: 1000 per year.
+        lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, n / 1000),
+        lambda p, n: _oracle_grid(np.array([0.0]), np.array([BASE_L0]), p, [1.0, n / 1000]),
+    ],
+    ids=["integrate_ell", "compute_oracle", "compute_oracles", "default_steps", "oracle_grid"],
+)
+def test_step_count_is_bounded_before_any_scan(monkeypatch, base_params, call):
+    monkeypatch.setattr(sshat.oracle, "_rk4", _no_scan)
+    for n in (10**7 + 1, 10**15):
+        with pytest.raises(ValueError, match=r"n_steps must be in \[16, 10000000\]"):
+            call(base_params, n)
+    with pytest.raises(AssertionError, match="scan started"):
+        call(base_params, 10**7)
 
 
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
@@ -295,7 +321,7 @@ def test_step_halving_shows_fourth_order(base_params, s0):
 
 def test_abar_closed_consistency_with_expansion(base_params, base_expansion):
     closed = abar_closed_s0_equals_muhat(base_params, BASE_L0, BASE_TAU)
-    L0 = base_expansion.L[0].evaluate(BASE_TAU)
+    L0 = tau_lbar_terms(base_expansion, BASE_TAU)[0]
     assert closed == pytest.approx(L0 / BASE_TAU, rel=1e-12)
     assert L0 == pytest.approx(0.1006522, abs=5e-8)
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sshat import (
-    ExpPolySeries,
     InitialState,
     ModelParams,
     N_MAX,
@@ -16,48 +15,36 @@ from sshat import (
     integrate_ell,
     tau_lbar_terms,
 )
-from sshat.perturbation import _nodes, _quadrature
+from sshat.perturbation import _ell_terms, _nodes, _quadrature
 
-from _reference import BASE, BASE_L0, TABLE_S0
-
-
-def _coeff_at(series: ExpPolySeries, power: int, rate: float, tol: float) -> float:
-    matches = [t for t in series.terms if t.power == power and abs(t.rate - rate) <= tol]
-    assert len(matches) == 1, f"expected one term at (p={power}, r={rate}), got {matches}"
-    return matches[0].coeff
+from _reference import BASE, BASE_L0, PATH_REFERENCE, TABLE_S0
 
 
-def _max_abs_coeff(series: ExpPolySeries) -> float:
-    return max((abs(t.coeff) for t in series.terms), default=0.0)
+def _max_abs_coeff(alpha, beta, k: int) -> float:
+    """The largest |coefficient| of c_k in the closed form."""
+    return max(abs(alpha[k]), float(np.abs(beta[k]).max()))
 
 
-def _ode_residual(ck: ExpPolySeries, prev: ExpPolySeries, mu_hat: float, m: float, tol: float) -> list[float]:
-    """Coefficients of c_k' + mu_hat c_k + exp(-m t) c_{k-1}, collected by rate.
+def _ode_residual(alpha, beta, k: int, mu_hat: float, m: float) -> list[float]:
+    """Coefficients of c_k' + mu_hat c_k + exp(-m t) c_{k-1}, one per rate, k >= 1.
 
     Applied term by term: a exp(-r t) in c_k gives (mu_hat - r) a at rate r,
-    and a exp(-r t) in c_{k-1} gives a at rate r + m.  Rates within ``tol``
-    are collected as one.
+    and a exp(-r t) in c_{k-1} gives a at rate r + m.  At rate k m that
+    collects alpha_k and alpha_{k-1}; at mu_hat + j m, beta_{k,j} and
+    beta_{k-1,j-1}; at mu_hat, (mu_hat - mu_hat) beta_{k,0} = 0 alone.
     """
-    assert all(t.power == 0 for t in ck.terms + prev.terms)
-    collected = []  # [rate, coeff] pairs
-    contributions = [(t.rate, (mu_hat - t.rate) * t.coeff) for t in ck.terms]
-    contributions += [(t.rate + m, t.coeff) for t in prev.terms]
-    for rate, coeff in contributions:
-        for entry in collected:
-            if abs(entry[0] - rate) <= tol:
-                entry[1] += coeff
-                break
-        else:
-            collected.append([rate, coeff])
-    return [coeff for _, coeff in collected]
+    return [(mu_hat - k * m) * alpha[k] + alpha[k - 1]] + [
+        -j * m * beta[k, j] + beta[k - 1, j - 1] for j in range(1, k + 1)
+    ]
 
 
 def closed_form_c_coeffs(mu_hat: float, m: float, c01: float, c02: float) -> dict:
     """Hand-derived closed forms for the first three recursion steps.
 
-    Each c_k is a combination of exponentials at rates {mu_hat + j*m} and
-    {k*m}; the coefficients follow the divided-difference pattern below, and
-    the rate-mu_hat coefficient makes each c_k vanish at zero.
+    Each c_k is a combination of exponentials at the rates k*m (alpha_k)
+    and mu_hat + j*m (beta_kj, j = 0..k); the coefficients follow the
+    divided-difference pattern below, and the rate-mu_hat coefficient makes
+    each c_k vanish at zero.  Returned as {k: (alpha_k, (beta_k0, ..., beta_kk))}.
     """
     c11 = c02 / m
     c12 = -c01 / (mu_hat - m)
@@ -72,9 +59,9 @@ def closed_form_c_coeffs(mu_hat: float, m: float, c01: float, c02: float) -> dic
     c34 = -c23 / (mu_hat - 3 * m)
     c35 = -(c31 + c32 + c33 + c34)
     return {
-        1: {mu_hat + m: c11, m: c12, mu_hat: c13},
-        2: {mu_hat + m: c21, mu_hat + 2 * m: c22, 2 * m: c23, mu_hat: c24},
-        3: {mu_hat + m: c31, mu_hat + 2 * m: c32, mu_hat + 3 * m: c33, 3 * m: c34, mu_hat: c35},
+        1: (c12, (c13, c11)),
+        2: (c23, (c24, c21, c22)),
+        3: (c34, (c35, c31, c32, c33)),
     }
 
 
@@ -89,10 +76,18 @@ def closed_form_L_coeffs(mu_hat: float, m: float, c01: float, c02: float) -> dic
     L0_const = c02 / mu_hat
     out = {0: (L0_exp, L0_const, c01)}
     for k in (1, 2, 3):
-        exp_part = {rate: -coeff / rate for rate, coeff in c[k].items()}
+        alpha, beta = c[k]
+        rates = {k * m: alpha, **{mu_hat + j * m: b for j, b in enumerate(beta)}}
+        exp_part = {rate: -coeff / rate for rate, coeff in rates.items()}
         const = -math.fsum(exp_part.values())
         out[k] = (exp_part, const, 0.0)
     return out
+
+
+def closed_form_L_value(expected_L: dict, k: int, tau: float) -> float:
+    """L_k(tau) of ``closed_form_L_coeffs``, summed by math.fsum."""
+    exp_part, const, slope = expected_L[k]
+    return math.fsum([coeff * math.exp(-rate * tau) for rate, coeff in exp_part.items()] + [const, slope * tau])
 
 
 def _forward_sum(terms, eps: float) -> float:
@@ -106,8 +101,8 @@ def _forward_sum(terms, eps: float) -> float:
 
 
 def _eval_ell(expansion, eps: float, t: float) -> float:
-    """Truncated consol rate sum_k c_k(t) eps^k."""
-    return _forward_sum([ck.evaluate(t) for ck in expansion.c], eps)
+    """Truncated consol rate sum_k c_k(t) eps^k, from the c_k(t) that ``path`` prints."""
+    return _forward_sum(_ell_terms(expansion, t).tolist(), eps)
 
 
 def _eval_tau_lbar(expansion, eps: float, tau: float) -> float:
@@ -132,67 +127,59 @@ def _random_valid_params(rng) -> ModelParams:
 
 
 def test_build_c0_base(base_params):
-    c0 = build_expansion(base_params, BASE_L0, 0).c[0]
-    tol = base_params.delta_gen
-    assert _coeff_at(c0, 0, 0.0, tol) == pytest.approx(-0.03, rel=1e-15)
-    assert _coeff_at(c0, 0, base_params.mu_hat, tol) == pytest.approx(0.13, rel=1e-15)
-    assert c0.evaluate(0.0) == pytest.approx(BASE_L0, abs=1e-16)
+    expansion = build_expansion(base_params, BASE_L0, 0)
+    assert expansion.alpha[0] == pytest.approx(-0.03, rel=1e-15)
+    assert expansion.beta[0, 0] == pytest.approx(0.13, rel=1e-15)
+    assert _ell_terms(expansion, 0.0)[0] == pytest.approx(BASE_L0, abs=1e-16)
 
 
 def test_build_c0_equilibrium_start_is_constant():
     p = ModelParams(m=0.72, mu=0.02, gamma=0.0, sigma2=3e-4)
     l0 = p.sigma2 / p.mu_hat
-    c0 = build_expansion(p, l0, 0).c[0]
-    assert len(c0.terms) == 1
-    assert c0.terms[0].rate == 0.0
-    assert c0.evaluate(13.0) == pytest.approx(l0, rel=1e-15)
+    expansion = build_expansion(p, l0, 0)
+    assert expansion.alpha.tolist() == [l0]
+    assert expansion.beta.tolist() == [[0.0]]
+    assert _ell_terms(expansion, 13.0)[0] == pytest.approx(l0, rel=1e-15)
 
 
 def test_next_c_first_order_coefficients(base_params):
     mh, m = base_params.mu_hat, base_params.m
-    c1 = build_expansion(base_params, BASE_L0, 1).c[1]
+    expansion = build_expansion(base_params, BASE_L0, 1)
+    alpha, beta = expansion.alpha, expansion.beta
     c01 = base_params.sigma2 / mh
     c02 = BASE_L0 - c01
-    tol = base_params.delta_gen
-    assert _coeff_at(c1, 0, mh + m, tol) == pytest.approx(c02 / m, rel=1e-13)
-    assert _coeff_at(c1, 0, m, tol) == pytest.approx(-c01 / (mh - m), rel=1e-13)
+    assert beta[1, 1] == pytest.approx(c02 / m, rel=1e-13)
+    assert alpha[1] == pytest.approx(-c01 / (mh - m), rel=1e-13)
     expected_c13 = -(c02 / m - c01 / (mh - m))
-    assert _coeff_at(c1, 0, mh, tol) == pytest.approx(expected_c13, rel=1e-13)
+    assert beta[1, 0] == pytest.approx(expected_c13, rel=1e-13)
 
 
 def test_next_c_second_order_spot_check(base_params):
-    mh, m = base_params.mu_hat, base_params.m
-    _, c1, c2 = build_expansion(base_params, BASE_L0, 2).c
-    tol = base_params.delta_gen
-    c11 = _coeff_at(c1, 0, mh + m, tol)
-    assert _coeff_at(c2, 0, mh + 2 * m, tol) == pytest.approx(c11 / (2 * m), rel=1e-13)
+    beta = build_expansion(base_params, BASE_L0, 2).beta
+    assert beta[2, 2] == pytest.approx(beta[1, 1] / (2 * base_params.m), rel=1e-13)
 
 
 @pytest.mark.parametrize("seed", [None, 101, 202, 303])
 def test_closed_form_conformance(base_params, seed):
-    """The recursion reproduces the hand-derived c_1..c_3 and L_0..L_3."""
+    """The recursion reproduces the hand-derived c_1..c_3, and the quadrature L_0..L_3."""
     params = base_params if seed is None else _random_valid_params(random.Random(seed))
     mh, m = params.mu_hat, params.m
     l0 = 0.1
     c01 = params.sigma2 / mh
     c02 = l0 - c01
-    tol = params.delta_gen
     expansion = build_expansion(params, l0, 3)
+    alpha, beta = expansion.alpha, expansion.beta
 
-    expected_c = closed_form_c_coeffs(mh, m, c01, c02)
-    for k in (1, 2, 3):
-        assert len(expansion.c[k].terms) == len(expected_c[k])
-        for rate, coeff in expected_c[k].items():
-            assert _coeff_at(expansion.c[k], 0, rate, tol) == pytest.approx(coeff, rel=1e-12)
+    for k, (expected_alpha, expected_beta) in closed_form_c_coeffs(mh, m, c01, c02).items():
+        assert alpha[k] == pytest.approx(expected_alpha, rel=1e-12)
+        for j, coeff in enumerate(expected_beta):
+            assert beta[k, j] == pytest.approx(coeff, rel=1e-12)
+        assert not beta[k, k + 1 :].any()
 
     expected_L = closed_form_L_coeffs(mh, m, c01, c02)
-    for k in range(4):
-        exp_part, const, slope = expected_L[k]
-        for rate, coeff in exp_part.items():
-            assert _coeff_at(expansion.L[k], 0, rate, tol) == pytest.approx(coeff, rel=1e-12)
-        assert _coeff_at(expansion.L[k], 0, 0.0, tol) == pytest.approx(const, rel=1e-12)
-        if slope:
-            assert _coeff_at(expansion.L[k], 1, 0.0, tol) == pytest.approx(slope, rel=1e-12)
+    for tau in (1.0, 2.0, 5.0):
+        for k, value in enumerate(tau_lbar_terms(expansion, tau)):
+            assert value == pytest.approx(closed_form_L_value(expected_L, k, tau), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [None, 11, 57])
@@ -200,36 +187,41 @@ def test_ode_residual_identity_through_order_six(base_params, seed):
     """d/dt c_k + mu_hat c_k + exp(-m t) c_{k-1} cancels exactly, k = 1..6."""
     params = base_params if seed is None else _random_valid_params(random.Random(seed))
     expansion = build_expansion(params, 0.1, 6)
+    alpha, beta = expansion.alpha, expansion.beta
     for k in range(1, 7):
-        ck, prev = expansion.c[k], expansion.c[k - 1]
-        residual = _ode_residual(ck, prev, params.mu_hat, params.m, params.delta_gen)
-        assert max(map(abs, residual)) <= 1e-12 * _max_abs_coeff(ck)
+        residual = _ode_residual(alpha, beta, k, params.mu_hat, params.m)
+        assert max(map(abs, residual)) <= 1e-12 * _max_abs_coeff(alpha, beta, k)
 
 
 def test_coefficient_sum_rule(base_expansion_6):
-    # c_k(0) = 0 for k >= 1 and L_k(0) = 0 for all k.
-    for k, ck in enumerate(base_expansion_6.c):
-        if k == 0:
-            continue
-        assert abs(ck.evaluate(0.0)) <= 1e-14 * _max_abs_coeff(ck)
-    for Lk in base_expansion_6.L:
-        assert abs(Lk.evaluate(0.0)) <= 1e-14 * max(1.0, _max_abs_coeff(Lk))
+    # c_k(0) = 0 for k >= 1: in the closed form to rounding, and exactly
+    # from the quadrature, whose rule has no width at t = 0.
+    alpha, beta = base_expansion_6.alpha, base_expansion_6.beta
+    for k in range(1, 7):
+        assert abs(math.fsum([alpha[k], *beta[k].tolist()])) <= 1e-14 * _max_abs_coeff(alpha, beta, k)
+    assert _ell_terms(base_expansion_6, 0.0).tolist() == [BASE_L0] + [0.0] * 6
 
 
 @pytest.mark.parametrize("seed", [None, 31, 62])
 def test_two_family_structure_through_n_max(base_params, seed):
-    """c_k: one term at k m, k + 1 at mu_hat + j m; L_k: k + 3 terms, a slope only in L_0."""
+    """c_k: one term at k m (alpha_k) and k + 1 at mu_hat + j m (row k of a lower-triangular beta)."""
     params = base_params if seed is None else _random_valid_params(random.Random(seed))
-    mh, m = params.mu_hat, params.m
     expansion = build_expansion(params, 0.1, N_MAX)
-    for k, (ck, Lk) in enumerate(zip(expansion.c, expansion.L)):
-        assert all(t.power == 0 for t in ck.terms)
-        assert sorted(t.rate for t in ck.terms) == sorted([k * m] + [mh + j * m for j in range(k + 1)])
-        assert len(Lk.terms) == k + 3
-        slopes = [t for t in Lk.terms if t.power == 1]
-        assert [(t.coeff, t.rate) for t in slopes] == ([(params.sigma2 / mh, 0.0)] if k == 0 else [])
-        assert all(t.power == 0 for t in Lk.terms if t not in slopes)
-        assert all(math.isfinite(t.coeff) and math.isfinite(t.rate) for t in ck.terms + Lk.terms)
+    alpha, beta = expansion.alpha, expansion.beta
+    assert alpha.shape == (N_MAX + 1,) and beta.shape == (N_MAX + 1, N_MAX + 1)
+    assert not (alpha.flags.writeable or beta.flags.writeable)
+    assert np.isfinite(alpha).all() and np.isfinite(beta).all()
+    assert alpha.all() and beta[np.tril_indices(N_MAX + 1)].all()
+    assert not beta[np.triu_indices(N_MAX + 1, 1)].any()
+
+
+def test_path_terms_match_reference(base_params):
+    # c_0..c_16 at four times against 60-digit mpmath, where the closed
+    # form's alternating sums put c_16 off by 1e22 relative at t = 0.01.
+    expansion = build_expansion(base_params, BASE_L0, N_MAX)
+    for t, expected in PATH_REFERENCE.items():
+        got = _ell_terms(expansion, t)
+        assert np.abs(got / np.array(expected) - 1.0).max() <= 1e-13, t
 
 
 def test_build_expansion_validation(base_params):
@@ -259,6 +251,14 @@ def test_quadrature_nodes_are_bounded(mu):
             assert np.isfinite(terms).all()
 
 
+def test_path_terms_overflow_raises(base_params):
+    # exp(-mu_hat t) overflows past mu_hat t = -log(DBL_MAX), about -709.8.
+    expansion = build_expansion(base_params, BASE_L0, 3)
+    assert np.isfinite(_ell_terms(expansion, 70000.0)).all()
+    with pytest.raises(NumericalFailure, match=r"path coefficients overflowed at k0\*t=-710.0"):
+        _ell_terms(expansion, 71000.0)
+
+
 def test_tau_lbar_table_values(base_params, base_expansion):
     # Published 7-decimal approximations of the integral term at tau = 1.
     cases = [
@@ -283,7 +283,7 @@ def test_order_zero_column_is_constant(base_params):
 
 def test_eval_ell_reduces_to_c0_at_zero_eps(base_expansion):
     for t in (0.0, 0.4, 2.0):
-        assert _eval_ell(base_expansion, 0.0, t) == base_expansion.c[0].evaluate(t)
+        assert _eval_ell(base_expansion, 0.0, t) == _ell_terms(base_expansion, t)[0]
 
 
 def test_eval_ell_initial_condition(base_expansion):
@@ -304,8 +304,10 @@ def test_eval_ell_tracks_integrated_path(base_params, base_expansion):
 def test_eval_tau_lbar_zero_eps_is_L0(base_expansion):
     L0 = tau_lbar_terms(base_expansion, 1.0)[0]
     assert _eval_tau_lbar(base_expansion, 0.0, 1.0) == L0
-    # The term table's L_0 sums exp(-r tau) terms, tau_lbar_terms 1 - exp(-r tau) ones.
-    assert L0 == pytest.approx(base_expansion.L[0].evaluate(1.0), rel=1e-14)
+    # The closed form L_0(t) = alpha_0 t + beta_00 (1 - exp(-mu_hat t)) / mu_hat.
+    mu_hat = base_expansion.params.mu_hat
+    closed = base_expansion.alpha[0] - base_expansion.beta[0, 0] * math.expm1(-mu_hat) / mu_hat
+    assert L0 == pytest.approx(closed, rel=1e-14)
 
 
 def test_eval_tau_lbar_vanishes_at_zero_maturity(base_expansion):
