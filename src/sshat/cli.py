@@ -217,7 +217,7 @@ def cmd_abar(args) -> int:
     cfg = _resolve_config(args)
     expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
     terms = tau_lbar_terms(expansion, cfg.tau)
-    _, oracle_tl = integrate_ell(cfg.state, cfg.params, cfg.tau, cfg.n_steps)
+    _, oracle_tl = integrate_ell(cfg.state, cfg.params, cfg.tau, cfg.n_steps, 2)
     _emit(_report(cfg, "L_n", "tau_lbar", terms, oracle_tl), cfg.out)
     return 0
 
@@ -233,12 +233,11 @@ def cmd_path(args) -> int:
     # Round the step count up so grid points land exactly on RK4 nodes.
     per_cell = max(1, -(-cfg.n_steps // (samples - 1)))
     n_steps = per_cell * (samples - 1)
-    path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps)
+    path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps, samples)
 
     header = ["t", "ell_rk4"] + [f"ell_order{n}" for n in range(cfg.order + 1)]
     lines = [",".join(header)]
-    for i in range(samples):
-        t, ell_ref = path[i * per_cell]
+    for t, ell_ref in path:
         values = [t, ell_ref, *_partial_sums(_ell_terms(expansion, t).tolist(), eps)]
         lines.append(",".join(_g17(v) for v in values))
     _emit("\n".join(lines) + "\n", cfg.out)

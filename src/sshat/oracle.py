@@ -86,8 +86,8 @@ def default_n_steps(tau: float) -> int:
     return max(1000, math.ceil(1000 * _require_maturity(tau)))
 
 
-# The most RK4 steps one maturity may take: about 2.5 s of scan, and about
-# 400 MB at the peak of ``integrate_ell``, which returns the whole path.
+# The most RK4 steps one maturity may take: about 7 s of scan on a 2-vCPU
+# x86_64 VM, in memory that does not grow with the count.
 _MAX_STEPS = 10**7
 
 
@@ -135,7 +135,7 @@ def _rk4_step(ell, sigma2: float, s_a, s_mid, s_b, h: float):
     return sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), sixth * (ell + 2.0 * y2 + 2.0 * y3 + y4)
 
 
-def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: Sequence[int], path: bool = False):
+def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: Sequence[int]):
     """Classical RK4 for l and its running integral A with step ``h``, as an affine scan.
 
     ``eps = s0 - mu_hat`` and ``l0`` are 1-D float64 arrays, one entry per
@@ -164,9 +164,8 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     spread's decay) makes the state non-finite.
 
     Returns ``(tau_lbar, ell)``, A and l per end and state, shape
-    (len(ends), states), and with ``path`` also l after every step to the
-    last end, shape (states, ends[-1] + 1).  A state that blows up is left
-    non-finite; ``_check_finite`` reports it.
+    (len(ends), states); nothing is kept per step beyond the current block.
+    A state that blows up is left non-finite; ``_check_finite`` reports it.
     """
     mh = params.mu_hat
     m = params.m
@@ -180,7 +179,6 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     a_q = np.zeros(eps_u.size)
     tau_lbar = np.empty((len(ends), eps.size))
     ell = np.empty((len(ends), eps.size))
-    ells = [l0[:, None]]
     i_end = 0
     # A blown-up state overflows to inf/nan without warning; the caller's
     # finiteness check reports it.
@@ -202,8 +200,6 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
             q_prev = np.concatenate((q[:, None], q_next[:, :-1]), axis=1)
             da_p = c * p_prev
             da_q = c * q_prev + d
-            if path:
-                ells.append(p_next[row] * l0[:, None] + q_next[row])
 
             def after(k):
                 # a_p, a_q, p and q after the block's first k steps.  A block
@@ -229,8 +225,6 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
                 ell[i_end] = end_p[row] * l0 + end_q[row]
                 i_end += 1
             a_p, a_q, p, q = carried
-    if path:
-        return tau_lbar, ell, np.concatenate(ells, axis=1)
     return tau_lbar, ell
 
 
@@ -251,24 +245,30 @@ def integrate_ell(
     params: ModelParams,
     tau: float,
     n_steps: int,
+    samples: int,
 ) -> tuple[np.ndarray, float]:
     """RK4 integration of the consol rate and its running integral.
 
     Returns ``(path, tau_lbar)`` where ``path`` is an array of shape
-    (n_steps + 1, 2) with columns (t, l(t)), and ``tau_lbar`` is A(tau),
-    the integral of l over [0, tau].
+    (samples, 2) with columns (t, l(t)) at steps 0, n_steps / (samples - 1),
+    ..., n_steps, and ``tau_lbar`` is A(tau), the integral of l over
+    [0, tau].  Each row after the first is read from the scan at its step,
+    as ``compute_oracle`` reads the last.  ``samples - 1`` must divide
+    ``n_steps``.
     """
     tau = _require_maturity(tau)
     _require_steps(n_steps)
+    if samples < 2 or n_steps % (samples - 1):
+        raise ValueError(f"samples must be >= 2 with samples - 1 dividing n_steps={n_steps}, got {samples}")
     h = tau / n_steps
-    tau_lbar, ell, ells = _rk4(
-        np.array([state.s0 - params.mu_hat]), np.array([state.l0]), params, h, [n_steps], path=True
-    )
-    _check_finite(tau_lbar[0], ell[0])
-    path = np.empty((n_steps + 1, 2))
-    path[:, 0] = np.arange(n_steps + 1) * h
-    path[:, 1] = ells[0]
-    return path, float(tau_lbar[0, 0])
+    ends = range(0, n_steps + 1, n_steps // (samples - 1))
+    tau_lbar, ell = _rk4(np.array([state.s0 - params.mu_hat]), np.array([state.l0]), params, h, ends[1:])
+    _check_finite(tau_lbar[-1], ell[-1])
+    path = np.empty((samples, 2))
+    path[:, 0] = np.array(ends) * h
+    path[0, 1] = state.l0
+    path[1:, 1] = ell[:, 0]
+    return path, float(tau_lbar[-1, 0])
 
 
 def abar_closed_s0_equals_muhat(params: ModelParams, l0: float, tau: float) -> float:
@@ -359,21 +359,20 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
     s_hat = np.full(size, math.nan)
     with np.errstate(all="ignore"):
         half_width = 10.0 * (np.abs(eps_hint) + sigma2 * tau + 0.01)
-        lo = mh - half_width
-        hi = mh + half_width
-        f_lo = _deflated(lo, tau_lbar, l0, sigma2, tau)[0]
-        f_hi = _deflated(hi, tau_lbar, l0, sigma2, tau)[0]
-        # Widen by doubling, per entry, while there is no sign change.
-        wide = np.flatnonzero(f_lo * f_hi > 0.0)
-        for _ in range(_MAX_BRACKET_WIDENINGS):
+        lo, hi, f_lo, f_hi = (np.empty(size) for _ in range(4))
+        # Pass 0 evaluates the initial bracket; each later pass doubles it,
+        # per entry, while there is no sign change.
+        wide = np.arange(size)
+        for widening in range(_MAX_BRACKET_WIDENINGS + 1):
             if not wide.size:
                 break
-            half_width[wide] *= 2.0
+            if widening:
+                half_width[wide] *= 2.0
+            widenings[wide] = widening
             lo[wide] = mh - half_width[wide]
             hi[wide] = mh + half_width[wide]
             f_lo[wide] = _deflated(lo[wide], tau_lbar[wide], l0[wide], sigma2, tau[wide])[0]
             f_hi[wide] = _deflated(hi[wide], tau_lbar[wide], l0[wide], sigma2, tau[wide])[0]
-            widenings[wide] += 1
             wide = wide[f_lo[wide] * f_hi[wide] > 0.0]
         bracketed = np.ones(size, dtype=bool)
         bracketed[wide] = False
@@ -407,15 +406,11 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
             x = stepped
             done |= np.abs(dx) < 1e-15 * np.maximum(1.0, np.abs(x))
             s_hat[live] = x
-            if done.any():
-                go = ~done
-                live, x, xl, xh, dx, dx_old, tl, l, t = (a[go] for a in (live, x, xl, xh, dx, dx_old, tl, l, t))
             f, df = _deflated(x, tl, l, sigma2, t)
             xl = np.where(f < 0.0, x, xl)
             xh = np.where(f > 0.0, x, xh)
-            root = f == 0.0
-            if root.any():
-                go = ~root
+            go = ~(done | (f == 0.0))
+            if not go.all():
                 live, x, xl, xh, dx, dx_old, tl, l, t, f, df = (
                     a[go] for a in (live, x, xl, xh, dx, dx_old, tl, l, t, f, df)
                 )

@@ -95,7 +95,7 @@ def test_criterion_3_oracle_rows(base_params):
         state = InitialState(s0=s0, l0=BASE_L0)
         values = {}
         for n in (64, 128, 256):
-            _, values[n] = integrate_ell(state, base_params, BASE_TAU, n)
+            _, values[n] = integrate_ell(state, base_params, BASE_TAU, n, 2)
         ratio = abs(values[64] - values[128]) / abs(values[128] - values[256])
         if not 12.0 <= ratio <= 20.0:
             failures.append(f"step-halving ratio {ratio:.2f} outside [12, 20] at s0={s0:+.2f}")
@@ -189,13 +189,13 @@ def test_criterion_7_path_deviation_ordering(base_params):
     for s0 in TABLE_S0:
         state = InitialState(s0=s0, l0=BASE_L0)
         eps = s0 - base_params.mu_hat
-        path, _ = integrate_ell(state, base_params, 1.0, per_cell * (samples - 1))
-        c = [_ell_terms(expansion, t).tolist() for t in path[::per_cell, 0]]  # as path prints them
+        path, _ = integrate_ell(state, base_params, 1.0, per_cell * (samples - 1), samples)
+        c = [_ell_terms(expansion, t).tolist() for t in path[:, 0]]  # as path prints them
         deviations = []
         for order in range(4):
             worst = 0.0
             for i in range(samples):
-                t, reference = path[i * per_cell]
+                t, reference = path[i]
                 value = math.fsum(c[i][k] * eps**k for k in range(order + 1))
                 worst = max(worst, abs(value - reference))
             deviations.append(worst)

@@ -119,6 +119,22 @@ def test_path_order3_tracks_rk4(capsys):
         assert abs(vals[5] - vals[1]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv", [("path", "--tau", "1000", "--samples", "11"), ("abar", "--tau", "1000")], ids=["path", "abar"]
+)
+def test_long_path_memory_does_not_grow_with_the_steps(capsys, argv):
+    # 10^6 RK4 steps: path prints 11 rows of l and abar reads only A(tau),
+    # so neither keeps a value per step (that would be 8 MB per array here).
+    tracemalloc.start()
+    try:
+        rc, out, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out
+    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_path_order3_beats_order1(capsys):
     rc, out, _ = run(capsys, "path", "--s0", "0.05", "--samples", "101")
     assert rc == 0

@@ -45,9 +45,16 @@ def test_default_step_counts():
 def test_integrate_validation(base_params):
     state = InitialState(s0=0.0, l0=BASE_L0)
     with pytest.raises(ValueError):
-        integrate_ell(state, base_params, 0.0, 1000)
+        integrate_ell(state, base_params, 0.0, 1000, 2)
     with pytest.raises(ValueError):
-        integrate_ell(state, base_params, 1.0, 15)
+        integrate_ell(state, base_params, 1.0, 15, 2)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -1, 7, 1002])
+def test_integrate_rejects_samples_off_the_step_grid(base_params, samples):
+    # samples - 1 must be a positive divisor of n_steps (1000 = 2^3 5^3).
+    with pytest.raises(ValueError, match="samples must be >= 2 with samples - 1 dividing n_steps=1000"):
+        integrate_ell(InitialState(s0=0.0, l0=BASE_L0), base_params, 1.0, 1000, samples)
 
 
 def _no_scan(*args, **kwargs):
@@ -57,7 +64,7 @@ def _no_scan(*args, **kwargs):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p, n: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n),
+        lambda p, n: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n, 2),
         lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n),
         lambda p, n: compute_oracles([InitialState(s0=0.0, l0=BASE_L0)] * 2, p, 1.0, n),
         # Default step counts: 1000 per year.
@@ -80,7 +87,7 @@ def test_step_count_is_bounded_before_any_scan(monkeypatch, base_params, call):
     "call",
     [
         lambda p, tau: default_n_steps(tau),
-        lambda p, tau: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, tau, 1000),
+        lambda p, tau: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, tau, 1000, 2),
         lambda p, tau: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, tau),
         lambda p, tau: compute_oracles([InitialState(s0=0.0, l0=BASE_L0)], p, tau, 1000),
         lambda p, tau: solve_shat_numeric(0.1, BASE_L0, p, tau),
@@ -99,14 +106,14 @@ def test_integrate_near_zero_dynamics(base_params):
     # parameter domain).
     p = ModelParams(m=base_params.m, mu=base_params.mu, gamma=base_params.gamma, sigma2=1e-30)
     state = InitialState(s0=0.05, l0=1e-30)
-    path, tau_lbar = integrate_ell(state, p, 1.0, 256)
+    path, tau_lbar = integrate_ell(state, p, 1.0, 256, 257)
     assert abs(tau_lbar) < 1e-25
     assert max(abs(ell) for ell in path[:, 1]) < 1e-25
 
 
 def test_integrate_matches_closed_form_at_equilibrium(base_params):
     state = InitialState(s0=base_params.mu_hat, l0=BASE_L0)
-    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000)
+    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000, 2)
     closed = abar_closed_s0_equals_muhat(base_params, BASE_L0, BASE_TAU) * BASE_TAU
     assert tau_lbar == pytest.approx(closed, abs=1e-10)
 
@@ -114,23 +121,36 @@ def test_integrate_matches_closed_form_at_equilibrium(base_params):
 def test_integrate_reproduces_true_values(base_params):
     for s0, expected in TRUE_TAU_LBAR.items():
         state = InitialState(s0=s0, l0=BASE_L0)
-        _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000)
+        _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000, 2)
         assert tau_lbar == pytest.approx(expected, abs=2e-13)
 
 
 def test_integrate_middle_column_published_value(base_params):
     state = InitialState(s0=0.0, l0=BASE_L0)
-    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000)
+    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000, 2)
     assert tau_lbar == pytest.approx(0.1002514, abs=5e-8)
 
 
 def test_integrate_path_shape_and_grid(base_params):
     state = InitialState(s0=0.05, l0=BASE_L0)
-    path, _ = integrate_ell(state, base_params, 2.0, 64)
-    assert path.shape == (65, 2)
+    path, _ = integrate_ell(state, base_params, 2.0, 64, 17)
+    assert path.shape == (17, 2)
     assert path[0, 0] == 0.0 and path[0, 1] == BASE_L0
     assert path[-1, 0] == pytest.approx(2.0, rel=1e-15)
-    assert all(path[i + 1, 0] > path[i, 0] for i in range(64))
+    assert path[:, 0].tolist() == [4 * i * (2.0 / 64) for i in range(17)]
+
+
+@pytest.mark.parametrize("s0, tau, n_steps, samples", [(0.05, 2.0, 64, 17), (-0.05, 7.5, 7500, 51)])
+def test_integrate_rows_are_single_end_reads(base_params, s0, tau, n_steps, samples):
+    # Every row of l, and A(tau), is the scan read at that one end, as the
+    # oracle reads it: one read-out, bit for bit.
+    state = InitialState(s0=s0, l0=BASE_L0)
+    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps, samples)
+    eps, l0, h = np.array([s0 - base_params.mu_hat]), np.array([BASE_L0]), tau / n_steps
+    for i in range(1, samples):
+        _, ell = _rk4(eps, l0, base_params, h, [i * (n_steps // (samples - 1))])
+        assert path[i, 1] == ell[0, 0]
+    assert tau_lbar == compute_oracle(state, base_params, tau, n_steps).tau_lbar
 
 
 def _scalar_rk4_reference(state, params, tau, n_steps):
@@ -172,7 +192,7 @@ def test_integrators_match_scalar_reference(base_params, tau, n_steps):
     batch = compute_oracles(states, base_params, tau, n_steps)
     for state, batched in zip(states, batch):
         rows, acc = _scalar_rk4_reference(state, base_params, tau, n_steps)
-        path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
+        path, tau_lbar = integrate_ell(state, base_params, tau, n_steps, n_steps + 1)
         assert abs(tau_lbar - acc) <= 2e-14 * abs(acc)
         assert path[:, 0].tolist() == [row[0] for row in rows]
         assert _max_rel_diff(path[:, 1], [row[1] for row in rows]) <= 2e-14
@@ -188,7 +208,7 @@ def test_scan_matches_scalar_reference_at_large_spreads(base_params, s0, tau):
     state = InitialState(s0=s0, l0=BASE_L0)
     n_steps = default_n_steps(tau)
     rows, acc = _scalar_rk4_reference(state, base_params, tau, n_steps)
-    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
+    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps, n_steps + 1)
     assert abs(tau_lbar - acc) <= 2e-14 * abs(acc)
     assert _max_rel_diff(path[:, 1], [row[1] for row in rows]) <= 2e-14
 
@@ -199,7 +219,7 @@ def test_integrate_matches_exact_rk4(base_params, s0, tau):
     # them.
     n_steps, acc, ell = RK4_REFERENCE[s0, tau]
     state = InitialState(s0=base_params.mu_hat if s0 == BASE_MU_HAT else s0, l0=BASE_L0)
-    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps)
+    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps, n_steps + 1)
     assert abs(tau_lbar - acc) <= 1e-15 * acc
     assert abs(path[-1, 1] - ell) <= 1e-15 * ell
 
@@ -227,7 +247,7 @@ def test_integrate_overflow_raises(base_params):
     # for one state and for a batch in which only one state blows up.
     state = InitialState(s0=-50000.0, l0=BASE_L0)
     with pytest.raises(NumericalFailure):
-        integrate_ell(state, base_params, 1.0, 1000)
+        integrate_ell(state, base_params, 1.0, 1000, 2)
     with pytest.raises(NumericalFailure):
         compute_oracle(state, base_params, 1.0)
     batch = [InitialState(s0=-0.05, l0=BASE_L0), state, InitialState(s0=0.05, l0=BASE_L0)]
@@ -242,7 +262,7 @@ def test_non_positive_step_factor_raises():
     # gives no meaningful integral, so it is reported, not returned.
     params = ModelParams(m=100.0, mu=-0.01, gamma=0.0, sigma2=3e-4)
     with pytest.raises(NumericalFailure):
-        integrate_ell(InitialState(s0=100.0, l0=BASE_L0), params, 1.6, 16)
+        integrate_ell(InitialState(s0=100.0, l0=BASE_L0), params, 1.6, 16, 2)
 
 
 @pytest.mark.parametrize("tau", [1.0, 7.5])
@@ -314,7 +334,7 @@ def test_step_halving_shows_fourth_order(base_params, s0):
     state = InitialState(s0=s0, l0=BASE_L0)
     values = {}
     for n in (64, 128, 256):
-        _, values[n] = integrate_ell(state, base_params, BASE_TAU, n)
+        _, values[n] = integrate_ell(state, base_params, BASE_TAU, n, 2)
     ratio = abs(values[64] - values[128]) / abs(values[128] - values[256])
     assert 12.0 <= ratio <= 20.0
 
@@ -378,7 +398,7 @@ def test_solve_widens_bracket_when_root_is_far(base_params):
     # eps_hint = 0 gives a narrow initial bracket; a far root must still be
     # found through the doubling widenings.
     state = InitialState(s0=0.3, l0=BASE_L0)
-    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 4000)
+    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 4000, 2)
     result = solve_shat_numeric(tau_lbar, BASE_L0, base_params, BASE_TAU, eps_hint=0.0)
     assert result.residual < TOL_ROOT
     assert result.s_hat > 0.1
@@ -392,7 +412,7 @@ def test_batched_solve_counters_equal_single_solves(base_params):
     # The first entry is the far root of the widening test above, with a
     # bracket sized by eps_hint = 0, in one batch with ordinary states: each
     # entry's root, bracket and counters are those of the entry solved alone.
-    _, far = integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, BASE_TAU, 4000)
+    _, far = integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, BASE_TAU, 4000, 2)
     states = [InitialState(s0=s0, l0=l0) for s0 in TABLE_S0 for l0 in (0.01, BASE_L0)]
     near = compute_oracles(states, base_params, BASE_TAU)
     tau_lbar = np.array([far] + [result.tau_lbar for result in near])
@@ -427,7 +447,7 @@ def test_solve_bisects_a_non_finite_newton_step(monkeypatch, base_params):
     # TOL_ROOT at tau_lbar ~ 1e244, but the entry fails in a few passes and
     # with a finite residual, not after every Newton pass with a NaN one.
     state = InitialState(s0=-800.0, l0=BASE_L0)
-    _, tau_lbar = integrate_ell(state, base_params, 1.0, 1000)
+    _, tau_lbar = integrate_ell(state, base_params, 1.0, 1000, 2)
     calls = []
     deflated = sshat.oracle._deflated
     monkeypatch.setattr(sshat.oracle, "_deflated", lambda *args: calls.append(args) or deflated(*args))

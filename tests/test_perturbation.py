@@ -296,7 +296,7 @@ def test_eval_ell_tracks_integrated_path(base_params, base_expansion):
     state = InitialState(s0=0.05, l0=BASE_L0)
     eps = state.s0 - base_params.mu_hat
     for t in (0.25, 0.5, 1.0):
-        path, _ = integrate_ell(state, base_params, t, 2000)
+        path, _ = integrate_ell(state, base_params, t, 2000, 2)
         reference = path[-1, 1]
         assert abs(_eval_ell(base_expansion, eps, t) - reference) < 1e-6
 
@@ -340,7 +340,7 @@ def test_truncation_error_halves_at_expected_rate(base_params, base_expansion):
     reference = {}
     for eps in (0.04, 0.02):
         state = InitialState(s0=base_params.mu_hat + eps, l0=BASE_L0)
-        _, reference[eps] = integrate_ell(state, base_params, 1.0, 40000)
+        _, reference[eps] = integrate_ell(state, base_params, 1.0, 40000, 2)
     for order in range(4):
         errs = [
             abs(math.fsum(terms[k] * eps**k for k in range(order + 1)) - reference[eps])
