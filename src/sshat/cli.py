@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 import time
@@ -105,7 +106,9 @@ def _add_options(parser: argparse.ArgumentParser, names: str):
         parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sshat`` parser, built on first use and shared by every later ``main`` call."""
     parser = _Parser(prog="sshat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,12 +9,13 @@ fixed-step fourth-order Runge-Kutta (the system is smooth and non-stiff at
 the parameter scales of interest, so adaptivity would buy nothing).  Each
 RK4 step of this linear system is an affine map of (l, A), so the steps run
 as a prefix scan over fixed blocks of steps, once per distinct initial
-spread of a batch, with no Python loop over single steps (``_rk4``).
-Maturities integrated with the same step size share one scan, read at each
-maturity's last step.  The oracle then solves the defining equation for the
-effective spread constant by a safeguarded Newton iteration with bisection
-fallback, vectorised over every (state, maturity) pair of a batch
-(``_solve_roots``).
+spread of a batch (``_rk4``).  Each pass of the scan computes the steps of
+several blocks at once, and only the carry from block to block loops over
+blocks; no Python loop runs over single steps.  Maturities integrated with
+the same step size share one scan, read at each maturity's last step.  The
+oracle then solves the defining equation for the effective spread constant
+by a safeguarded Newton iteration with bisection fallback, vectorised over
+every (state, maturity) pair of a batch (``_solve_roots``).
 
 The cleared form of the defining equation,
 
@@ -25,7 +26,8 @@ The iteration therefore runs on the deflated residual q(s) = g(s) / s^2,
 which is exactly the residual of the original (uncleared) equation scaled by
 tau, is regular and strictly monotone in s for l0 > 0, and has the single
 root of interest.  The reported residual is |g| at the returned root, per
-the result contract.
+the result contract; a root is accepted when that is within TOL_ROOT or
+within the rounding floor of g (``_ROOT_ROUNDING``).
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ __all__ = [
 # The Newton iteration itself runs to machine-level step sizes, so the final
 # residual is typically many orders below this.
 TOL_ROOT = 1e-12
+# A root is also accepted when its residual is within the rounding floor of g,
+# _ROOT_ROUNDING (1 + |s tau|) u S, with S the sum of the magnitudes of g's
+# three terms and u the unit roundoff.  Rounding s tau perturbs exp(-s tau) by
+# up to |s tau| u, so g is evaluated to within about (|s tau| + 6) u S; and
+# the double nearest the root is within u |s| of it, where
+# |s g'(s)| <= (|s tau| + 2) S, which adds (|s tau| + 2) u S.  A correctly
+# rounded root thus has |g| <= (2 |s tau| + 8) u S, inside the floor.  Where
+# tau_lbar is large the floor is far above TOL_ROOT: 3e-9 at tau = 50 with
+# m = 0.5 and mu_hat = -0.3 (tau_lbar 1e6), 1e236 at s0 = -800.
+_ROOT_ROUNDING = 8.0
 
 _MAX_BRACKET_WIDENINGS = 5
 _MAX_NEWTON_ITERATIONS = 200
@@ -86,8 +98,8 @@ def default_n_steps(tau: float) -> int:
     return max(1000, math.ceil(1000 * _require_maturity(tau)))
 
 
-# The most RK4 steps one maturity may take: about 7 s of scan on a 2-vCPU
-# x86_64 VM, in memory that does not grow with the count.
+# The most RK4 steps one maturity may take: about 1.5 s of scan for one s0
+# on a 2-vCPU x86_64 VM, in memory that does not grow with the count.
 _MAX_STEPS = 10**7
 
 
@@ -96,43 +108,150 @@ def _require_steps(n_steps: int) -> None:
         raise ValueError(f"n_steps must be in [16, {_MAX_STEPS}], got {n_steps}")
 
 
-# RK4 steps per block of the scan.  The block length is fixed, so no result
-# depends on the batch size, and short, so a block's (distinct eps) x (steps)
-# arrays stay a few tens of kilobytes at any maturity.
+# RK4 steps per block of the scan.  Blocks are laid out from step 0 and the
+# prefix sums restart in each one, so no result depends on the batch size or
+# on how many blocks a pass holds.
 _BLOCK = 256
+# Elements, (distinct eps) x (steps), of one pass of the scan: a pass takes as
+# many whole blocks as fit, and at least one.  Below 32 distinct eps each of
+# a pass's per-step arrays stays at 64 kB, at any maturity.
+_PASS_ELEMENTS = 8192
 # Prefix sums within a block run over sub-blocks of _RUN steps first, then
 # over the sub-block totals: each sum adds at most 2 * _BLOCK / _RUN terms
 # in sequence instead of _BLOCK.
 _RUN = 16
+# Rows of the work array that holds a pass's per-step arrays: the four step
+# coefficients and four of scratch.  One scan reuses it in every pass, since
+# allocating a pass's arrays anew each time costs page faults on the order
+# of its arithmetic.
+_WORK_ROWS = 8
 
 
-def _prefix(x: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sums along the last axis of a 2-D array, two-level."""
-    rows, steps = x.shape
-    if steps % _RUN:
-        x = np.concatenate((x, np.zeros((rows, -steps % _RUN))), axis=1)
-    runs = x.reshape(rows, x.shape[1] // _RUN, _RUN).cumsum(axis=2)
+def _prefix(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inclusive prefix sums of each block of _BLOCK steps (the last axis), two-level, into ``out``."""
+    out = np.empty_like(x) if out is None else out
+    runs = out.reshape(-1, _BLOCK // _RUN, _RUN)
+    np.cumsum(x.reshape(runs.shape), axis=2, out=runs)
     runs[:, 1:] += runs[:, :-1, -1].cumsum(axis=1)[:, :, None]
-    return runs.reshape(x.shape)[:, :steps]
+    return out
 
 
-def _rk4_step(ell, sigma2: float, s_a, s_mid, s_b, h: float):
-    """Increments of l and of its integral A over one RK4 step from ``ell``.
+def _step_coefficients(e: np.ndarray, t: np.ndarray, h: float, params: ModelParams, work: np.ndarray):
+    """RK4 coefficients ``(alpha, c, b, d)`` of the steps from the times ``t``, for each eps of ``e``.
 
-    ``s_a``, ``s_mid`` and ``s_b`` are the spread at the start, middle and
-    end of the step.  The running integral's stage slopes are the stage
-    values of l itself.
+    Step j maps l' = (1 + alpha) l + b and A' = A + c l + d.  alpha and c
+    are the RK4 stages at l = 1, sigma2 = 0, and b and d those at l = 0 per
+    unit sigma2, written out for these inputs: w is h/2 times the spread at
+    the start (a), middle (m) and end (b) of the step, y the stage values
+    of l and g the stage slopes.  They are computed in place in rows 0-3 of
+    ``work``; rows 4-7 are scratch.
     """
+    alpha, c, b, d, w_a, w_m, w_b, x = work
     half = 0.5 * h
-    k1 = sigma2 - s_a * ell
-    y2 = ell + half * k1
-    k2 = sigma2 - s_mid * y2
-    y3 = ell + half * k2
-    k3 = sigma2 - s_mid * y3
-    y4 = ell + h * k3
-    k4 = sigma2 - s_b * y4
-    sixth = h / 6.0
-    return sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), sixth * (ell + 2.0 * y2 + 2.0 * y3 + y4)
+    for w, s in ((w_a, t), (w_m, t + half), (w_b, t + h)):
+        np.multiply(e, half * np.exp(-params.m * s), out=w)
+        w += half * params.mu_hat
+    # l = 0: g2 = 1 - w_m in d, g3 = 1 - w_m g2 in b, g4 = 1 - 2 w_b g3 in x.
+    np.subtract(1.0, w_m, out=d)
+    np.multiply(w_m, d, out=b)
+    np.subtract(1.0, b, out=b)
+    np.multiply(w_b, b, out=x)
+    x *= -2.0
+    x += 1.0
+    # b = (sigma2 h / 6) ((1 + g4) + 2 (g2 + g3)), d = (sigma2 h^2 / 6) (1 + (g2 + g3)).
+    d += b
+    x += 1.0
+    np.add(d, d, out=b)
+    b += x
+    b *= params.sigma2 * h / 6.0
+    d += 1.0
+    d *= params.sigma2 * h * h / 6.0
+    # l = 1: y2 = 1 - w_a in c, y3 = 1 - w_m y2 in x, y4 = 1 - 2 w_m y3 in alpha.
+    np.subtract(1.0, w_a, out=c)
+    np.multiply(w_m, c, out=x)
+    np.subtract(1.0, x, out=x)
+    np.multiply(w_m, x, out=alpha)
+    alpha *= -2.0
+    alpha += 1.0
+    # c = (h / 6) ((1 + y4) + 2 (y2 + y3)), alpha = (w_a + 2 w_m (y2 + y3) + w_b y4) / -3.
+    c += x
+    w_b *= alpha
+    np.multiply(w_m, c, out=w_m)
+    w_m *= 2.0
+    alpha += 1.0
+    c += c
+    c += alpha
+    c *= h / 6.0
+    np.add(w_a, w_m, out=alpha)
+    alpha += w_b
+    alpha /= -3.0
+    return alpha, c, b, d
+
+
+def _advance(state, log_r, r, sums, big_c, big_d):
+    """``(a_p, a_q, p, q)`` after the first k steps of a block, from ``state`` before it.
+
+    The other arguments are log R, R and S at the block's column k - 1 and
+    C and D over its first k steps, elementwise against ``state``.  A block
+    factor R near 1 rounds the same way in every block when s is constant,
+    and those roundings would add up, so p and q take it as x + x (R - 1);
+    for R far below 1 that sum would cancel, and the product is kept.
+    """
+    a_p, a_q, p, q = state
+    rm1 = np.expm1(log_r)
+    near = rm1 > -0.5
+    v = q + sums
+    # q is 0 before the first step, where 0 * inf would turn a blown-up A into NaN.
+    qc = np.where(q != 0.0, q * big_c, 0.0)
+    return (
+        a_p + p * big_c,
+        a_q + (qc + big_d),
+        np.where(near, p + p * rm1, p * r),
+        np.where(near, v + v * rm1, r * v),
+    )
+
+
+def _scan_pass(state, eps: np.ndarray, params: ModelParams, h: float, first: int, reads: np.ndarray, work: np.ndarray):
+    """Carry ``state`` through the blocks of one pass of ``_rk4``'s scan, from block ``first`` on.
+
+    ``eps`` holds the distinct eps and ``state`` is ``(a_p, a_q, p, q)``
+    per eps.  ``work`` has shape (_WORK_ROWS, blocks, eps, _BLOCK).
+    ``reads`` are ascending step counts within the pass, from 1 to
+    ``blocks * _BLOCK``.  Returns the state after the pass and, if there
+    are reads, ``(a_p, a_q, p, q)`` after each of them, shape (eps, reads).
+    """
+    blocks = work.shape[1]
+    t = (np.arange(first * _BLOCK, (first + blocks) * _BLOCK) * h).reshape(blocks, 1, _BLOCK)
+    alpha, c, b, d = _step_coefficients(eps[:, None], t, h, params, work)
+    log_r, r, sums, x = work[4:]
+    np.log1p(alpha, out=x)
+    _prefix(x, log_r)
+    np.exp(log_r, out=r)
+    np.negative(log_r, out=x)
+    np.exp(x, out=x)
+    x *= b
+    _prefix(x, sums)
+    # c_j R_j and c_j R_j S_j + d_j, with R and S before each step (1 and 0 before the first).
+    c[..., 1:] *= r[..., :-1]
+    np.multiply(c[..., 1:], sums[..., :-1], out=x[..., 1:])
+    d[..., 1:] += x[..., 1:]
+    c_total = c.sum(axis=2)
+    d_total = d.sum(axis=2)
+    starts = []
+    for j in range(blocks):
+        starts.append(state)
+        state = _advance(state, log_r[j, :, -1], r[j, :, -1], sums[j, :, -1], c_total[j], d_total[j])
+    if not reads.size:
+        return state, None
+    # A read takes the prefix sums of c R and c R S + d over its block's
+    # first k steps, computed for the blocks that hold reads.
+    j, k = np.divmod(reads - 1, _BLOCK)
+    held, j_held = np.unique(j, return_inverse=True)
+    return state, _advance(
+        np.array(starts)[j].transpose(1, 2, 0),
+        *(y[j, :, k].T for y in (log_r, r, sums)),
+        *(_prefix(y[held])[j_held, :, k].T for y in (c, d)),
+    )
 
 
 def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: Sequence[int]):
@@ -142,89 +261,59 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     state of a batch.  ``ends`` are step counts in ascending order; the scan
     runs to the last of them and reads every state after each end's steps.
 
-    RK4 on dl/dt = sigma2 - s(t) l is affine in the state: step i maps
-    l_{i+1} = (1 + alpha_i) l_i + b_i and A_{i+1} = A_i + c_i l_i + d_i.
-    The stage formulas give alpha_i and c_i at l=1, sigma2=0, and b_i and
-    d_i at l=0, for a whole block of steps at once.  Within a block,
-    l_k = R_k (l_start + sum_{j<k} b_j / R_{j+1}) with R_k the product of
-    the first k factors 1 + alpha_j, taken as exp of a prefix sum of
+    RK4 on dl/dt = sigma2 - s(t) l is affine in the state: step j maps
+    l_{j+1} = (1 + alpha_j) l_j + b_j and A_{j+1} = A_j + c_j l_j + d_j
+    (``_step_coefficients``).  Within a block, l_k = R_k (l_start + S_k)
+    with R_k the product of the first k factors 1 + alpha_j and S_k the sum
+    of b_j / R_{j+1} over j < k.  R_k is exp of a prefix sum of
     log1p(alpha_j): a running product of 1 + alpha_j would round each
-    factor, which costs about n u / 2 over n steps.  The prefix sums
-    restart in each block, so the exponentials stay in range even where the
-    product over the whole interval underflows.
+    factor, which costs about n u / 2 over n steps.  The prefix sums restart
+    in each block, so the exponentials stay in range even where the product
+    over the whole interval underflows.
 
     l and A are affine in l0, so each distinct eps is integrated once, with
     l = p l0 + q and A = a_p l0 + a_q carried from block to block; a state
-    reads a_p l0 + a_q at an end.  An end inside a block reads the block's
-    first k steps exactly as a scan that stopped there would (sums over
-    the first k columns, the carry formula at column k - 1), and prefix sums
-    and RK4 are causal, so every row at every end is bitwise equal to the
-    same state integrated alone to that end.  A step whose factor
-    1 + alpha_i is not positive (only with steps far too long for the
-    spread's decay) makes the state non-finite.
+    reads a_p l0 + a_q at an end.  Over the first k steps of a block, p and
+    q become p R_k and R_k (q + S_k), a_p gains p C_k and a_q gains
+    q C_k + D_k, with C_k and D_k the prefix sums of c_j R_j and
+    c_j R_j S_j + d_j (``_advance``).
+
+    Each pass of the loop (``_scan_pass``) computes these per-step arrays
+    for as many whole blocks as ``_PASS_ELEMENTS`` holds, the last block
+    running past the last end, in one work array that every pass reuses;
+    only the carry loops over the pass's blocks.  An end reads
+    its block's column k - 1, so prefix sums and RK4 being causal, every
+    row at every end is bitwise equal to the same state integrated alone to
+    that end.  A step whose factor 1 + alpha_j is not positive (only with
+    steps far too long for the spread's decay) makes the state non-finite.
 
     Returns ``(tau_lbar, ell)``, A and l per end and state, shape
-    (len(ends), states); nothing is kept per step beyond the current block.
+    (len(ends), states); nothing is kept per step beyond the current pass.
     A state that blows up is left non-finite; ``_check_finite`` reports it.
     """
-    mh = params.mu_hat
-    m = params.m
-    sigma2 = params.sigma2
-    n_steps = ends[-1]
+    ends = np.asarray(ends)
     eps_u, row = np.unique(eps, return_inverse=True)
-    e = eps_u[:, None]
-    p = np.ones(eps_u.size)
-    q = np.zeros(eps_u.size)
-    a_p = np.zeros(eps_u.size)
-    a_q = np.zeros(eps_u.size)
+    size = eps_u.size
+    n_blocks = -(-int(ends[-1]) // _BLOCK)
+    per_pass = min(n_blocks, max(1, _PASS_ELEMENTS // (max(size, 1) * _BLOCK)))
+    work = np.empty((_WORK_ROWS, per_pass * size * _BLOCK))
+    state = (np.zeros(size), np.zeros(size), np.ones(size), np.zeros(size))
     tau_lbar = np.empty((len(ends), eps.size))
     ell = np.empty((len(ends), eps.size))
     i_end = 0
     # A blown-up state overflows to inf/nan without warning; the caller's
     # finiteness check reports it.
     with np.errstate(all="ignore"):
-        for start in range(0, n_steps, _BLOCK):
-            t = np.arange(start, min(start + _BLOCK, n_steps)) * h
-            s_a = mh + e * np.exp(-m * t)
-            s_mid = mh + e * np.exp(-m * (t + 0.5 * h))
-            s_b = mh + e * np.exp(-m * (t + h))
-            alpha, c = _rk4_step(1.0, 0.0, s_a, s_mid, s_b, h)
-            b, d = _rk4_step(0.0, sigma2, s_a, s_mid, s_b, h)
-            log_r = _prefix(np.log1p(alpha))
-            r = np.exp(log_r)
-            sums = _prefix(b * np.exp(-log_r))
-            # p and q after each step of the block, and before it.
-            p_next = p[:, None] * r
-            q_next = r * (q[:, None] + sums)
-            p_prev = np.concatenate((p[:, None], p_next[:, :-1]), axis=1)
-            q_prev = np.concatenate((q[:, None], q_next[:, :-1]), axis=1)
-            da_p = c * p_prev
-            da_q = c * q_prev + d
-
-            def after(k):
-                # a_p, a_q, p and q after the block's first k steps.  A block
-                # factor R near 1 rounds the same way in every block when s is
-                # constant, and those roundings would add up, so the carry
-                # applies it as x + x (R - 1); for R far below 1 that sum
-                # would cancel, and the product is kept.
-                rm1 = np.expm1(log_r[:, k - 1])
-                v = q + sums[:, k - 1]
-                near = rm1 > -0.5
-                return (
-                    a_p + np.sum(da_p[:, :k], axis=1),
-                    a_q + np.sum(da_q[:, :k], axis=1),
-                    np.where(near, p + p * rm1, p_next[:, k - 1]),
-                    np.where(near, v + v * rm1, q_next[:, k - 1]),
-                )
-
-            carried = after(t.size)
-            while i_end < len(ends) and ends[i_end] <= start + t.size:
-                k = ends[i_end] - start
-                end_a_p, end_a_q, end_p, end_q = carried if k == t.size else after(k)
-                tau_lbar[i_end] = end_a_p[row] * l0 + end_a_q[row]
-                ell[i_end] = end_p[row] * l0 + end_q[row]
-                i_end += 1
-            a_p, a_q, p, q = carried
+        for first in range(0, n_blocks, per_pass):
+            blocks = min(per_pass, n_blocks - first)
+            stop = int(np.searchsorted(ends, (first + blocks) * _BLOCK, side="right"))
+            pass_work = work[:, : blocks * size * _BLOCK].reshape(_WORK_ROWS, blocks, size, _BLOCK)
+            state, read = _scan_pass(state, eps_u, params, h, first, ends[i_end:stop] - first * _BLOCK, pass_work)
+            if read is not None:
+                a_p, a_q, p, q = read
+                tau_lbar[i_end:stop] = (a_p[row] * l0[:, None] + a_q[row]).T
+                ell[i_end:stop] = (p[row] * l0[:, None] + q[row]).T
+                i_end = stop
     return tau_lbar, ell
 
 
@@ -312,10 +401,15 @@ def _phi(x: np.ndarray):
     return np.where(np.abs(x) < _QUADRATURE_CUTOFF, integrals[:, 0], closed)
 
 
+def _cleared_terms(s_hat, tau_lbar, l0, sigma2, tau):
+    """The terms T1, T2 and T3 of the cleared residual g = T1 - T2 - T3, elementwise."""
+    return tau_lbar * s_hat * s_hat, (l0 * s_hat - sigma2) * -np.expm1(-s_hat * tau), sigma2 * s_hat * tau
+
+
 def residual_cleared(s_hat, tau_lbar, l0, sigma2, tau):
     """Residual of the cleared defining equation at candidate roots, elementwise."""
-    one_minus_exp = -np.expm1(-s_hat * tau)
-    return tau_lbar * s_hat * s_hat - (l0 * s_hat - sigma2) * one_minus_exp - sigma2 * s_hat * tau
+    t1, t2, t3 = _cleared_terms(s_hat, tau_lbar, l0, sigma2, tau)
+    return t1 - t2 - t3
 
 
 class _Roots(NamedTuple):
@@ -348,7 +442,8 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
     documents.  Every step is elementwise, so each entry's root, bracket
     and counters are bitwise those of the entry solved alone.  Raises
     BracketingError or NumericalFailure for the first entry, in index
-    order, that has no bracket or whose residual exceeds TOL_ROOT.
+    order, that has no bracket or whose residual exceeds both TOL_ROOT and
+    the rounding floor of g (``_ROOT_ROUNDING``).
     """
     sigma2 = params.sigma2
     mh = params.mu_hat
@@ -414,15 +509,21 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
                 live, x, xl, xh, dx, dx_old, tl, l, t, f, df = (
                     a[go] for a in (live, x, xl, xh, dx, dx_old, tl, l, t, f, df)
                 )
-        residual = np.abs(residual_cleared(s_hat, tau_lbar, l0, sigma2, tau))
-    failed = np.flatnonzero(~bracketed | ~(residual <= TOL_ROOT))
+        terms = _cleared_terms(s_hat, tau_lbar, l0, sigma2, tau)
+        residual = np.abs(terms[0] - terms[1] - terms[2])
+        unit_roundoff = 0.5 * np.finfo(float).eps
+        floor = _ROOT_ROUNDING * (1.0 + np.abs(s_hat * tau)) * unit_roundoff * sum(map(np.abs, terms))
+    failed = np.flatnonzero(~bracketed | ~((residual <= TOL_ROOT) | (residual <= floor)))
     if failed.size:
         i = failed[0]
         if not bracketed[i]:
             raise BracketingError(
                 f"no sign change in [{float(lo[i])!r}, {float(hi[i])!r}] after {int(widenings[i])} widenings"
             )
-        raise NumericalFailure(f"root refinement stalled: residual {float(residual[i])!r} exceeds {TOL_ROOT!r}")
+        raise NumericalFailure(
+            f"root refinement stalled: residual {float(residual[i])!r} exceeds {TOL_ROOT!r} "
+            f"and the rounding floor {float(floor[i])!r}"
+        )
     return _Roots(s_hat, residual, lo, hi, iterations, bisections, widenings)
 
 

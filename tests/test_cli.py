@@ -1,10 +1,13 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sshat.cli
 from sshat import InitialState, build_expansion, compute_oracle, solve_shat_series
 from sshat.cli import BASE_PARAMS, main
 from sshat.epsseries import _BLOCK
@@ -32,6 +35,20 @@ def test_no_command_is_validation_error(capsys):
 def test_unknown_flag_is_validation_error(capsys):
     rc, _, _ = run(capsys, "shat", "--frobnicate")
     assert rc == 1
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # Not at import, so start-up does not pay for it; then once for every call.
+    probe = "import sshat.cli; print(sshat.cli.build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout == "0\n"
+    built = []
+    parser_type = sshat.cli._Parser
+    monkeypatch.setattr(sshat.cli, "_Parser", lambda *args, **kwargs: built.append(1) or parser_type(*args, **kwargs))
+    sshat.cli.build_parser.cache_clear()
+    assert run(capsys, "shat")[0] == 0
+    assert run(capsys, "abar", "--format", "csv")[0] == 0
+    assert run(capsys, "shat", "--frobnicate")[0] == 1
+    assert len(built) == 1
 
 
 def test_shat_table_output(capsys):
@@ -488,19 +505,29 @@ def test_sweep_oracle_failure_in_a_shared_scan(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "tau_grid, message",
+    "tau_grid, message, without_floor",
     [
-        ("1:3:3", "root refinement stalled: residual 2.4840289476811343e+232 exceeds 1e-12"),
-        ("3:1:3", "integration produced a non-finite state in state 0 of the batch (l=inf, integral=inf)"),
+        ("1:3:3", "integration produced a non-finite state in state 10 of the batch", "root refinement stalled: "),
+        ("3:1:3", "integration produced a non-finite state in state 0 of the batch", "integration produced a "),
     ],
     ids=["ascending", "descending"],
 )
-def test_sweep_oracle_failures_are_taken_in_maturity_order(capsys, tau_grid, message):
-    # At s0 = -800, l stays finite (about 1e246) to tau = 1, where no root
-    # is found, and overflows before tau = 2: the first maturity of the grid
-    # names the failure, though all three share one scan.
-    rc, out, err = run(capsys, "sweep", "--oracle", "--s0-grid=-800:0.05:3", f"--tau-grid={tau_grid}")
-    assert (rc, out, err) == (2, "", f"numerical failure: {message}\n")
+def test_sweep_oracle_failures_are_taken_in_maturity_order(monkeypatch, capsys, tau_grid, message, without_floor):
+    # States 0-9 start at s0 = -600 and states 10-19 at s0 = -800.  All stay
+    # finite to tau = 1, where tau_lbar reaches 1e244 and every root is found
+    # within the rounding floor of g; s0 = -800 overflows before tau = 2 and
+    # s0 = -600 before tau = 3.  The three maturities share one scan, and the
+    # first maturity of the grid that fails names the failure.
+    grid = ["sweep", "--oracle", "--s0-grid=-600:-800:2"]
+    rc, out, err = run(capsys, *grid, f"--tau-grid={tau_grid}")
+    assert (rc, out, err) == (2, "", f"numerical failure: {message} (l=inf, integral=inf)\n")
+    rc, out, err = run(capsys, *grid, "--tau-grid=1:1:1")
+    assert (rc, err, len(out.splitlines())) == (0, "", 3 + 20)
+    # With the floor off, the roots at tau = 1 exceed TOL_ROOT: that failure
+    # comes first on the ascending grid and after tau = 3's on the descending.
+    monkeypatch.setattr("sshat.oracle._ROOT_ROUNDING", 0.0)
+    rc, out, err = run(capsys, *grid, f"--tau-grid={tau_grid}")
+    assert (rc, out) == (2, "") and err.startswith(f"numerical failure: {without_floor}")
 
 
 def test_sweep_invalid_order_fails_before_the_oracle_batch(monkeypatch, capsys):

@@ -22,7 +22,17 @@ from sshat import (
     tau_lbar_terms,
 )
 import sshat.oracle
-from sshat.oracle import TOL_ROOT, _oracle_grid, _phi, _results, _rk4, _Roots, _solve_roots, residual_cleared
+from sshat.oracle import (
+    _BLOCK,
+    TOL_ROOT,
+    _oracle_grid,
+    _phi,
+    _results,
+    _rk4,
+    _Roots,
+    _solve_roots,
+    residual_cleared,
+)
 
 from _reference import (
     BASE_L0,
@@ -30,6 +40,8 @@ from _reference import (
     BASE_TAU,
     PHI_REFERENCE,
     RK4_REFERENCE,
+    ROOT_PARAMS,
+    ROOT_REFERENCE,
     TABLE_S0,
     TRUE_SHAT,
     TRUE_TAU_LBAR,
@@ -225,7 +237,7 @@ def test_integrate_matches_exact_rk4(base_params, s0, tau):
 
 
 def test_long_batch_memory_is_bounded(base_params):
-    # 100k steps for 100 states: the scan holds one block of steps at a time.
+    # 100k steps for 100 states: the scan holds one pass of steps at a time.
     states = [InitialState(s0=0.01 * i - 0.05, l0=0.01 + 0.02 * j) for i in range(10) for j in range(10)]
     tracemalloc.start()
     try:
@@ -292,6 +304,31 @@ def test_shared_scan_rows_equal_single_end_scans(base_params, ends):
         alone_tau_lbar, alone_ell = _rk4(eps, l0, base_params, 0.001, [n])
         assert tau_lbar[i].tolist() == alone_tau_lbar[0].tolist()
         assert ell[i].tolist() == alone_ell[0].tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_result_depends_on_the_pass_size(monkeypatch, base_params):
+    # One block per pass, three, and the default: ends on block boundaries
+    # and inside blocks, a partial last block (10000 = 39 * 256 + 16), a
+    # scan shared by several maturities and single-end scans all read the
+    # same bits.
+    eps = np.array([-0.06, -0.02, 0.0, 0.0, 0.05])
+    l0 = np.array([0.005, 0.1, 0.1, 0.2, 0.1])
+    distinct = np.unique(eps).size
+    grids = [[16, 255, 256, 257, 700, 1000, 4000, 7000, 10000], [1000], [10000]]
+    reads = {}
+    for budget in (1, 3 * distinct * _BLOCK, sshat.oracle._PASS_ELEMENTS):
+        monkeypatch.setattr(sshat.oracle, "_PASS_ELEMENTS", budget)
+        reads[budget] = [_rk4(eps, l0, base_params, 0.001, ends) for ends in grids]
+        # A state that blows up is reported as one that overflowed.
+        blown_up = [InitialState(s0=-50000.0, l0=BASE_L0), InitialState(s0=0.05, l0=BASE_L0)]
+        with pytest.raises(NumericalFailure, match=r"state 0 of the batch \(l=inf, integral=inf\)"):
+            compute_oracles(blown_up, base_params, 1.0)
+    first = reads.pop(1)
+    for other in reads.values():
+        for (tau_lbar, ell), (other_tau_lbar, other_ell) in zip(first, other):
+            assert tau_lbar.tolist() == other_tau_lbar.tolist()
+            assert ell.tolist() == other_ell.tolist()
 
 
 @pytest.mark.parametrize(
@@ -443,18 +480,35 @@ def test_solve_rejects_non_finite_eps_hint(base_params, eps_hint):
 
 def test_solve_bisects_a_non_finite_newton_step(monkeypatch, base_params):
     # At s0 = -800 the bracket spans +-8000 and the second bisection lands
-    # where q overflows to -inf with a NaN slope.  No root is in reach of
-    # TOL_ROOT at tau_lbar ~ 1e244, but the entry fails in a few passes and
-    # with a finite residual, not after every Newton pass with a NaN one.
+    # where q overflows to -inf with a NaN slope.  The step bisects, and the
+    # root (tau_lbar ~ 1e244, where the residual's rounding floor is far
+    # above TOL_ROOT) is found in a few passes, not after every Newton pass
+    # with a NaN one.
     state = InitialState(s0=-800.0, l0=BASE_L0)
     _, tau_lbar = integrate_ell(state, base_params, 1.0, 1000, 2)
     calls = []
     deflated = sshat.oracle._deflated
     monkeypatch.setattr(sshat.oracle, "_deflated", lambda *args: calls.append(args) or deflated(*args))
-    with pytest.raises(NumericalFailure, match="root refinement stalled") as failure:
-        solve_shat_numeric(tau_lbar, state.l0, base_params, 1.0, state.s0 - base_params.mu_hat)
+    result = solve_shat_numeric(tau_lbar, state.l0, base_params, 1.0, state.s0 - base_params.mu_hat)
     assert len(calls) <= 100
-    assert math.isfinite(float(str(failure.value).split()[4]))
+    assert result.bisections >= 2
+    assert result.s_hat == pytest.approx(ROOT_REFERENCE["base", -800.0, BASE_L0, 1.0][1], rel=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_REFERENCE), ids=lambda case: "_".join(map(str, case)))
+def test_roots_beyond_the_absolute_tolerance_are_correctly_rounded(case):
+    # At these inputs the absolute TOL_ROOT is below the rounding floor of g,
+    # so only the floor accepts the root: it must be within 1 ulp of the
+    # 60-digit root for the same tau_lbar, and the oracle must reach it.
+    name, s0, l0, tau = case
+    tau_lbar, s_ref = ROOT_REFERENCE[case]
+    params = ModelParams(**ROOT_PARAMS[name])
+    result = solve_shat_numeric(tau_lbar, l0, params, tau, s0 - params.mu_hat)
+    assert result.residual > TOL_ROOT
+    assert abs(result.s_hat - s_ref) <= math.ulp(s_ref)
+    oracle = compute_oracle(InitialState(s0=s0, l0=l0), params, tau)
+    assert abs(oracle.tau_lbar - tau_lbar) <= 1e-12 * tau_lbar
+    assert oracle.s_hat == pytest.approx(s_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", sorted(PHI_REFERENCE))
