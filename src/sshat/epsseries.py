@@ -16,7 +16,9 @@ at ``k_0 = mu_hat``,
 The zeroth order holds exactly, since L_0 and f_0 are the same quadrature
 sum, and order n >= 1 is linear in k_n with the slope f_1:
 
-    k_n = (L_n - [sum_{j>=2} f_j delta^j]_n) / f_1.
+    k_n = (L_n - [sum_{j>=2} f_j delta^j]_n) / f_1,
+
+with [delta^j]_n from k_1..k_(n-1), kept in one table of powers.
 
 The f_j are the integrals of the L_k with m -> 0, moments of a positive weight,
 
@@ -70,8 +72,8 @@ def _partial_sums(terms, eps):
 
 
 # (l0, tau) pairs per block of the batched solve.  The block length is fixed,
-# and no result depends on it; a block's two (order+1)^2 tables take
-# 2 * (order+1)^2 * _BLOCK floats, 4.7 MB at order N_MAX.
+# and no result depends on it; a block's table of powers takes
+# (order+1)^2 * _BLOCK floats, 2.4 MB at order N_MAX.
 _BLOCK = 1024
 
 
@@ -82,8 +84,8 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     Yields ``(start, k, bracket, residuals)`` per block of _BLOCK pairs, with
     ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
     shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
-    reduction over the order index is an elementwise sum in a fixed order, so
-    each pair has the bits of a grid of that pair alone.  Raises
+    sum over the order index adds in a fixed order, so each pair has the
+    bits of a grid of that pair alone.  Raises
     NumericalFailure at the first maturity where ``_quadrature`` overflows,
     before the first block.
     """
@@ -106,31 +108,18 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
             t = taus[i_tau[np.isfinite(f).all(axis=0).argmin()]]
             raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * t!r}")
 
-        # delta_m is read off order m, with the composition carried by Horner's
-        # rule: Q[c, s] = [sum_(j>=1) f_(j+s) delta^j]_c obeys
-        # Q[m, s] = f_(s+1) delta_m + R[m, s+1] with R[m, s] = sum_(i<m) delta_i Q[m-i, s],
-        # and [sum_(j>=2) f_j delta^j]_m = R[m, 1].  Only m + s <= order is
-        # needed.  Each term of R[m] is added at the step t = max(i, m-i)
-        # that completes it, in a fixed order, so every order costs a few
-        # array operations and every pair gets the same additions whatever
-        # the block holds.
-        Q, R = np.zeros((2, order + 1, order + 1, len(x)))
-        # rest[m] = L_m - R[m, 1], so that delta_m = rest[m] / f_1 and the
-        # residual of order m is |f_1 delta_m - rest[m]|; rest[0] = L_0 - f_0.
-        delta, rest = np.zeros((2, order + 1, len(x)))
+        # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
+        # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
+        # rest_t = L_t - sum_(j>=2) f_j [delta^j]_t and delta_t = rest_t / f_1.
+        # np.einsum adds each sum left to right, whatever the block holds.
+        D = np.zeros((n + 1, order + 1, len(x)))
+        delta, rest = D[1], np.empty((order + 1, len(x)))
         np.subtract(L[0], f[0], out=rest[0])
         for t in range(1, order + 1):
-            np.subtract(L[t], R[t, 1], out=rest[t])
+            powers = D[2 : t + 1, t]
+            np.einsum("i...,ji...->j...", delta[1:t], D[1:t, t - 1 : 0 : -1], out=powers)
+            np.subtract(L[t], np.einsum("j...,j...->...", f[2 : t + 1], powers), out=rest[t])
             np.divide(rest[t], f[1], out=delta[t])
-            if t == order:
-                break
-            np.add(f[2 : order - t + 2] * delta[t], R[t, 2 : order - t + 2], out=Q[t, 1 : order - t + 1])
-            # The terms delta_t Q[c] (c <= t) of R[t+c] and delta_i Q[t] (i < t) of R[t+i].
-            c = min(t, order - t)
-            R[t + 1 : t + c + 1, 1:] += delta[t] * Q[1 : c + 1, 1:]
-            i = min(t - 1, order - t)
-            if i:
-                R[t + 1 : t + i + 1, 1:] += delta[1 : i + 1, None] * Q[t, 1:]
         residuals = np.abs(f[1] * delta - rest)
         delta[0] = k0
         yield start, delta, k0 * k0 * f[1], residuals

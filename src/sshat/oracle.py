@@ -120,8 +120,13 @@ _PASS_ELEMENTS = 8192
 # over the sub-block totals: each sum adds at most 2 * _BLOCK / _RUN terms
 # in sequence instead of _BLOCK.
 _RUN = 16
+# Distinct eps per scan.  A pass holds at least one block, 8 x _BLOCK doubles
+# per eps, so groups keep the work array at 4 MB for any number of distinct s0.
+# Each scan loops over the blocks in Python: groups of 32 made 1000 distinct
+# eps at 1000 steps take about 30% longer.
+_GROUP = 256
 # Rows of the work array that holds a pass's per-step arrays: the four step
-# coefficients and four of scratch.  One scan reuses it in every pass, since
+# coefficients and four of scratch.  _rk4 reuses it in every pass, since
 # allocating a pass's arrays anew each time costs page faults on the order
 # of its arithmetic.
 _WORK_ROWS = 8
@@ -278,14 +283,17 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     q C_k + D_k, with C_k and D_k the prefix sums of c_j R_j and
     c_j R_j S_j + d_j (``_advance``).
 
-    Each pass of the loop (``_scan_pass``) computes these per-step arrays
-    for as many whole blocks as ``_PASS_ELEMENTS`` holds, the last block
-    running past the last end, in one work array that every pass reuses;
-    only the carry loops over the pass's blocks.  An end reads
-    its block's column k - 1, so prefix sums and RK4 being causal, every
-    row at every end is bitwise equal to the same state integrated alone to
-    that end.  A step whose factor 1 + alpha_j is not positive (only with
-    steps far too long for the spread's decay) makes the state non-finite.
+    Groups of at most ``_GROUP`` distinct eps get one scan each.  Each pass
+    of a scan (``_scan_pass``) computes these per-step arrays for as many
+    whole blocks as ``_PASS_ELEMENTS`` holds, the last block running past
+    the last end, in one work array that every pass reuses; only the carry
+    loops over the pass's blocks.  Every
+    operation is elementwise over eps or runs along the steps, and an end
+    reads its block's column k - 1, so prefix sums and RK4 being causal,
+    every row at every end is bitwise equal to the same state integrated
+    alone to that end.  A step whose factor 1 + alpha_j is not positive
+    (only with steps far too long for the spread's decay) makes the state
+    non-finite.
 
     Returns ``(tau_lbar, ell)``, A and l per end and state, shape
     (len(ends), states); nothing is kept per step beyond the current pass.
@@ -293,28 +301,30 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     """
     ends = np.asarray(ends)
     eps_u, row = np.unique(eps, return_inverse=True)
-    size = eps_u.size
     n_blocks = -(-int(ends[-1]) // _BLOCK)
-    per_pass = min(n_blocks, max(1, _PASS_ELEMENTS // (max(size, 1) * _BLOCK)))
-    work = np.empty((_WORK_ROWS, per_pass * size * _BLOCK))
-    state = (np.zeros(size), np.zeros(size), np.ones(size), np.zeros(size))
-    tau_lbar = np.empty((len(ends), eps.size))
-    ell = np.empty((len(ends), eps.size))
-    i_end = 0
+    # Room for any group's passes: _PASS_ELEMENTS, or one block of a full group.
+    work = np.empty((_WORK_ROWS, max(_PASS_ELEMENTS, min(eps_u.size, _GROUP) * _BLOCK)))
+    # (a_p, a_q, p, q) after each end, per distinct eps.
+    reads = np.empty((4, len(ends), eps_u.size))
     # A blown-up state overflows to inf/nan without warning; the caller's
     # finiteness check reports it.
     with np.errstate(all="ignore"):
-        for first in range(0, n_blocks, per_pass):
-            blocks = min(per_pass, n_blocks - first)
-            stop = int(np.searchsorted(ends, (first + blocks) * _BLOCK, side="right"))
-            pass_work = work[:, : blocks * size * _BLOCK].reshape(_WORK_ROWS, blocks, size, _BLOCK)
-            state, read = _scan_pass(state, eps_u, params, h, first, ends[i_end:stop] - first * _BLOCK, pass_work)
-            if read is not None:
-                a_p, a_q, p, q = read
-                tau_lbar[i_end:stop] = (a_p[row] * l0[:, None] + a_q[row]).T
-                ell[i_end:stop] = (p[row] * l0[:, None] + q[row]).T
-                i_end = stop
-    return tau_lbar, ell
+        for g in range(0, eps_u.size, _GROUP):
+            group = eps_u[g : g + _GROUP]
+            size = group.size
+            per_pass = min(n_blocks, max(1, _PASS_ELEMENTS // (size * _BLOCK)))
+            state = (np.zeros(size), np.zeros(size), np.ones(size), np.zeros(size))
+            i_end = 0
+            for first in range(0, n_blocks, per_pass):
+                blocks = min(per_pass, n_blocks - first)
+                stop = int(np.searchsorted(ends, (first + blocks) * _BLOCK, side="right"))
+                pass_work = work[:, : blocks * size * _BLOCK].reshape(_WORK_ROWS, blocks, size, _BLOCK)
+                state, read = _scan_pass(state, group, params, h, first, ends[i_end:stop] - first * _BLOCK, pass_work)
+                if read is not None:
+                    reads[:, i_end:stop, g : g + size] = np.swapaxes(read, 1, 2)
+                    i_end = stop
+        a_p, a_q, p, q = reads
+        return a_p[:, row] * l0 + a_q[:, row], p[:, row] * l0 + q[:, row]
 
 
 def _check_finite(tau_lbar: np.ndarray, ell: np.ndarray) -> None:

@@ -286,14 +286,18 @@ def test_term_tables_are_written_only_when_read(monkeypatch, base_params):
 
 
 def test_truncated_solve_equals_solve_of_a_lower_order_build():
+    # An order-n solve is also the first n + 1 orders of the order-16 solve,
+    # bit for bit: no order reads a higher one.
     rng = random.Random(2014)
     for params in (ModelParams(**BASE), _random_valid_params(rng)):
         full = build_expansion(params, BASE_L0, 16)
         for tau in (0.1, 1.0, 10.0):
+            top = solve_shat_series(full, tau, BASE_L0, params, 16)
             for n in range(17):
                 truncated = solve_shat_series(full, tau, BASE_L0, params, n)
                 own = solve_shat_series(build_expansion(params, BASE_L0, n), tau, BASE_L0, params, n)
                 assert (truncated.k, truncated.bracket, truncated.residuals) == (own.k, own.bracket, own.residuals)
+                assert (truncated.k, truncated.residuals) == (top.k[: n + 1], top.residuals[: n + 1])
 
 
 def test_expansions_compare_by_order_params_and_l0(base_params):

@@ -238,15 +238,23 @@ def test_integrate_matches_exact_rk4(base_params, s0, tau):
 
 def test_long_batch_memory_is_bounded(base_params):
     # 100k steps for 100 states: the scan holds one pass of steps at a time.
+    # 4000 distinct eps at 1000 steps: it holds one group of eps at a time
+    # (a single scan of all of them peaks at about 85 MB).
     states = [InitialState(s0=0.01 * i - 0.05, l0=0.01 + 0.02 * j) for i in range(10) for j in range(10)]
+    eps = np.linspace(-0.05, 0.05, 4000)
     tracemalloc.start()
     try:
         results = compute_oracles(states, base_params, 100.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        long_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tau_lbar, ell = _rk4(eps, np.full(eps.size, BASE_L0), base_params, 0.001, [1000])
+        wide_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(results) == 100 and all(math.isfinite(r.s_hat) for r in results)
-    assert peak < 2_000_000
+    assert long_peak < 2_000_000
+    assert np.isfinite(tau_lbar).all() and np.isfinite(ell).all()
+    assert wide_peak < 10_000_000
 
 
 def test_empty_batch(base_params):
@@ -308,23 +316,25 @@ def test_shared_scan_rows_equal_single_end_scans(base_params, ends):
 
 @pytest.mark.filterwarnings("error")
 def test_no_result_depends_on_the_pass_size(monkeypatch, base_params):
-    # One block per pass, three, and the default: ends on block boundaries
-    # and inside blocks, a partial last block (10000 = 39 * 256 + 16), a
-    # scan shared by several maturities and single-end scans all read the
-    # same bits.
+    # One block per pass, three, and the default, and the default with the
+    # 4 distinct eps in two groups of 2: ends on block boundaries and inside
+    # blocks, a partial last block (10000 = 39 * 256 + 16), a scan shared by
+    # several maturities and single-end scans all read the same bits.
     eps = np.array([-0.06, -0.02, 0.0, 0.0, 0.05])
     l0 = np.array([0.005, 0.1, 0.1, 0.2, 0.1])
     distinct = np.unique(eps).size
     grids = [[16, 255, 256, 257, 700, 1000, 4000, 7000, 10000], [1000], [10000]]
     reads = {}
-    for budget in (1, 3 * distinct * _BLOCK, sshat.oracle._PASS_ELEMENTS):
+    default = (sshat.oracle._PASS_ELEMENTS, sshat.oracle._GROUP)
+    for budget, group in ((1, default[1]), (3 * distinct * _BLOCK, default[1]), default, (default[0], 2)):
         monkeypatch.setattr(sshat.oracle, "_PASS_ELEMENTS", budget)
-        reads[budget] = [_rk4(eps, l0, base_params, 0.001, ends) for ends in grids]
+        monkeypatch.setattr(sshat.oracle, "_GROUP", group)
+        reads[budget, group] = [_rk4(eps, l0, base_params, 0.001, ends) for ends in grids]
         # A state that blows up is reported as one that overflowed.
         blown_up = [InitialState(s0=-50000.0, l0=BASE_L0), InitialState(s0=0.05, l0=BASE_L0)]
         with pytest.raises(NumericalFailure, match=r"state 0 of the batch \(l=inf, integral=inf\)"):
             compute_oracles(blown_up, base_params, 1.0)
-    first = reads.pop(1)
+    first = reads.pop((1, default[1]))
     for other in reads.values():
         for (tau_lbar, ell), (other_tau_lbar, other_ell) in zip(first, other):
             assert tau_lbar.tolist() == other_tau_lbar.tolist()
