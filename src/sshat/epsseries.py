@@ -192,7 +192,8 @@ def rhs1_printed(expansion: EllExpansion, tau: float, l0: float, params: ModelPa
     """First-order right-hand side L_1(tau) * k_0^2, with the quadrature's L_1 from ``tau_lbar_terms``.
 
     Kept as a cross-check of the generic order-by-order solve; ``k_1`` must
-    equal this value divided by the bracket.
+    equal this value divided by the bracket.  At mu_hat = 0 both the bracket
+    and this value are 0, so there the check is 0/0.
     """
     _require_match(expansion, l0, params)
     if expansion.order < 1:

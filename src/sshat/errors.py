@@ -8,9 +8,9 @@ the two families to distinct exit codes.
 
 
 class DegenerateRateError(ValueError):
-    """The risk-adjusted spread equilibrium lies inside the genericity band
-    around zero or around a multiple of the mean-reversion speed, where
-    expansion denominators would blow up.
+    """The closed form of the expansion (``EllExpansion.alpha`` and ``.beta``)
+    divides by ``mu_hat - k m``, and ``mu_hat`` lies within
+    ``1e-8 max(|mu_hat|, m)`` of such a rate ``k m``, 0 included.
     """
 
 

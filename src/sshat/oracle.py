@@ -371,17 +371,19 @@ def integrate_ell(
 
 
 def abar_closed_s0_equals_muhat(params: ModelParams, l0: float, tau: float) -> float:
-    """Closed form of lbar for a spread starting exactly at equilibrium.
+    """lbar for a spread starting exactly at equilibrium.
 
     With s identically mu_hat the consol dynamics are linear with constant
-    coefficients, giving
+    coefficients, giving, with ``x = mu_hat tau`` and ``_phi`` below,
 
-        lbar = (l0 mu_hat - sigma2)(1 - exp(-mu_hat tau)) / (mu_hat^2 tau)
-               + sigma2 / mu_hat.
+        lbar = l0 phi1(x) - sigma2 tau phi2(x),
+
+    which is ``l0 + sigma2 tau / 2`` at mu_hat = 0.
     """
     tau = _require_maturity(tau)
-    mh = params.mu_hat
-    return (l0 * mh - params.sigma2) * (-math.expm1(-mh * tau)) / (mh * mh * tau) + params.sigma2 / mh
+    with np.errstate(all="ignore"):
+        phi1, phi2 = _phi(np.array([params.mu_hat * tau]))[:2, 0]
+    return float(l0 * phi1 - params.sigma2 * tau * phi2)
 
 
 # Below this |x| the closed forms of phi2, phi1' and phi2' cancel (phi2' by

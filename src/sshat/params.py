@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateRateError
-
 __all__ = [
     "N_MAX",
     "ModelParams",
@@ -28,8 +26,7 @@ __all__ = [
     "load_config",
 ]
 
-# Largest supported expansion order.  Caps the genericity scan; far beyond
-# the 3 orders needed in practice.
+# Largest supported expansion order, far beyond the 3 orders needed in practice.
 N_MAX = 16
 
 
@@ -70,11 +67,9 @@ class ModelParams:
         sigma2: squared consol-rate volatility scale, must be positive.
         lam: market price of spread risk (dimensionless).
 
-    Construction validates positivity and the genericity condition: the
-    risk-adjusted equilibrium mu_hat must be nonzero and must not coincide
-    with any integer multiple +-j*m (1 <= j <= N_MAX) within ``delta_gen``.
-    Rate collisions below that scale would make expansion-coefficient
-    denominators blow up, so they are rejected up front.
+    Construction checks that every constant and the risk-adjusted
+    equilibrium mu_hat are finite, and the signs above.  Any finite mu_hat
+    is accepted, 0 and multiples of m included.
     """
 
     m: float
@@ -92,28 +87,12 @@ class ModelParams:
             raise ValueError(f"volatility scale sigma2 must be > 0, got {self.sigma2}")
         if self.gamma < 0:
             raise ValueError(f"spread volatility gamma must be >= 0, got {self.gamma}")
-        mh = self.mu_hat
-        tol = self.delta_gen
-        if abs(mh) < tol:
-            raise DegenerateRateError(
-                f"risk-adjusted equilibrium mu_hat={mh!r} is within {tol!r} of zero"
-            )
-        for j in range(1, N_MAX + 1):
-            if abs(abs(mh) - j * self.m) < tol:
-                raise DegenerateRateError(
-                    f"mu_hat={mh!r} collides with {math.copysign(j, mh):+.0f}*m "
-                    f"(tolerance {tol!r}); expansion denominators degenerate"
-                )
+        _require_finite(self.mu_hat, "risk-adjusted equilibrium mu_hat")
 
     @property
     def mu_hat(self) -> float:
         """Risk-adjusted spread equilibrium mu - lam*gamma/m."""
         return self.mu - self.lam * self.gamma / self.m
-
-    @property
-    def delta_gen(self) -> float:
-        """Half-width of the genericity band around 0 and +-j*m: 1e-8 * max(|mu_hat|, m)."""
-        return 1e-8 * max(abs(self.mu_hat), self.m)
 
 
 @dataclass(frozen=True)

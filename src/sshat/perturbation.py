@@ -14,10 +14,10 @@ k >= 1, and c_0 the eps-free path from l0.  Each c_k uses two families of rates,
 
 The running integral ``tau * lbar(tau) = sum_k L_k(tau) eps^k`` has
 ``L_k(t) = sum a/r (1 - exp(-r t))`` over the terms ``a exp(-r t)`` of c_k;
-the rate-zero term of c_0 gives the slope ``c01 t`` instead.  The genericity
-band of :class:`ModelParams` keeps every denominator, ``mu_hat - k m``,
-``j m`` and ``mu_hat + j m``, away from zero.  ``EllExpansion.alpha`` and
-``.beta`` hold this closed form.  Its alternating sums lose relative
+the rate-zero term of c_0 gives the slope ``c01 t`` instead.
+``EllExpansion.alpha`` and ``.beta`` hold this closed form; its only
+denominators are ``mu_hat - k m`` and ``j m``, and it is undefined where
+``mu_hat`` meets a rate ``k m``, 0 included.  Its alternating sums lose relative
 accuracy at high orders and short maturities, so every value the package
 computes, c_k(t) for ``path`` and L_k(tau) for the solve, comes from one
 quadrature of integrands of one sign instead (``_quadrature``, ``_ell_terms``).
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import DegenerateRateError, NumericalFailure
 from .params import ModelParams, N_MAX, _require_consol_rate, _require_maturity, _require_order
 
 __all__ = [
@@ -67,8 +67,15 @@ class EllExpansion:
 
 
 def _closed_form(params: ModelParams, l0: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(alpha, beta)`` of c_0..c_order by the recursion above."""
+    """Read-only ``(alpha, beta)`` of c_0..c_order by the recursion above.
+
+    Raises DegenerateRateError when ``mu_hat`` is within
+    ``1e-8 max(|mu_hat|, m)`` of some ``k m``, k = 0..order.
+    """
     mu_hat, m = params.mu_hat, params.m
+    gap = min(abs(mu_hat - k * m) for k in range(order + 1))
+    if gap < 1e-8 * max(abs(mu_hat), m):
+        raise DegenerateRateError(f"mu_hat={mu_hat!r} is within {gap!r} of some k*m, k <= {order}")
     alpha = np.empty(order + 1)
     beta = np.zeros((order + 1, order + 1))
     alpha[0] = params.sigma2 / mu_hat
@@ -111,14 +118,16 @@ def _nodes(params: ModelParams, tau: float):
     ``1/(16 m)`` wide (the boundary layer of ``h_k`` at k = N_MAX), every
     further one is at most half as wide as its distance from the nearer end
     and at most ``4/|mu_hat|`` wide.  The rule stops where ``|mu_hat| v``
-    reaches ``_EXP_LIMIT`` (``exp(-mu_hat v)`` under- or overflows), so it
-    has fewer than 5000 nodes, laid out from (params, tau) alone.  One half
-    mirrors the other: the distance from either end is exact near it.
+    reaches ``_EXP_LIMIT`` (``exp(-mu_hat v)`` under- or overflows); at
+    ``mu_hat = 0`` neither the width nor the range is bounded.  So it has
+    fewer than 5000 nodes up to ``m tau = 1e6``, and at most 32 more per
+    factor 1.5 of ``m tau`` beyond, laid out from (params, tau) alone.  One
+    half mirrors the other: the distance from either end is exact near it.
     """
-    mu_hat = params.mu_hat
-    end = min(tau, _EXP_LIMIT / abs(mu_hat))
+    rate = abs(params.mu_hat)
+    end = min(tau, _EXP_LIMIT / rate) if rate else tau
     half = 0.5 * end
-    widest = 4.0 / abs(mu_hat)
+    widest = 4.0 / rate if rate else math.inf
     first = 1.0 / (16.0 * params.m)
     # Edges from one end to the middle: they grow by half their distance
     # from the end up to 2 * widest, then step evenly by at most widest.

@@ -124,10 +124,13 @@ def test_integrate_near_zero_dynamics(base_params):
 
 
 def test_integrate_matches_closed_form_at_equilibrium(base_params):
-    state = InitialState(s0=base_params.mu_hat, l0=BASE_L0)
-    _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 1000, 2)
-    closed = abar_closed_s0_equals_muhat(base_params, BASE_L0, BASE_TAU) * BASE_TAU
-    assert tau_lbar == pytest.approx(closed, abs=1e-10)
+    # The base set, and mu_hat = 0, where the path solves dl/dt = sigma2.
+    at_zero = ModelParams(m=base_params.m, mu=0.0, gamma=0.0, sigma2=base_params.sigma2)
+    for params in (base_params, at_zero):
+        state = InitialState(s0=params.mu_hat, l0=BASE_L0)
+        _, tau_lbar = integrate_ell(state, params, BASE_TAU, 1000, 2)
+        closed = abar_closed_s0_equals_muhat(params, BASE_L0, BASE_TAU) * BASE_TAU
+        assert tau_lbar == pytest.approx(closed, abs=1e-10)
 
 
 def test_integrate_reproduces_true_values(base_params):
@@ -402,6 +405,14 @@ def test_abar_closed_stationary_start():
 
 def test_abar_closed_short_maturity_limit(base_params):
     assert abar_closed_s0_equals_muhat(base_params, BASE_L0, 1e-6) == pytest.approx(BASE_L0, abs=1e-5)
+
+
+@pytest.mark.parametrize("tau", [1e-6, 0.5, 10.0, 1000.0])
+def test_abar_closed_at_mu_hat_zero(base_params, tau):
+    # l(t) = l0 + sigma2 t, whose mean over [0, tau] is l0 + sigma2 tau / 2.
+    p = ModelParams(m=base_params.m, mu=0.0, gamma=0.0, sigma2=base_params.sigma2)
+    expected = BASE_L0 + p.sigma2 * tau / 2
+    assert abar_closed_s0_equals_muhat(p, BASE_L0, tau) == pytest.approx(expected, rel=1e-15)
 
 
 def test_abar_closed_validation(base_params):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sshat import (
@@ -10,10 +11,12 @@ from sshat import (
     ModelParams,
     N_MAX,
     build_expansion,
+    compute_oracle,
     load_config,
+    solve_shat_series,
 )
 
-from _reference import BASE
+from _reference import BASE, BASE_L0
 
 
 def test_mu_hat_base_parameters(base_params):
@@ -53,19 +56,56 @@ def test_rejects_non_finite():
         ModelParams(m=math.inf, mu=-0.01, gamma=0.007, sigma2=3e-4)
     with pytest.raises(ValueError):
         ModelParams(m=0.72, mu=math.nan, gamma=0.007, sigma2=3e-4)
+    # Finite constants whose risk adjustment lam*gamma/m overflows.
+    with pytest.raises(ValueError, match="mu_hat must be finite"):
+        ModelParams(m=1e-300, mu=0.0, gamma=1e10, sigma2=1e-4, lam=1.0)
+
+
+# ModelParams accepts every finite mu_hat.  Only the closed form of the
+# expansion (EllExpansion.alpha and .beta) divides by mu_hat - k m, so it alone
+# raises DegenerateRateError, inside 1e-8 max(|mu_hat|, m) of some k m.  The
+# reported values come from the quadrature and hold there too.
+
+
+def _assert_series_matches_oracle(p, l0=0.1):
+    """The order-N_MAX series is within 1e-13 of the RK4 oracle at p."""
+    expansion = build_expansion(p, l0, N_MAX)
+    for tau in (0.5, 5.0):
+        series = solve_shat_series(expansion, tau, l0, p, N_MAX)
+        for eps in (-0.05, 0.05):
+            state = InitialState(s0=p.mu_hat + eps, l0=l0)
+            oracle = compute_oracle(state, p, tau)
+            assert series.value(state.s0 - p.mu_hat) == pytest.approx(oracle.s_hat, abs=1e-13)
+
+
+def _assert_closed_form_rejects(p):
+    expansion = build_expansion(p, 0.1, N_MAX)
+    with pytest.raises(DegenerateRateError):
+        expansion.alpha
+    with pytest.raises(DegenerateRateError):
+        expansion.beta
 
 
 def test_rejects_mu_hat_zero():
-    with pytest.raises(DegenerateRateError):
-        ModelParams(m=0.72, mu=0.0, gamma=0.0, sigma2=3e-4, lam=0.0)
+    # The closed form divides by mu_hat itself (alpha_0 = sigma2/mu_hat).
+    _assert_closed_form_rejects(ModelParams(m=0.72, mu=0.0, gamma=0.0, sigma2=3e-4, lam=0.0))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-12, 5e-324, 0.72, -0.72, 1.44, -1.44])
+def test_accepts_mu_hat_zero_and_multiples_of_m(mu):
+    p = ModelParams(m=0.72, mu=mu, gamma=0.0, sigma2=3e-4)
+    assert p.mu_hat == mu
+    _assert_series_matches_oracle(p)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_genericity_rejects_near_multiples(j):
-    # mu_hat = j*m*(1 + 0.5e-8) sits half a tolerance away from j*m.
+    # mu_hat = j*m*(1 + 0.5e-8) sits half a tolerance away from j*m: the
+    # closed form rejects it, and the series still holds.
     m = 0.72
-    with pytest.raises(DegenerateRateError):
-        ModelParams(m=m, mu=j * m * (1 + 0.5e-8), gamma=0.0, sigma2=3e-4)
+    p = ModelParams(m=m, mu=j * m * (1 + 0.5e-8), gamma=0.0, sigma2=3e-4)
+    _assert_closed_form_rejects(p)
+    _assert_series_matches_oracle(p)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -73,26 +113,28 @@ def test_genericity_accepts_just_outside_band(j):
     m = 0.72
     p = ModelParams(m=m, mu=j * m * (1 + 3e-8), gamma=0.0, sigma2=3e-4)
     assert p.mu_hat == pytest.approx(j * m, rel=1e-7)
-    assert build_expansion(p, 0.1, N_MAX).order == N_MAX
+    assert np.isfinite(build_expansion(p, 0.1, N_MAX).alpha).all()
 
 
 @pytest.mark.parametrize("mu", [-0.72 + 5e-9, -1.44 + 1e-8])
 def test_genericity_rejects_near_negative_multiples(mu):
-    # Inside the band around -j*m the expansion build would fail, so
-    # validation must reject the parameters up front.
-    with pytest.raises(DegenerateRateError):
-        ModelParams(m=0.72, mu=mu, gamma=0.0, sigma2=3e-4)
+    # mu_hat - k m is at least |mu_hat| for mu_hat < 0, so nothing divides by
+    # a small number near -j m: the closed form and the series both hold.
+    p = ModelParams(m=0.72, mu=mu, gamma=0.0, sigma2=3e-4)
+    assert np.isfinite(build_expansion(p, 0.1, N_MAX).beta).all()
+    _assert_series_matches_oracle(p)
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_genericity_accepts_just_outside_negative_band(j):
     m = 0.72
     p = ModelParams(m=m, mu=-j * m * (1 + 3e-8), gamma=0.0, sigma2=3e-4)
-    assert build_expansion(p, 0.1, N_MAX).order == N_MAX
+    assert np.isfinite(build_expansion(p, 0.1, N_MAX).alpha).all()
 
 
 def test_genericity_accepts_base(base_params):
-    assert base_params.delta_gen == pytest.approx(7.2e-9)
+    alpha = build_expansion(base_params, BASE_L0, N_MAX).alpha
+    assert alpha.shape == (N_MAX + 1,) and np.isfinite(alpha).all()
 
 
 def test_initial_state_requires_positive_l0():

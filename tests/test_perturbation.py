@@ -233,11 +233,12 @@ def test_build_expansion_validation(base_params):
         build_expansion(base_params, 0.0, 3)
 
 
-@pytest.mark.parametrize("mu", [-0.01, 0.01])
+@pytest.mark.parametrize("mu", [-0.01, 0.0, 0.01])
 def test_quadrature_nodes_are_bounded(mu):
     # The rule stops where |mu_hat| v leaves the range of exp, so no
     # maturity needs more than 10^4 nodes; past that point exp(-mu_hat v)
     # overflows (the coefficients raise) or underflows (they stay finite).
+    # At mu_hat = 0 the count grows only with log(m tau).
     params = ModelParams(**{**BASE, "mu": mu})
     for tau in np.logspace(-6, 6, 61).tolist():
         v, u, w = _nodes(params, tau)
