@@ -142,30 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    file_params = file_state = None
+    """The base settings, or a ``--params`` file's in their place; every flag given wins over either."""
+    params, state = BASE_PARAMS, InitialState(s0=DEFAULT_S0, l0=DEFAULT_L0)
     if getattr(args, "params", None):
-        file_params, file_state = load_config(args.params)
-
-    def pick(flag, file_value, default):
-        if flag is not None:
-            return flag
-        if file_value is not None:
-            return file_value
-        return default
-
-    params = file_params if file_params is not None else BASE_PARAMS
-    s0 = pick(getattr(args, "s0", None), file_state.s0 if file_state else None, DEFAULT_S0)
-    l0 = pick(getattr(args, "l0", None), file_state.l0 if file_state else None, DEFAULT_L0)
-    tau = pick(getattr(args, "tau", None), None, DEFAULT_TAU)
-    order = pick(getattr(args, "order", None), None, DEFAULT_ORDER)
+        params, state = load_config(args.params)
+    s0, l0, tau, order, steps = (getattr(args, name, None) for name in ("s0", "l0", "tau", "order", "steps"))
+    tau = DEFAULT_TAU if tau is None else tau
     _require_maturity(tau)
-    steps = pick(getattr(args, "steps", None), None, default_n_steps(tau))
     return RunConfig(
         params=params,
-        state=InitialState(s0=s0, l0=l0),
+        state=InitialState(s0=state.s0 if s0 is None else s0, l0=state.l0 if l0 is None else l0),
         tau=tau,
-        order=order,
-        n_steps=steps,
+        order=DEFAULT_ORDER if order is None else order,
+        n_steps=default_n_steps(tau) if steps is None else steps,
         fmt=getattr(args, "fmt", "csv"),
         out=getattr(args, "out", None),
     )

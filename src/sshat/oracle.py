@@ -77,9 +77,11 @@ _MAX_NEWTON_ITERATIONS = 200
 class OracleResult:
     """Numerically computed integral term and root, with solver diagnostics.
 
-    ``iterations`` counts the passes of the safeguarded Newton loop,
-    ``bisections`` those of them that fell back to bisection, and
-    ``widenings`` the doublings of the initial bracket.
+    ``steps`` is the RK4 step count that produced ``tau_lbar``, or 0 when
+    it is unknown (``solve_shat_numeric``).  ``iterations`` counts the
+    passes of the safeguarded Newton loop, ``bisections`` those of them
+    that fell back to bisection, and ``widenings`` the doublings of the
+    initial bracket.
     """
 
     tau_lbar: float
@@ -223,7 +225,7 @@ def _scan_pass(state, eps: np.ndarray, params: ModelParams, h: float, first: int
     per eps.  ``work`` has shape (_WORK_ROWS, blocks, eps, _BLOCK).
     ``reads`` are ascending step counts within the pass, from 1 to
     ``blocks * _BLOCK``.  Returns the state after the pass and, if there
-    are reads, ``(a_p, a_q, p, q)`` after each of them, shape (eps, reads).
+    are reads, ``(a_p, a_q, p, q)`` after each of them, shape (reads, eps).
     """
     blocks = work.shape[1]
     t = (np.arange(first * _BLOCK, (first + blocks) * _BLOCK) * h).reshape(blocks, 1, _BLOCK)
@@ -253,9 +255,9 @@ def _scan_pass(state, eps: np.ndarray, params: ModelParams, h: float, first: int
     j, k = np.divmod(reads - 1, _BLOCK)
     held, j_held = np.unique(j, return_inverse=True)
     return state, _advance(
-        np.array(starts)[j].transpose(1, 2, 0),
-        *(y[j, :, k].T for y in (log_r, r, sums)),
-        *(_prefix(y[held])[j_held, :, k].T for y in (c, d)),
+        np.array(starts)[j].transpose(1, 0, 2),
+        *(y[j, :, k] for y in (log_r, r, sums)),
+        *(_prefix(y[held])[j_held, :, k] for y in (c, d)),
     )
 
 
@@ -321,7 +323,7 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
                 pass_work = work[:, : blocks * size * _BLOCK].reshape(_WORK_ROWS, blocks, size, _BLOCK)
                 state, read = _scan_pass(state, group, params, h, first, ends[i_end:stop] - first * _BLOCK, pass_work)
                 if read is not None:
-                    reads[:, i_end:stop, g : g + size] = np.swapaxes(read, 1, 2)
+                    reads[:, i_end:stop, g : g + size] = read
                     i_end = stop
         a_p, a_q, p, q = reads
         return a_p[:, row] * l0 + a_q[:, row], p[:, row] * l0 + q[:, row]
@@ -381,6 +383,7 @@ def abar_closed_s0_equals_muhat(params: ModelParams, l0: float, tau: float) -> f
     which is ``l0 + sigma2 tau / 2`` at mu_hat = 0.
     """
     tau = _require_maturity(tau)
+    l0 = _require_consol_rate(l0)
     with np.errstate(all="ignore"):
         phi1, phi2 = _phi(np.array([params.mu_hat * tau]))[:2, 0]
     return float(l0 * phi1 - params.sigma2 * tau * phi2)
@@ -553,7 +556,6 @@ def solve_shat_numeric(
     params: ModelParams,
     tau: float,
     eps_hint: float = 0.0,
-    n_steps: int = 0,
 ) -> OracleResult:
     """Root of the defining equation near mu_hat, by safeguarded Newton.
 
@@ -564,10 +566,9 @@ def solve_shat_numeric(
     steps that leave the current bracket, or that fail to halve it, fall back
     to bisection silently.
 
-    ``eps_hint`` sizes the bracket only; ``n_steps`` is carried into the
-    result as a record of the integrator resolution that produced
-    ``tau_lbar`` (zero when unknown).  A batch of one of the solve that
-    ``compute_oracles`` runs.
+    ``eps_hint`` sizes the bracket only.  The result's ``steps`` is 0: the
+    integrator resolution that produced ``tau_lbar`` is unknown here.  A
+    batch of one of the solve that ``compute_oracles`` runs.
     """
     tau = _require_maturity(tau)
     tau_lbar = _require_finite(tau_lbar, "tau_lbar")
@@ -575,7 +576,7 @@ def solve_shat_numeric(
     eps_hint = _require_finite(eps_hint, "eps_hint")
     tl = np.array([tau_lbar])
     roots = _solve_roots(tl, np.array([l0]), params, np.array([tau]), np.array([eps_hint]))
-    return _results(tl, roots, n_steps)[0]
+    return _results(tl, roots, 0)[0]
 
 
 def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Sequence[float], n_steps: int | None = None):

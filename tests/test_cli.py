@@ -408,12 +408,13 @@ def test_sweep_bytes_equal_row_by_row_reference_multi_span(monkeypatch, tmp_path
 
 
 def test_sweep_memory_does_not_grow_with_the_pairs(tmp_path):
-    # The solve runs in blocks of _BLOCK pairs; at order 16 a block's two
-    # (order+1)^2 tables take 2 * 17^2 * _BLOCK * 8 bytes = 4.7 MB.  The bound,
-    # three times that, does not depend on the grid: besides the block's
-    # arrays and one write span of rows, only the values array (8 bytes a
-    # point, 0.7 MB here) grows with it.  Unblocked, the tables alone would
-    # take 2 * 17^2 * 90000 * 8 bytes = 416 MB here.
+    # The solve runs in blocks of _BLOCK pairs; at order 16 a block's
+    # (order+1)^2 table of powers takes 17^2 * _BLOCK * 8 bytes = 2.4 MB.  The
+    # bound, six times that (14.2 MB), does not depend on the grid: besides
+    # the block's arrays and one write span of rows, only the values array
+    # (8 bytes a point, 0.7 MB here) grows with it.  The peak is about
+    # 7.3 MB.  Unblocked, the table alone would take 17^2 * 90000 * 8 bytes
+    # = 208 MB here.
     bound = 3 * 2 * 17**2 * _BLOCK * 8
     target = tmp_path / "wide.csv"
     argv = ["sweep", "--order", "16", "--s0-grid=0:0:1", "--l0-grid=0.01:0.2:300", "--tau-grid=0.5:10:300"]
@@ -551,6 +552,8 @@ def test_sweep_rejects_bad_grids(capsys):
     assert run(capsys, "sweep", "--s0-grid", "nope")[0] == 1
     assert run(capsys, "sweep", "--l0-grid", "0:0.2:5")[0] == 1
     assert run(capsys, "sweep", "--tau-grid", "0:1:2")[0] == 1
+    assert run(capsys, "sweep", "--s0-grid=a:b:c") == (1, "", "error: --s0-grid must look like LO:HI:N, got 'a:b:c'\n")
+    assert run(capsys, "sweep", "--l0-grid=0.1:0.2:0") == (1, "", "error: --l0-grid: N must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("grid", ["--s0-grid=nan:nan:1", "--s0-grid=inf:inf:1", "--tau-grid=nan:nan:1"])
@@ -562,18 +565,18 @@ def test_sweep_rejects_non_finite_grid_ends(capsys, grid, oracle):
     assert grid.split("=")[0] in err and "finite" in err
 
 
-def test_config_file_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text(BASE_CONFIG, encoding="utf-8")
-    rc, out_file, _ = run(capsys, "shat", "--params", str(cfg), "--format", "csv")
-    rc2, out_default, _ = run(capsys, "shat", "--s0", "-0.05", "--format", "csv")
-    assert rc == rc2 == 0
-    assert out_file == out_default
-    # A flag wins over the file value.
-    rc, out_override, _ = run(capsys, "shat", "--params", str(cfg), "--s0", "0.05", "--format", "csv")
-    rc2, out_flag, _ = run(capsys, "shat", "--s0", "0.05", "--format", "csv")
-    assert rc == rc2 == 0
-    assert out_override == out_flag
+@pytest.mark.parametrize("command", ["shat", "abar", "path", "tables"])
+def test_config_file_and_flag_override(tmp_path, capsys, command):
+    # The file's values replace the defaults; a flag wins over the file value.
+    cfg = tmp_path / "l0.cfg"
+    cfg.write_text(BASE_CONFIG.replace("l0 = 0.1", "l0 = 0.2"), encoding="utf-8")
+    cases = [(("--params", str(cfg)), ("--l0", "0.2")), (("--params", str(cfg), "--l0", "0.05"), ("--l0", "0.05"))]
+    if command != "tables":
+        cases.append((("--params", str(cfg), "--s0", "0.05"), ("--l0", "0.2", "--s0", "0.05")))
+    for with_file, flags_only in cases:
+        expected = run(capsys, command, *flags_only)
+        assert expected[0] == 0
+        assert run(capsys, command, *with_file) == expected
 
 
 def test_invalid_config_file(tmp_path, capsys):
@@ -590,6 +593,20 @@ def test_missing_params_file_is_validation_error(tmp_path, capsys, command):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ") and "absent.cfg" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["shat"], 0), (["shat", "--bogus"], 1), (["shat", "--s0=-50000"], 2), (["tables", "--check"], 3)],
+    ids=["success", "validation", "numerical", "check"],
+)
+def test_console_main_exits_with_the_status_of_main(monkeypatch, capsys, argv, code):
+    # The installed sshat script calls console_main, which reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["sshat", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        sshat.cli.console_main()
+    assert exit_info.value.code == code
+    assert capsys.readouterr().err.startswith(("", "error: ", "numerical failure: ", "reference check failed:\n")[code])
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -418,6 +418,10 @@ def test_abar_closed_at_mu_hat_zero(base_params, tau):
 def test_abar_closed_validation(base_params):
     with pytest.raises(ValueError):
         abar_closed_s0_equals_muhat(base_params, BASE_L0, 0.0)
+    # The l0 that InitialState and build_expansion reject.
+    for l0 in (-0.1, 0.0, math.nan):
+        with pytest.raises(ValueError, match="l0"):
+            abar_closed_s0_equals_muhat(base_params, l0, BASE_TAU)
 
 
 def test_solve_validation(base_params):
