@@ -86,8 +86,8 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
     sum over the order index adds in a fixed order, so each pair has the
     bits of a grid of that pair alone.  Raises
-    NumericalFailure at the first maturity where ``_quadrature`` overflows,
-    before the first block.
+    NumericalFailure at the first block that holds a maturity where
+    ``_quadrature`` overflows or f_1 is not a normal double.
     """
     n = max(order, 1)
     k0 = params.mu_hat
@@ -107,6 +107,12 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
         if not np.isfinite(f).all():
             t = taus[i_tau[np.isfinite(f).all(axis=0).argmin()]]
             raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * t!r}")
+        # Every order divides by f_1, about -l0 tau^2 / 2: below a normal
+        # double (tau under about 1e-154) the quotients lose their digits or are NaN.
+        underflowed = np.abs(f[1]) < np.finfo(float).tiny
+        if underflowed.any():
+            t = taus[i_tau[underflowed.argmax()]]
+            raise NumericalFailure(f"the slope f_1 of F underflowed at tau={t!r}")
 
         # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
         # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
@@ -173,7 +179,8 @@ def solve_shat_series(
     k_0 equals mu_hat; each k_n for n >= 1 is read off its own order with
     the slope f_1 = F'(mu_hat), which is strictly negative for l0 > 0.
     ``l0`` and ``params`` must be the ones ``expansion`` was built from.
-    Raises NumericalFailure when the Taylor coefficients of F overflow.
+    Raises NumericalFailure when the Taylor coefficients of F overflow or
+    f_1 underflows below a normal double.
     """
     _require_match(expansion, l0, params)
     _require_maturity(tau)

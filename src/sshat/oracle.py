@@ -95,19 +95,25 @@ class OracleResult:
     widenings: int
 
 
-def default_n_steps(tau: float) -> int:
-    """Default integrator resolution: at least 1000 steps, 1000 per year."""
-    return max(1000, math.ceil(1000 * _require_maturity(tau)))
-
-
 # The most RK4 steps one maturity may take: about 1.5 s of scan for one s0
 # on a 2-vCPU x86_64 VM, in memory that does not grow with the count.
 _MAX_STEPS = 10**7
 
 
-def _require_steps(n_steps: int) -> None:
+def _require_steps(n_steps: float) -> None:
     if not 16 <= n_steps <= _MAX_STEPS:
         raise ValueError(f"n_steps must be in [16, {_MAX_STEPS}], got {n_steps}")
+
+
+def default_n_steps(tau: float) -> int:
+    """Default integrator resolution: at least 1000 steps, 1000 per year.
+
+    Raises ValueError where that is more than the integrator takes, as for
+    an explicit step count (past tau = 10^4, and where 1000 tau overflows).
+    """
+    steps = max(1000.0, 1000 * _require_maturity(tau))
+    _require_steps(steps)
+    return math.ceil(steps)
 
 
 # RK4 steps per block of the scan.  Blocks are laid out from step 0 and the
@@ -118,10 +124,6 @@ _BLOCK = 256
 # many whole blocks as fit, and at least one.  Below 32 distinct eps each of
 # a pass's per-step arrays stays at 64 kB, at any maturity.
 _PASS_ELEMENTS = 8192
-# Prefix sums within a block run over sub-blocks of _RUN steps first, then
-# over the sub-block totals: each sum adds at most 2 * _BLOCK / _RUN terms
-# in sequence instead of _BLOCK.
-_RUN = 16
 # Distinct eps per scan.  A pass holds at least one block, 8 x _BLOCK doubles
 # per eps, so groups keep the work array at 4 MB for any number of distinct s0.
 # Each scan loops over the blocks in Python: groups of 32 made 1000 distinct
@@ -132,15 +134,6 @@ _GROUP = 256
 # allocating a pass's arrays anew each time costs page faults on the order
 # of its arithmetic.
 _WORK_ROWS = 8
-
-
-def _prefix(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inclusive prefix sums of each block of _BLOCK steps (the last axis), two-level, into ``out``."""
-    out = np.empty_like(x) if out is None else out
-    runs = out.reshape(-1, _BLOCK // _RUN, _RUN)
-    np.cumsum(x.reshape(runs.shape), axis=2, out=runs)
-    runs[:, 1:] += runs[:, :-1, -1].cumsum(axis=1)[:, :, None]
-    return out
 
 
 def _step_coefficients(e: np.ndarray, t: np.ndarray, h: float, params: ModelParams, work: np.ndarray):
@@ -198,11 +191,11 @@ def _step_coefficients(e: np.ndarray, t: np.ndarray, h: float, params: ModelPara
 def _advance(state, log_r, r, sums, big_c, big_d):
     """``(a_p, a_q, p, q)`` after the first k steps of a block, from ``state`` before it.
 
-    The other arguments are log R, R and S at the block's column k - 1 and
-    C and D over its first k steps, elementwise against ``state``.  A block
-    factor R near 1 rounds the same way in every block when s is constant,
-    and those roundings would add up, so p and q take it as x + x (R - 1);
-    for R far below 1 that sum would cancel, and the product is kept.
+    The other arguments are the columns log R, R, S, C and D at the block's
+    column k - 1, elementwise against ``state``.  A block factor R near 1
+    rounds the same way in every block when s is constant, and those
+    roundings would add up, so p and q take it as x + x (R - 1); for R far
+    below 1 that sum would cancel, and the product is kept.
     """
     a_p, a_q, p, q = state
     rm1 = np.expm1(log_r)
@@ -226,39 +219,38 @@ def _scan_pass(state, eps: np.ndarray, params: ModelParams, h: float, first: int
     ``reads`` are ascending step counts within the pass, from 1 to
     ``blocks * _BLOCK``.  Returns the state after the pass and, if there
     are reads, ``(a_p, a_q, p, q)`` after each of them, shape (reads, eps).
+
+    The pass builds five columns per block, each one prefix sum along the
+    steps: log R, R, S, C and D.  Every state comes from ``_advance`` on
+    them: a block's carry from its start and its last column, and a read at
+    step k of block j from the start of block j and its column k - 1.
     """
     blocks = work.shape[1]
     t = (np.arange(first * _BLOCK, (first + blocks) * _BLOCK) * h).reshape(blocks, 1, _BLOCK)
     alpha, c, b, d = _step_coefficients(eps[:, None], t, h, params, work)
-    log_r, r, sums, x = work[4:]
-    np.log1p(alpha, out=x)
-    _prefix(x, log_r)
+    log_r, r = work[4:6]
+    np.log1p(alpha, out=log_r)
+    np.cumsum(log_r, axis=2, out=log_r)
     np.exp(log_r, out=r)
-    np.negative(log_r, out=x)
-    np.exp(x, out=x)
-    x *= b
-    _prefix(x, sums)
-    # c_j R_j and c_j R_j S_j + d_j, with R and S before each step (1 and 0 before the first).
+    # S over b_j / R_(j+1), in place over b.
+    b /= r
+    np.cumsum(b, axis=2, out=b)
+    # c_j R_j and c_j R_j S_j + d_j, with R and S before each step (1 and 0
+    # before the first), then C and D over them in place.
     c[..., 1:] *= r[..., :-1]
-    np.multiply(c[..., 1:], sums[..., :-1], out=x[..., 1:])
-    d[..., 1:] += x[..., 1:]
-    c_total = c.sum(axis=2)
-    d_total = d.sum(axis=2)
+    np.multiply(c[..., 1:], b[..., :-1], out=alpha[..., 1:])
+    d[..., 1:] += alpha[..., 1:]
+    np.cumsum(c, axis=2, out=c)
+    np.cumsum(d, axis=2, out=d)
+    columns = (log_r, r, b, c, d)
     starts = []
     for j in range(blocks):
         starts.append(state)
-        state = _advance(state, log_r[j, :, -1], r[j, :, -1], sums[j, :, -1], c_total[j], d_total[j])
+        state = _advance(state, *(y[j, :, -1] for y in columns))
     if not reads.size:
         return state, None
-    # A read takes the prefix sums of c R and c R S + d over its block's
-    # first k steps, computed for the blocks that hold reads.
     j, k = np.divmod(reads - 1, _BLOCK)
-    held, j_held = np.unique(j, return_inverse=True)
-    return state, _advance(
-        np.array(starts)[j].transpose(1, 0, 2),
-        *(y[j, :, k] for y in (log_r, r, sums)),
-        *(_prefix(y[held])[j_held, :, k] for y in (c, d)),
-    )
+    return state, _advance(np.array(starts)[j].transpose(1, 0, 2), *(y[j, :, k] for y in columns))
 
 
 def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: Sequence[int]):
@@ -276,7 +268,9 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     log1p(alpha_j): a running product of 1 + alpha_j would round each
     factor, which costs about n u / 2 over n steps.  The prefix sums restart
     in each block, so the exponentials stay in range even where the product
-    over the whole interval underflows.
+    over the whole interval underflows.  Each is one plain running sum of at
+    most _BLOCK terms, whose rounding stays far inside the budget of the
+    carry (Higham, SIAM J. Sci. Comput. 14, 1993).
 
     l and A are affine in l0, so each distinct eps is integrated once, with
     l = p l0 + q and A = a_p l0 + a_q carried from block to block; a state
@@ -289,13 +283,13 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     of a scan (``_scan_pass``) computes these per-step arrays for as many
     whole blocks as ``_PASS_ELEMENTS`` holds, the last block running past
     the last end, in one work array that every pass reuses; only the carry
-    loops over the pass's blocks.  Every
-    operation is elementwise over eps or runs along the steps, and an end
-    reads its block's column k - 1, so prefix sums and RK4 being causal,
-    every row at every end is bitwise equal to the same state integrated
-    alone to that end.  A step whose factor 1 + alpha_j is not positive
-    (only with steps far too long for the spread's decay) makes the state
-    non-finite.
+    loops over the pass's blocks.  Every operation is elementwise over eps
+    or runs along the steps, and an end at step k of a block reads its
+    column k - 1 as a carry reads the last (``_scan_pass``), so prefix sums
+    and RK4 being causal, every row at every end is bitwise equal to the
+    same state integrated alone to that end.  A step whose factor
+    1 + alpha_j is not positive (only with steps far too long for the
+    spread's decay) makes the state non-finite.
 
     Returns ``(tau_lbar, ell)``, A and l per end and state, shape
     (len(ends), states); nothing is kept per step beyond the current pass.

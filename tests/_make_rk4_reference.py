@@ -1,8 +1,9 @@
 """Regenerate the exact-arithmetic RK4 values frozen in _reference.py.
 
 Run ``python tests/_make_rk4_reference.py``; it needs mpmath, which the
-package itself does not use, and takes about half a minute.  It prints the
-``RK4_REFERENCE`` table to paste into _reference.py.
+package itself does not use, and takes about two minutes.  It prints the
+``RK4_REFERENCE`` and ``RK4_REFERENCE_LONG`` tables to paste into
+_reference.py.
 
 The values are the discrete classical RK4 solution of
 
@@ -28,6 +29,8 @@ import mpmath as mp
 BASE = dict(m=0.72, mu=-0.01, gamma=0.007, sigma2=0.0003, lam=0.0)
 L0 = 0.1
 CASES = ((1.0, 1000), (10.0, 10000))
+# tau = 100 at the default 1000 steps per year: 391 blocks of the package's scan.
+LONG_CASES = ((100.0, 100000),)
 
 
 def double_inputs(s0_of, tau, n_steps):
@@ -71,10 +74,11 @@ def exact_integral(eps, mu_hat, m, sigma2, l0, h, n_steps):
     return mp.quad(ell, mp.linspace(0, tau, 5))
 
 
-def main():
+def table(cases):
+    """(n_steps, A(tau), l(tau)) keyed by (s0, tau), for each (tau, n_steps) of ``cases``."""
     rows = {}
     for name, s0_of in (("-0.05", lambda mh: -0.05), ("mu_hat", lambda mh: mh), ("0.05", lambda mh: 0.05)):
-        for tau, n_steps in CASES:
+        for tau, n_steps in cases:
             s0, inputs = double_inputs(s0_of, tau, n_steps)
             mp.mp.dps = 40
             acc, ell = rk4(**inputs)
@@ -86,10 +90,15 @@ def main():
             exact = exact_integral(**inputs)
             assert abs(acc - exact) < mp.mpf("1e-11"), (name, tau, acc - exact)
             rows[s0, tau] = (n_steps, float(acc), float(ell))
-    print("RK4_REFERENCE = {")
-    for (s0, tau), (n_steps, acc, ell) in rows.items():
-        print(f"    ({s0!r}, {tau!r}): ({n_steps}, {acc!r}, {ell!r}),")
-    print("}")
+    return rows
+
+
+def main():
+    for title, cases in (("RK4_REFERENCE", CASES), ("RK4_REFERENCE_LONG", LONG_CASES)):
+        print(f"{title} = {{")
+        for (s0, tau), (n_steps, acc, ell) in table(cases).items():
+            print(f"    ({s0!r}, {tau!r}): ({n_steps}, {acc!r}, {ell!r}),")
+        print("}")
 
 
 if __name__ == "__main__":

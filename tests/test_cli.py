@@ -170,8 +170,24 @@ def test_path_order3_beats_order1(capsys):
         ("shat", "--steps", "100000000000"),
         ("abar", "--steps", "10000001"),
         ("path", "--tau", "20000"),
+        # 1000 steps per year is inf past tau = 1.8e305.
+        ("shat", "--tau", "1e306"),
+        ("abar", "--tau", "1e306"),
+        ("path", "--tau", "1e306"),
+        ("tables", "--tau", "1e306"),
+        ("sweep", "--oracle", "--tau-grid=1e306:1e306:1"),
     ],
-    ids=["sweep_default_steps", "shat_steps", "abar_steps", "path_default_steps"],
+    ids=[
+        "sweep_default_steps",
+        "shat_steps",
+        "abar_steps",
+        "path_default_steps",
+        "shat_overflow",
+        "abar_overflow",
+        "path_overflow",
+        "tables_overflow",
+        "sweep_overflow",
+    ],
 )
 def test_step_count_bound_is_validation_error(monkeypatch, capsys, argv):
     def no_scan(*args, **kwargs):
@@ -613,6 +629,18 @@ def test_numerical_failure_exit_code(capsys):
     rc, _, err = run(capsys, "shat", "--s0", "-50000")
     assert rc == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("shat", "--tau", "1e-300"), ("tables", "--tau", "1e-300"), ("sweep", "--tau-grid=1e-300:1e-300:1")],
+    ids=["shat", "tables", "sweep"],
+)
+def test_subnormal_slope_is_numerical_failure(capsys, argv):
+    # The series solve divides by f_1, about -l0 tau^2 / 2, subnormal here.
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "numerical failure: the slope f_1 of F underflowed at tau=1e-300" in err
 
 
 def test_out_writes_file_and_keeps_stdout_clean(tmp_path, capsys):

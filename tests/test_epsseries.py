@@ -102,6 +102,16 @@ def test_exp_overflow_raises(base_params):
     assert all(map(math.isfinite, solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3).k))
 
 
+def test_subnormal_slope_raises(base_params, base_expansion):
+    # f_1 is about -l0 tau^2 / 2, below the smallest normal double from
+    # tau = 1e-154 on, and every order divides by it.
+    with pytest.raises(NumericalFailure, match="f_1 of F underflowed at tau=1e-160"):
+        solve_shat_series(base_expansion, 1e-160, BASE_L0, base_params, 3)
+    with pytest.raises(NumericalFailure, match="f_1 of F underflowed at tau=1e-300"):
+        next(_solve_grid(base_params, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1e-300])))
+    assert all(map(math.isfinite, solve_shat_series(base_expansion, 1e-150, BASE_L0, base_params, 3).k))
+
+
 def test_residual_vanishes_at_solution(base_params, base_expansion):
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
     assert len(shat.residuals) == 4

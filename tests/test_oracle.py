@@ -40,6 +40,7 @@ from _reference import (
     BASE_TAU,
     PHI_REFERENCE,
     RK4_REFERENCE,
+    RK4_REFERENCE_LONG,
     ROOT_PARAMS,
     ROOT_REFERENCE,
     TABLE_S0,
@@ -52,6 +53,10 @@ def test_default_step_counts():
     assert default_n_steps(1.0) == 1000
     assert default_n_steps(0.25) == 1000
     assert default_n_steps(30.0) == 30000
+    # Past tau = 10^4 the count exceeds the bound, and past 1.8e305 it is inf.
+    for tau in (10000.5, 1e306):
+        with pytest.raises(ValueError, match=r"n_steps must be in \[16, 10000000\]"):
+            default_n_steps(tau)
 
 
 def test_integrate_validation(base_params):
@@ -87,7 +92,8 @@ def _no_scan(*args, **kwargs):
 )
 def test_step_count_is_bounded_before_any_scan(monkeypatch, base_params, call):
     monkeypatch.setattr(sshat.oracle, "_rk4", _no_scan)
-    for n in (10**7 + 1, 10**15):
+    # At 10^309, 1000 steps per year of tau = n / 1000 overflow to inf.
+    for n in (10**7 + 1, 10**15, 10**309):
         with pytest.raises(ValueError, match=r"n_steps must be in \[16, 10000000\]"):
             call(base_params, n)
     with pytest.raises(AssertionError, match="scan started"):
@@ -237,6 +243,17 @@ def test_integrate_matches_exact_rk4(base_params, s0, tau):
     path, tau_lbar = integrate_ell(state, base_params, tau, n_steps, n_steps + 1)
     assert abs(tau_lbar - acc) <= 1e-15 * acc
     assert abs(path[-1, 1] - ell) <= 1e-15 * ell
+
+
+@pytest.mark.parametrize("s0, tau", sorted(RK4_REFERENCE_LONG))
+def test_long_integration_matches_exact_rk4(base_params, s0, tau):
+    # 100000 steps over 391 blocks of the scan: its rounding stays within
+    # 3e-15 relative of the same steps in exact arithmetic.
+    n_steps, acc, ell = RK4_REFERENCE_LONG[s0, tau]
+    state = InitialState(s0=base_params.mu_hat if s0 == BASE_MU_HAT else s0, l0=BASE_L0)
+    path, tau_lbar = integrate_ell(state, base_params, tau, n_steps, 2)
+    assert abs(tau_lbar - acc) <= 3e-15 * acc
+    assert abs(path[-1, 1] - ell) <= 3e-15 * ell
 
 
 def test_long_batch_memory_is_bounded(base_params):
