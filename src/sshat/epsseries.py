@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .params import ModelParams, _require_maturity
+from .params import ModelParams, _require_index, _require_maturity
 from .perturbation import EllExpansion, _quadrature, tau_lbar_terms
 
 __all__ = [
@@ -157,8 +157,7 @@ class ShatExpansion:
         the bits of the float call at that element.
         """
         upto = self.order if order is None else order
-        if not 0 <= upto <= self.order:
-            raise ValueError(f"order must be in [0, {self.order}], got {order}")
+        _require_index(upto, "order", 0, self.order)
         return deque(_partial_sums(self.k[: upto + 1], eps), maxlen=1)[0]
 
 
@@ -184,8 +183,7 @@ def solve_shat_series(
     """
     _require_match(expansion, l0, params)
     _require_maturity(tau)
-    if not 0 <= order <= expansion.order:
-        raise ValueError(f"order must be in [0, {expansion.order}], got {order}")
+    _require_index(order, "order", 0, expansion.order)
     ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([float(l0)]), np.array([float(tau)]))
     return ShatExpansion(
         tau=tau,

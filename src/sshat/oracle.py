@@ -26,8 +26,8 @@ The iteration therefore runs on the deflated residual q(s) = g(s) / s^2,
 which is exactly the residual of the original (uncleared) equation scaled by
 tau, is regular and strictly monotone in s for l0 > 0, and has the single
 root of interest.  The reported residual is |g| at the returned root, per
-the result contract; a root is accepted when that is within TOL_ROOT or
-within the rounding floor of g (``_ROOT_ROUNDING``).
+the result contract; a root is accepted when that is within the rounding
+floor of g (``_ROOT_ROUNDING``).
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BracketingError, NumericalFailure
-from .params import InitialState, ModelParams, _require_consol_rate, _require_finite, _require_maturity
+from .params import InitialState, ModelParams, _require_consol_rate, _require_finite, _require_index, _require_maturity
 from .perturbation import _GAUSS_NODES, _GAUSS_WEIGHTS
 
 __all__ = [
-    "TOL_ROOT",
     "OracleResult",
     "default_n_steps",
     "integrate_ell",
@@ -54,19 +53,15 @@ __all__ = [
     "compute_oracles",
 ]
 
-# Absolute tolerance on the cleared-equation residual at the returned root.
-# The Newton iteration itself runs to machine-level step sizes, so the final
-# residual is typically many orders below this.
-TOL_ROOT = 1e-12
-# A root is also accepted when its residual is within the rounding floor of g,
+# A root is accepted when its residual is within the rounding floor of g,
 # _ROOT_ROUNDING (1 + |s tau|) u S, with S the sum of the magnitudes of g's
-# three terms and u the unit roundoff.  Rounding s tau perturbs exp(-s tau) by
-# up to |s tau| u, so g is evaluated to within about (|s tau| + 6) u S; and
-# the double nearest the root is within u |s| of it, where
-# |s g'(s)| <= (|s tau| + 2) S, which adds (|s tau| + 2) u S.  A correctly
-# rounded root thus has |g| <= (2 |s tau| + 8) u S, inside the floor.  Where
-# tau_lbar is large the floor is far above TOL_ROOT: 3e-9 at tau = 50 with
-# m = 0.5 and mu_hat = -0.3 (tau_lbar 1e6), 1e236 at s0 = -800.
+# three terms and u the unit roundoff: a backward-error test that judges |g|
+# against the rounding of its own terms, where an absolute bound would pass
+# any s at tiny tau.  Rounding s tau perturbs exp(-s tau) by up to |s tau| u,
+# so g is evaluated to within about (|s tau| + 6) u S; and the double nearest
+# the root is within u |s| of it, where |s g'(s)| <= (|s tau| + 2) S, which
+# adds (|s tau| + 2) u S.  A correctly rounded root thus has
+# |g| <= (2 |s tau| + 8) u S, inside the floor.
 _ROOT_ROUNDING = 8.0
 
 _MAX_BRACKET_WIDENINGS = 5
@@ -100,11 +95,6 @@ class OracleResult:
 _MAX_STEPS = 10**7
 
 
-def _require_steps(n_steps: float) -> None:
-    if not 16 <= n_steps <= _MAX_STEPS:
-        raise ValueError(f"n_steps must be in [16, {_MAX_STEPS}], got {n_steps}")
-
-
 def default_n_steps(tau: float) -> int:
     """Default integrator resolution: at least 1000 steps, 1000 per year.
 
@@ -112,7 +102,9 @@ def default_n_steps(tau: float) -> int:
     an explicit step count (past tau = 10^4, and where 1000 tau overflows).
     """
     steps = max(1000.0, 1000 * _require_maturity(tau))
-    _require_steps(steps)
+    # Bounded as a float, before ceil, which overflows where 1000 tau is inf.
+    if steps > _MAX_STEPS:
+        raise ValueError(f"n_steps must be in [16, {_MAX_STEPS}], got {steps}")
     return math.ceil(steps)
 
 
@@ -352,8 +344,8 @@ def integrate_ell(
     ``n_steps``.
     """
     tau = _require_maturity(tau)
-    _require_steps(n_steps)
-    if samples < 2 or n_steps % (samples - 1):
+    _require_index(n_steps, "n_steps", 16, _MAX_STEPS)
+    if not isinstance(samples, (int, np.integer)) or samples < 2 or n_steps % (samples - 1):
         raise ValueError(f"samples must be >= 2 with samples - 1 dividing n_steps={n_steps}, got {samples}")
     h = tau / n_steps
     ends = range(0, n_steps + 1, n_steps // (samples - 1))
@@ -451,8 +443,8 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
     documents.  Every step is elementwise, so each entry's root, bracket
     and counters are bitwise those of the entry solved alone.  Raises
     BracketingError or NumericalFailure for the first entry, in index
-    order, that has no bracket or whose residual exceeds both TOL_ROOT and
-    the rounding floor of g (``_ROOT_ROUNDING``).
+    order, that has no bracket or whose residual exceeds the rounding floor
+    of g (``_ROOT_ROUNDING``).
     """
     sigma2 = params.sigma2
     mh = params.mu_hat
@@ -522,7 +514,7 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
         residual = np.abs(terms[0] - terms[1] - terms[2])
         unit_roundoff = 0.5 * np.finfo(float).eps
         floor = _ROOT_ROUNDING * (1.0 + np.abs(s_hat * tau)) * unit_roundoff * sum(map(np.abs, terms))
-    failed = np.flatnonzero(~bracketed | ~((residual <= TOL_ROOT) | (residual <= floor)))
+    failed = np.flatnonzero(~bracketed | ~(residual <= floor))
     if failed.size:
         i = failed[0]
         if not bracketed[i]:
@@ -530,8 +522,7 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
                 f"no sign change in [{float(lo[i])!r}, {float(hi[i])!r}] after {int(widenings[i])} widenings"
             )
         raise NumericalFailure(
-            f"root refinement stalled: residual {float(residual[i])!r} exceeds {TOL_ROOT!r} "
-            f"and the rounding floor {float(floor[i])!r}"
+            f"root refinement stalled: residual {float(residual[i])!r} exceeds the rounding floor {float(floor[i])!r}"
         )
     return _Roots(s_hat, residual, lo, hi, iterations, bisections, widenings)
 
@@ -589,9 +580,9 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     first, then its first failed root.
     """
     taus = [_require_maturity(tau) for tau in taus]
+    if n_steps is not None:
+        _require_index(n_steps, "n_steps", 16, _MAX_STEPS)
     steps = [default_n_steps(tau) if n_steps is None else n_steps for tau in taus]
-    for n in steps:
-        _require_steps(n)
     groups: dict[float, list[int]] = {}
     for i, (tau, n) in enumerate(zip(taus, steps)):
         groups.setdefault(tau / n, []).append(i)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "N_MAX",
     "ModelParams",
@@ -44,9 +46,14 @@ def _require_maturity(tau: float) -> float:
     return tau
 
 
+def _require_index(value: int, name: str, lo: int, hi: int) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a float, in [lo, hi]."""
+    if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
 def _require_order(order: int) -> None:
-    if not 0 <= order <= N_MAX:
-        raise ValueError(f"expansion order must be in [0, {N_MAX}], got {order}")
+    _require_index(order, "expansion order", 0, N_MAX)
 
 
 def _require_consol_rate(l0: float) -> float:

@@ -9,12 +9,11 @@ floor of the cleared residual
 
     g(s) = tau_lbar s^2 - (l0 s - sigma2)(1 - exp(-s tau)) - sigma2 s tau,
 
-far above the absolute tolerance TOL_ROOT = 1e-12.  Each row holds
-tau_lbar, the discrete RK4 value A(tau) of ``_make_rk4_reference.rk4`` at the
-default 1000 steps per year (40 digits, rounded to a double), and the root
-of the defining equation with that double as an exact input, by bisection
-of the deflated residual g(s) / s^2 (strictly monotone, with no root at
-s = 0) in 60-digit arithmetic.  The bisection is repeated at 80 digits and
+far above 1e-12.  Each row holds tau_lbar, the discrete RK4 value A(tau) of
+``_make_rk4_reference.rk4`` at the default 1000 steps per year (40 digits,
+rounded to a double), and the root of the defining equation with that
+double as an exact input, by bisection of the deflated residual g(s) / s^2
+(strictly monotone, with no root at s = 0) in 60-digit arithmetic.  The bisection is repeated at 80 digits and
 must agree to 1e-50.  The script shares no code with the package.
 """
 

@@ -540,8 +540,9 @@ def test_sweep_oracle_failures_are_taken_in_maturity_order(monkeypatch, capsys, 
     assert (rc, out, err) == (2, "", f"numerical failure: {message} (l=inf, integral=inf)\n")
     rc, out, err = run(capsys, *grid, "--tau-grid=1:1:1")
     assert (rc, err, len(out.splitlines())) == (0, "", 3 + 20)
-    # With the floor off, the roots at tau = 1 exceed TOL_ROOT: that failure
-    # comes first on the ascending grid and after tau = 3's on the descending.
+    # With the floor at 0 no root with a nonzero residual is accepted, and the
+    # roots at tau = 1 fail: that failure comes first on the ascending grid
+    # and after tau = 3's on the descending.
     monkeypatch.setattr("sshat.oracle._ROOT_ROUNDING", 0.0)
     rc, out, err = run(capsys, *grid, f"--tau-grid={tau_grid}")
     assert (rc, out) == (2, "") and err.startswith(f"numerical failure: {without_floor}")
@@ -641,6 +642,17 @@ def test_subnormal_slope_is_numerical_failure(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert "numerical failure: the slope f_1 of F underflowed at tau=1e-300" in err
+
+
+def test_tiny_maturity_oracle_is_numerical_failure(tmp_path, capsys):
+    # At tau = 1e-150 the series solves, but no oracle root is within the
+    # rounding floor of g.  The oracle batch runs before the file is opened.
+    rc, out, err = run(capsys, "shat", "--tau", "1e-150")
+    assert (rc, out) == (2, "") and err.startswith("numerical failure: root refinement stalled: ")
+    target = tmp_path / "tiny.csv"
+    rc, out, err = run(capsys, "sweep", "--oracle", "--tau-grid=1e-150:1e-150:1", "--out", str(target))
+    assert (rc, out) == (2, "") and err.startswith("numerical failure: root refinement stalled: ")
+    assert not target.exists()
 
 
 def test_out_writes_file_and_keeps_stdout_clean(tmp_path, capsys):

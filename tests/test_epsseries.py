@@ -199,6 +199,10 @@ def test_orders_beyond_the_expansion_are_rejected(base_params, base_expansion):
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
     with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 4$"):
         shat.value(0.01, order=shat.order + 1)
+    with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 1.5$"):
+        shat.value(0.01, order=1.5)
+    with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 1.5$"):
+        solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 1.5)
     with pytest.raises(ValueError, match="^expansion must carry at least order 1$"):
         rhs1_printed(build_expansion(base_params, BASE_L0, 0), BASE_TAU, BASE_L0, base_params)
 

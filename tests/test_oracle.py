@@ -24,7 +24,6 @@ from sshat import (
 import sshat.oracle
 from sshat.oracle import (
     _BLOCK,
-    TOL_ROOT,
     _oracle_grid,
     _phi,
     _results,
@@ -79,21 +78,22 @@ def _no_scan(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, explicit",
     [
-        lambda p, n: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n, 2),
-        lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n),
-        lambda p, n: compute_oracles([InitialState(s0=0.0, l0=BASE_L0)] * 2, p, 1.0, n),
+        (lambda p, n: integrate_ell(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n, 2), True),
+        (lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, 1.0, n), True),
+        (lambda p, n: compute_oracles([InitialState(s0=0.0, l0=BASE_L0)] * 2, p, 1.0, n), True),
         # Default step counts: 1000 per year.
-        lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, n / 1000),
-        lambda p, n: _oracle_grid(np.array([0.0]), np.array([BASE_L0]), p, [1.0, n / 1000]),
+        (lambda p, n: compute_oracle(InitialState(s0=0.0, l0=BASE_L0), p, n / 1000), False),
+        (lambda p, n: _oracle_grid(np.array([0.0]), np.array([BASE_L0]), p, [1.0, n / 1000]), False),
     ],
     ids=["integrate_ell", "compute_oracle", "compute_oracles", "default_steps", "oracle_grid"],
 )
-def test_step_count_is_bounded_before_any_scan(monkeypatch, base_params, call):
+def test_step_count_is_bounded_before_any_scan(monkeypatch, base_params, call, explicit):
     monkeypatch.setattr(sshat.oracle, "_rk4", _no_scan)
-    # At 10^309, 1000 steps per year of tau = n / 1000 overflow to inf.
-    for n in (10**7 + 1, 10**15, 10**309):
+    # At 10^309, 1000 steps per year of tau = n / 1000 overflow to inf.  An
+    # explicit count must be an integer; a default one is rounded up.
+    for n in (10**7 + 1, 10**15, 10**309) + ((1000.5, 1000.0) if explicit else ()):
         with pytest.raises(ValueError, match=r"n_steps must be in \[16, 10000000\]"):
             call(base_params, n)
     with pytest.raises(AssertionError, match="scan started"):
@@ -453,9 +453,43 @@ def test_solve_reproduces_true_roots(base_params):
         state = InitialState(s0=s0, l0=BASE_L0)
         result = compute_oracle(state, base_params, BASE_TAU, 20000)
         assert result.s_hat == pytest.approx(TRUE_SHAT[s0], abs=1e-12)
-        assert result.residual < TOL_ROOT
+        assert result.residual < 1e-12
         assert result.bracket_lo < result.s_hat < result.bracket_hi
         assert result.steps == 20000
+
+
+# s0 where the oracle root crosses 0, per maturity, at l0 = 0.005, 0.1 and
+# 0.25 (found by bisection on compute_oracle).
+ZERO_CROSSINGS = {
+    0.1: (0.0002416773664418682, 0.00024144547012370718, 0.00024143813289726965),
+    1.0: (0.002565028396317715, 0.002538377302697556, 0.002537521078925905),
+    5.0: (0.015732598727337992, 0.014745292616234721, 0.014712424615348937),
+}
+
+
+@pytest.mark.parametrize("tau", sorted(ZERO_CROSSINGS))
+def test_roots_through_zero_are_within_the_rounding_floor(base_params, tau):
+    # g = s^2 q(s) and its terms all vanish as s_hat -> 0, so only a
+    # backward-error test can accept these roots.  1200 seeded s0 cluster at
+    # the three crossings, 1e-17 to 1e-2 away, each at all three l0; every
+    # root must be accepted, on both sides of 0 and down to |s_hat| < 1e-14.
+    rng = np.random.default_rng(21)
+    offsets = rng.choice([-1.0, 1.0], size=(3, 400)) * 10.0 ** rng.uniform(-17.0, -2.0, size=(3, 400))
+    s0 = (np.array(ZERO_CROSSINGS[tau])[:, None] + offsets).ravel()
+    l0 = (0.005, 0.1, 0.25)
+    results = compute_oracles([InitialState(s0=float(s), l0=l) for s in s0 for l in l0], base_params, tau)
+    s_hat = np.array([result.s_hat for result in results]).reshape(s0.size, len(l0))
+    assert (s_hat < 0.0).any(axis=0).all() and (s_hat > 0.0).any(axis=0).all()
+    assert np.abs(s_hat).min(axis=0).max() < 1e-14
+
+
+@pytest.mark.parametrize("tau", [1e-150, 1e-200, 1e-300])
+def test_tiny_maturity_roots_are_rejected(base_params, tau):
+    # Every term of g is below 1e-150 here, and the root the Newton loop
+    # stops at (0.49, where the true root is near -0.05) has no correct digit; its
+    # residual is above the rounding floor, so no root is returned.
+    with pytest.raises(NumericalFailure, match="root refinement stalled"):
+        compute_oracle(InitialState(s0=-0.05, l0=BASE_L0), base_params, tau)
 
 
 def test_solve_avoids_spurious_zero_root(base_params):
@@ -479,7 +513,7 @@ def test_solve_widens_bracket_when_root_is_far(base_params):
     state = InitialState(s0=0.3, l0=BASE_L0)
     _, tau_lbar = integrate_ell(state, base_params, BASE_TAU, 4000, 2)
     result = solve_shat_numeric(tau_lbar, BASE_L0, base_params, BASE_TAU, eps_hint=0.0)
-    assert result.residual < TOL_ROOT
+    assert result.residual < 1e-12
     assert result.s_hat > 0.1
     expansion = build_expansion(base_params, BASE_L0, 3)
     series = solve_shat_series(expansion, BASE_TAU, BASE_L0, base_params, 3)
@@ -524,7 +558,7 @@ def test_solve_bisects_a_non_finite_newton_step(monkeypatch, base_params):
     # At s0 = -800 the bracket spans +-8000 and the second bisection lands
     # where q overflows to -inf with a NaN slope.  The step bisects, and the
     # root (tau_lbar ~ 1e244, where the residual's rounding floor is far
-    # above TOL_ROOT) is found in a few passes, not after every Newton pass
+    # above 1e-12) is found in a few passes, not after every Newton pass
     # with a NaN one.
     state = InitialState(s0=-800.0, l0=BASE_L0)
     _, tau_lbar = integrate_ell(state, base_params, 1.0, 1000, 2)
@@ -539,14 +573,14 @@ def test_solve_bisects_a_non_finite_newton_step(monkeypatch, base_params):
 
 @pytest.mark.parametrize("case", sorted(ROOT_REFERENCE), ids=lambda case: "_".join(map(str, case)))
 def test_roots_beyond_the_absolute_tolerance_are_correctly_rounded(case):
-    # At these inputs the absolute TOL_ROOT is below the rounding floor of g,
-    # so only the floor accepts the root: it must be within 1 ulp of the
-    # 60-digit root for the same tau_lbar, and the oracle must reach it.
+    # At these inputs the rounding floor of g, which alone accepts a root, is
+    # far above 1e-12: the root must be within 1 ulp of the 60-digit root for
+    # the same tau_lbar, and the oracle must reach it.
     name, s0, l0, tau = case
     tau_lbar, s_ref = ROOT_REFERENCE[case]
     params = ModelParams(**ROOT_PARAMS[name])
     result = solve_shat_numeric(tau_lbar, l0, params, tau, s0 - params.mu_hat)
-    assert result.residual > TOL_ROOT
+    assert result.residual > 1e-12
     assert abs(result.s_hat - s_ref) <= math.ulp(s_ref)
     oracle = compute_oracle(InitialState(s0=s0, l0=l0), params, tau)
     assert abs(oracle.tau_lbar - tau_lbar) <= 1e-12 * tau_lbar

@@ -229,6 +229,10 @@ def test_build_expansion_validation(base_params):
         build_expansion(base_params, BASE_L0, -1)
     with pytest.raises(ValueError):
         build_expansion(base_params, BASE_L0, 17)
+    # Orders are integers: a float, even an integral one, is rejected.
+    for order in (2.5, 3.0):
+        with pytest.raises(ValueError, match=r"^expansion order must be in \[0, 16\], got "):
+            build_expansion(base_params, BASE_L0, order)
     with pytest.raises(ValueError):
         build_expansion(base_params, 0.0, 3)
 
