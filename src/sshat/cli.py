@@ -337,23 +337,20 @@ def cmd_sweep(args) -> int:
     n_tau = len(tau_grid)
     pairs = len(l0_grid) * n_tau
     _require_order(order)  # before the oracle batch
-    oracle_share = 0.0  # per row, an equal share of the whole oracle batch
+    started = time.perf_counter()
     if args.oracle:
         # One batch over every (s0, l0) state, s0-major, at every tau.
-        started = time.perf_counter()
         eps = np.repeat(s0_grid - params.mu_hat, len(l0_grid))
         _, roots, _ = _oracle_grid(eps, np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)
         oracle = roots.s_hat.T.reshape(len(s0_grid), pairs)
-        oracle_share = (time.perf_counter() - started) / total
 
     # One batched solve over every (l0, tau) pair; each block of pairs is
     # evaluated over the whole s0 grid at once.
-    started = time.perf_counter()
     eps = (s0_grid - params.mu_hat)[:, None]
     values = np.empty((len(s0_grid), pairs))
     for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
         values[:, start : start + k.shape[1]] = deque(_partial_sums(k, eps), maxlen=1)[0]
-    series_share = (time.perf_counter() - started) / total
+    share = (time.perf_counter() - started) / total  # per row: an equal share of the oracle batch and the series
 
     header = ["s0", "l0", "tau", f"shat_order{order}"]
     columns = [values]
@@ -363,23 +360,23 @@ def cmd_sweep(args) -> int:
     # Rows are written in spans of at most _SPAN (l0, tau) pairs, so the text
     # held at once stays bounded.  A span's rows of one s0 are one %-template:
     # per row "\0" where the s0 text goes, the l0 and tau text, "%.17g" per
-    # value column and the --timing text; a grid of one span builds it once
-    # for all s0.  No %.17g or %.3f text contains "%" or "\0".
+    # value column and the --timing text; the last span's is kept, so a grid of
+    # one span builds it once for all s0.  No %.17g or %.3f text contains "%" or "\0".
     l0_text = [_g17(l0) for l0 in l0_grid.tolist()]
     tau_text = [_g17(tau) for tau in tau_grid.tolist()]
     row_end = "\n"
     if args.timing:
         header.append("elapsed_ms")
-        row_end = f",{(series_share + oracle_share) * 1e3:.3f}\n"
+        row_end = f",{share * 1e3:.3f}\n"
     value_fields = ",%.17g" * len(columns)
 
+    @functools.lru_cache(maxsize=1)
     def template(lo, hi):
         return "".join(
             f"\0,{l0_text[p // n_tau]},{tau_text[p % n_tau]}{value_fields}{row_end}" for p in range(lo, hi)
         )
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
-    single = template(0, pairs) if len(spans) == 1 else None
     with _output(cfg.out) as fh:
         fh.write(
             f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
@@ -389,7 +386,7 @@ def cmd_sweep(args) -> int:
         for i_s0, s0 in enumerate(s0_grid.tolist()):
             s0_text = _g17(s0)
             for lo, hi in spans:
-                rows = (single or template(lo, hi)).replace("\0", s0_text)
+                rows = template(lo, hi).replace("\0", s0_text)
                 fh.write(rows % tuple(np.stack([c[i_s0, lo:hi] for c in columns], axis=-1).ravel().tolist()))
     return 0
 

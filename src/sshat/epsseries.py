@@ -93,17 +93,17 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     k0 = params.mu_hat
     taus = tau.tolist()
     # Both f_j and L_k are affine in l0.  Per maturity, the l0-free part
-    # [f_a, L_A] and the l0 slope [f_b, L_B]: shape (2, n + order + 2, len(tau)).
-    affine = np.stack([_quadrature(params, t, n, order) for t in taus], axis=2)
+    # [a, A] and the l0 slope [b, B]: shape (2, 2, n + 1, len(tau)).  At
+    # order 0, L has a row that the solve does not read.
+    affine = np.stack([_quadrature(params, t, n) for t in taus], axis=-1)
 
     pairs = len(l0) * len(taus)
     for start in range(0, pairs, _BLOCK):
         i_l0, i_tau = np.divmod(np.arange(start, min(start + _BLOCK, pairs)), len(taus))
         x = l0[i_l0]
-        intercept, slope = affine[:, :, i_tau]
+        intercept, slope = affine[..., i_tau]
         with np.errstate(over="ignore", invalid="ignore"):
-            fL = intercept + x * slope
-        f, L = fL[: n + 1], fL[n + 1 :]
+            f, L = intercept + x * slope
         if not np.isfinite(f).all():
             t = taus[i_tau[np.isfinite(f).all(axis=0).argmin()]]
             raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * t!r}")

@@ -1,5 +1,5 @@
-"""Finite sums of ``coeff * t**power * exp(-rate * t)``: the type of every
-expansion coefficient, which :func:`sshat.perturbation.build_expansion` writes out.
+"""Finite sums of ``coeff * t**power * exp(-rate * t)``.  No module of the
+package uses them; they are kept only for the benchmark's tracer, which imports them.
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ N_MAX = 16
 
 
 def _require_finite(value: float, name: str) -> float:
+    if isinstance(value, (str, bytes, bool, np.bool_)):  # float() takes them, but they are not numbers
+        raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -47,8 +49,8 @@ def _require_maturity(tau: float) -> float:
 
 
 def _require_index(value: int, name: str, lo: int, hi: int) -> None:
-    """Raise ValueError unless ``value`` is an integer, not a float, in [lo, hi]."""
-    if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+    """Raise ValueError unless ``value`` is an integer, not a float or bool, in [lo, hi]."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
 
 

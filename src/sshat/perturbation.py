@@ -143,27 +143,27 @@ def _nodes(params: ModelParams, tau: float):
 
 
 def _powers(params: ModelParams, tau: float, top: int):
-    """Distances ``u = tau - v`` and ``powers[k] = w e(v) (v^k, g(v)^k)``, k = 0..top.
+    """Distances ``u = tau - v`` and ``powers[:, k] = w e(v) (v^k, g(v)^k)``, k = 0..top.
 
     At the nodes v and weights w of ``_nodes`` on [0, tau], with
     ``e(v) = exp(-mu_hat v)`` and ``g(v) = -expm1(-m v)/m``; ``powers`` has
-    shape (top + 1, 2, nodes).  Call under ``np.errstate(over="ignore")``.
+    shape (2, top + 1, nodes).  Call under ``np.errstate(over="ignore")``.
     """
     mu_hat, m = params.mu_hat, params.m
     v, u, w = _nodes(params, tau)
-    powers = np.empty((top + 1, 2, v.size))
-    powers[0] = w * np.exp(-mu_hat * v)
+    powers = np.empty((2, top + 1, v.size))
+    powers[:, 0] = w * np.exp(-mu_hat * v)
     base = np.array([v, np.expm1(-m * v) / -m])
     for k in range(1, top + 1):
-        np.multiply(powers[k - 1], base, out=powers[k])
+        np.multiply(powers[:, k - 1], base, out=powers[:, k])
     return u, powers
 
 
-def _quadrature(params: ModelParams, tau: float, n: int, order: int) -> np.ndarray:
-    """The l0-free parts and l0 slopes of f_0..f_n and L_0..L_order at one maturity.
+def _quadrature(params: ModelParams, tau: float, top: int) -> np.ndarray:
+    """The l0-free parts and l0 slopes of f_0..f_top and L_0..L_top at one maturity.
 
-    Returns ``[[a_0..a_n, A_0..A_order], [b_0..b_n, B_0..B_order]]`` for n
-    and order up to N_MAX + 1, with ``f_j = a_j + l0 b_j`` the Taylor
+    Returns ``terms[part, side, k]`` of shape (2, 2, top + 1), for top up to
+    N_MAX + 1: ``[[a, A], [b, B]]``, with ``f_j = a_j + l0 b_j`` the Taylor
     coefficients of F (see :mod:`sshat.epsseries`) and
     ``L_k = A_k + l0 B_k``.  With e(v) and g(v) as in ``_powers`` and
     ``h_k(w) = -expm1(-k m w)/(k m)``, ``h_0(w) = w``, integrated over
@@ -175,25 +175,24 @@ def _quadrature(params: ModelParams, tau: float, n: int, order: int) -> np.ndarr
     and b_j and a_j are the same with m -> 0: g(v) = v and h_j(w) = w.
     Every integrand has one sign, so each coefficient has a small relative
     error at every order and maturity; each is a row-wise ``np.sum`` over
-    the nodes, so its bits depend on neither n nor order.  Raises
+    the nodes, so its bits do not depend on top.  Raises
     NumericalFailure when ``exp(-mu_hat v)`` or a coefficient overflows.
     """
     mu_hat, m = params.mu_hat, params.m
     if -mu_hat * tau <= _EXP_LIMIT:
-        top = max(n, order)
         rates = -m * np.arange(1.0, top + 1)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             u, powers = _powers(params, tau, top)
             # The powers times (tau - v, h_k(tau - v)).
             weighted = np.empty_like(powers)
             weighted[...] = u
-            weighted[1:, 1] = np.expm1(rates * u) / rates
+            weighted[1, 1:] = np.expm1(rates * u) / rates
             weighted *= powers
             terms = np.array([np.sum(weighted, axis=2), np.sum(powers, axis=2)])
-            terms /= _SIGNED_FACTORIALS[: top + 1, None]
+            terms /= _SIGNED_FACTORIALS[: top + 1]
             terms[0] *= params.sigma2
         if np.isfinite(terms).all():
-            return np.concatenate((terms[:, : n + 1, 0], terms[:, : order + 1, 1]), axis=1)
+            return terms
     raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={mu_hat * tau!r}")
 
 
@@ -213,7 +212,7 @@ def _ell_terms(expansion: EllExpansion, t: float) -> np.ndarray:
     k = np.arange(order + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         u, powers = _powers(params, t, order)
-        integral = params.sigma2 * np.sum(powers[:, 1] * np.exp(-m * k[:, None] * u), axis=1)
+        integral = params.sigma2 * np.sum(powers[1] * np.exp(-m * k[:, None] * u), axis=1)
         closed = expansion.l0 * np.exp(-params.mu_hat * t) * (-math.expm1(-m * t) / m) ** k
         terms = (closed + integral) / _SIGNED_FACTORIALS[: order + 1]
     if not np.isfinite(terms).all():
@@ -227,5 +226,5 @@ def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:
     From ``_quadrature``: the same values the series solve reads at (l0, tau).
     """
     tau = _require_maturity(tau)
-    A, B = _quadrature(expansion.params, tau, 0, expansion.order)[:, 1:]
+    A, B = _quadrature(expansion.params, tau, expansion.order)[:, 1]
     return (A + expansion.l0 * B).tolist()

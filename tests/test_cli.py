@@ -324,7 +324,7 @@ def test_sweep_oracle_columns_equal_compute_oracle(capsys):
 
 
 def _assert_timing_column(capsys, args, rows):
-    """Each --timing row is the plain row plus a non-negative elapsed_ms field."""
+    """Each --timing row is the plain row plus one non-negative elapsed_ms field, the same on every row."""
     rc, plain, _ = run(capsys, *args)
     rc2, timed, _ = run(capsys, *args, "--timing")
     assert rc == rc2 == 0
@@ -333,10 +333,13 @@ def _assert_timing_column(capsys, args, rows):
     assert timed_lines[:2] == plain_lines[:2]
     assert timed_lines[2] == plain_lines[2] + ",elapsed_ms"
     assert len(timed_lines) == len(plain_lines) == 3 + rows
+    shares = set()
     for timed_row, plain_row in zip(timed_lines[3:], plain_lines[3:]):
         head, elapsed = timed_row.rsplit(",", 1)
         assert head == plain_row
         assert float(elapsed) >= 0.0
+        shares.add(elapsed)
+    assert len(shares) == 1
 
 
 def test_sweep_timing_column(capsys):

@@ -41,7 +41,7 @@ from test_perturbation import _random_valid_params
 def test_moments_match_mpmath(x):
     # b_j = (-1)^j tau^(j+1) / j! * I_j(mu_hat tau); at tau = 1 the scale is exact.
     params = ModelParams(m=0.72, mu=x, gamma=0.0, sigma2=3e-4)
-    b = _quadrature(params, 1.0, 17, 0)[1]
+    b = _quadrature(params, 1.0, 17)[1, 0]
     for j, moment in enumerate(MOMENT_REFERENCE[x]):
         assert b[j] == pytest.approx((-1) ** j * moment / math.factorial(j), rel=2e-15, abs=0), f"I_{j}({x})"
 
@@ -50,8 +50,8 @@ def test_moments_match_mpmath(x):
 def test_quadrature_matches_mpmath_coefficients(base_params, tau):
     # Both sides of the reversion to a small relative error at every order,
     # where the closed form's alternating sums lost up to 1e23 at tau = 0.01.
-    terms = _quadrature(base_params, tau, 16, 16)
-    got = {"a": terms[0, :17], "b": terms[1, :17], "A": terms[0, 17:], "B": terms[1, 17:]}
+    terms = _quadrature(base_params, tau, 16)
+    got = {"a": terms[0, 0], "b": terms[1, 0], "A": terms[0, 1], "B": terms[1, 1]}
     for name, expected in COEFFICIENT_REFERENCE[tau].items():
         for k, value in enumerate(expected):
             assert got[name][k] == pytest.approx(value, rel=1e-13, abs=0), f"{name}_{k}"
@@ -74,7 +74,7 @@ def test_taylor_coefficients_match_oracle_phi(tau):
     for x in list(np.linspace(-15.0, 15.0, 16)) + [-0.1, 0.1]:
         k0 = x / tau
         params = ModelParams(m=0.72, mu=k0, gamma=0.0, sigma2=sigma2)
-        a, b = _quadrature(params, tau, 1, 0)[:, :2]
+        a, b = _quadrature(params, tau, 1)[:, 0]
         f0, f1 = a + l0 * b
         phi1, phi2, phi1_prime, phi2_prime = (float(v[0]) for v in _phi(np.array([x])))
         F = l0 * tau * phi1 - sigma2 * tau * tau * phi2
@@ -89,13 +89,13 @@ def test_exp_overflow_raises(base_params):
     # exp(-k0 v) overflows for k0 tau = -1000, which may not pass as a number.
     params = ModelParams(**{**BASE, "mu": -1.0})
     with pytest.raises(NumericalFailure, match="k0\\*tau=-1000.0"):
-        _quadrature(params, 1000.0, 3, 3)
+        _quadrature(params, 1000.0, 3)
     with pytest.raises(NumericalFailure):
         solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3)
     # For k0 tau = +1000, exp(-k0 v) underflows long before tau, and the
     # moments are those of [0, inf): b_j = (-1)^j and a_j = (-1)^j sigma2 (tau - j - 1).
     params = ModelParams(**{**BASE, "mu": 1.0})
-    a, b = _quadrature(params, 1000.0, 16, 0)[:, :17]
+    a, b = _quadrature(params, 1000.0, 16)[:, 0]
     for j in range(17):
         assert b[j] == pytest.approx((-1) ** j, rel=1e-15, abs=0), f"b_{j}"
         assert a[j] == pytest.approx((-1) ** j * params.sigma2 * (1000.0 - j - 1), rel=1e-15, abs=0), f"a_{j}"
@@ -203,6 +203,8 @@ def test_orders_beyond_the_expansion_are_rejected(base_params, base_expansion):
         shat.value(0.01, order=1.5)
     with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 1.5$"):
         solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 1.5)
+    with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got True$"):
+        solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, True)
     with pytest.raises(ValueError, match="^expansion must carry at least order 1$"):
         rhs1_printed(build_expansion(base_params, BASE_L0, 0), BASE_TAU, BASE_L0, base_params)
 
@@ -226,9 +228,9 @@ def test_solve_rejects_l0_or_params_other_than_the_expansions(base_params, base_
 def test_zero_L1_gives_zero_k1(monkeypatch, base_params, base_expansion):
     # The solve reads L = A + l0 B from the quadrature, and rhs1_printed
     # reads it through tau_lbar_terms; zero L_1 in both.
-    def zero_L1(params, tau, n, order):
-        terms = _quadrature(params, tau, n, order)
-        terms[:, n + 2] = 0.0
+    def zero_L1(params, tau, top):
+        terms = _quadrature(params, tau, top)
+        terms[:, 1, 1] = 0.0
         return terms
 
     monkeypatch.setattr(sshat.epsseries, "_quadrature", zero_L1)

@@ -59,6 +59,10 @@ def test_rejects_non_finite():
     # Finite constants whose risk adjustment lam*gamma/m overflows.
     with pytest.raises(ValueError, match="mu_hat must be finite"):
         ModelParams(m=1e-300, mu=0.0, gamma=1e10, sigma2=1e-4, lam=1.0)
+    # Text, bytes and booleans convert with float(), but are not numbers.
+    for name, value in (("m", "0.72"), ("m", True), ("mu", b"-0.01"), ("gamma", np.False_), ("lam", "0")):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            ModelParams(**{**BASE, name: value})
 
 
 # ModelParams accepts every finite mu_hat.  Only the closed form of the
@@ -142,6 +146,9 @@ def test_initial_state_requires_positive_l0():
         InitialState(s0=0.0, l0=0.0)
     with pytest.raises(ValueError):
         InitialState(s0=0.0, l0=-0.1)
+    for s0, l0, name in ((-0.05, "0.1", "l0"), (-0.05, True, "l0"), (b"0", 0.1, "s0"), (np.True_, 0.1, "s0")):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            InitialState(s0=s0, l0=l0)
 
 
 def _write(path, text):

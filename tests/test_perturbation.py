@@ -230,11 +230,14 @@ def test_build_expansion_validation(base_params):
     with pytest.raises(ValueError):
         build_expansion(base_params, BASE_L0, 17)
     # Orders are integers: a float, even an integral one, is rejected.
-    for order in (2.5, 3.0):
+    # So is a bool, which Python counts as an int.
+    for order in (2.5, 3.0, True, np.True_):
         with pytest.raises(ValueError, match=r"^expansion order must be in \[0, 16\], got "):
             build_expansion(base_params, BASE_L0, order)
     with pytest.raises(ValueError):
         build_expansion(base_params, 0.0, 3)
+    with pytest.raises(ValueError, match="^l0 must be a number"):
+        build_expansion(base_params, "0.1", 3)
 
 
 @pytest.mark.parametrize("mu", [-0.01, 0.0, 0.01])
@@ -249,7 +252,7 @@ def test_quadrature_nodes_are_bounded(mu):
         assert v.size <= 10**4
         assert 0.0 <= v.min() and v.max() <= tau and u.min() >= 0.0
         try:
-            terms = _quadrature(params, tau, 16, 16)
+            terms = _quadrature(params, tau, 16)
         except NumericalFailure:
             assert mu < 0, tau
         else:
