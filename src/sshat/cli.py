@@ -32,8 +32,8 @@ import numpy as np
 
 from .epsseries import _partial_sums, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
-from .oracle import _oracle_grid, compute_oracle, compute_oracles, default_n_steps, integrate_ell
-from .params import InitialState, ModelParams, _require_maturity, _require_order, load_config
+from .oracle import _MAX_STEPS, _oracle_grid, compute_oracle, compute_oracles, default_n_steps, integrate_ell
+from .params import InitialState, ModelParams, _require_index, _require_maturity, _require_order, load_config
 from .perturbation import _ell_terms, build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
@@ -149,6 +149,8 @@ def _resolve_config(args) -> RunConfig:
     s0, l0, tau, order, steps = (getattr(args, name, None) for name in ("s0", "l0", "tau", "order", "steps"))
     tau = DEFAULT_TAU if tau is None else tau
     _require_maturity(tau)
+    if steps is not None:
+        _require_index(steps, "n_steps", 16, _MAX_STEPS)
     return RunConfig(
         params=params,
         state=InitialState(s0=state.s0 if s0 is None else s0, l0=state.l0 if l0 is None else l0),
@@ -223,7 +225,7 @@ def cmd_path(args) -> int:
     eps = cfg.state.s0 - cfg.params.mu_hat
 
     # Round the step count up so grid points land exactly on RK4 nodes.
-    per_cell = max(1, -(-cfg.n_steps // (samples - 1)))
+    per_cell = -(-cfg.n_steps // (samples - 1))
     n_steps = per_cell * (samples - 1)
     path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps, samples)
 

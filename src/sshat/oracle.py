@@ -473,18 +473,17 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
         bracketed = np.ones(size, dtype=bool)
         bracketed[wide] = False
 
-        # Safeguarded Newton: orient so q(xl) < 0 < q(xh), keep the iterate
-        # inside [xl, xh], bisect whenever the Newton step escapes or stalls,
-        # or is not finite (q overflows to -inf far from the root, with a NaN slope).
-        # ``live`` holds the entries still iterating, and every per-entry
-        # array below is compressed to them.
+        # Safeguarded Newton from xl = lo, xh = hi: q's slope, tau^2 (-l0 phi1'
+        # + sigma2 tau phi2'), is a sum of two positive terms, so q increases
+        # and q(lo) <= 0 <= q(hi).  Bisect whenever the Newton step leaves
+        # [xl, xh], stalls or is not finite (q overflows to -inf far from the
+        # root, with a NaN slope).  ``live`` holds the entries still iterating;
+        # every per-entry array below is compressed to them.
         live = np.flatnonzero(bracketed)
         tl, l, t = tau_lbar[live], l0[live], tau[live]
-        up = f_lo[live] < 0.0
-        xl = np.where(up, lo[live], hi[live])
-        xh = np.where(up, hi[live], lo[live])
-        x = 0.5 * (lo[live] + hi[live])
-        dx_old = np.abs(hi[live] - lo[live])
+        xl, xh = lo[live], hi[live]
+        x = 0.5 * (xl + xh)
+        dx_old = xh - xl
         dx = dx_old
         f, df = _deflated(x, tl, l, sigma2, t)
         for _ in range(_MAX_NEWTON_ITERATIONS):

@@ -33,9 +33,14 @@ N_MAX = 16
 
 
 def _require_finite(value: float, name: str) -> float:
-    if isinstance(value, (str, bytes, bool, np.bool_)):  # float() takes them, but they are not numbers
+    # float() takes text, bytes, booleans and, on some numpy versions, 1-element arrays and numpy complexes.
+    is_numpy = isinstance(value, (np.ndarray, np.generic))
+    if isinstance(value, (str, bytes, bool)) or (is_numpy and (value.ndim != 0 or value.dtype.kind not in "iuf")):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -76,9 +81,9 @@ class ModelParams:
         sigma2: squared consol-rate volatility scale, must be positive.
         lam: market price of spread risk (dimensionless).
 
-    Construction checks that every constant and the risk-adjusted
-    equilibrium mu_hat are finite, and the signs above.  Any finite mu_hat
-    is accepted, 0 and multiples of m included.
+    Construction checks that every constant and mu_hat are finite, and the
+    signs above, and stores each constant as a float.  Any finite mu_hat is
+    accepted, 0 and multiples of m included.
     """
 
     m: float
@@ -89,7 +94,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("m", "mu", "gamma", "sigma2", "lam"):
-            _require_finite(getattr(self, name), name)
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
         if self.m <= 0:
             raise ValueError(f"mean-reversion speed m must be > 0, got {self.m}")
         if self.sigma2 <= 0:
@@ -106,14 +111,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class InitialState:
-    """Initial spread and consol rate for which a bond is priced."""
+    """Initial spread and consol rate for which a bond is priced, stored as Python floats."""
 
     s0: float
     l0: float
 
     def __post_init__(self):
-        _require_finite(self.s0, "s0")
-        _require_consol_rate(self.l0)
+        object.__setattr__(self, "s0", _require_finite(self.s0, "s0"))
+        object.__setattr__(self, "l0", _require_consol_rate(self.l0))
 
 
 # Config files are flat "key = value" lines; keys are case-sensitive and

@@ -176,6 +176,11 @@ def test_path_order3_beats_order1(capsys):
         ("path", "--tau", "1e306"),
         ("tables", "--tau", "1e306"),
         ("sweep", "--oracle", "--tau-grid=1e306:1e306:1"),
+        # A count below 16 is rejected before path rounds it up to the sample grid.
+        ("path", "--steps", "-5"),
+        ("path", "--steps", "0"),
+        ("path", "--steps", "3"),
+        ("sweep", "--steps", "3"),
     ],
     ids=[
         "sweep_default_steps",
@@ -187,6 +192,10 @@ def test_path_order3_beats_order1(capsys):
         "path_overflow",
         "tables_overflow",
         "sweep_overflow",
+        "path_negative_steps",
+        "path_zero_steps",
+        "path_few_steps",
+        "sweep_few_steps",
     ],
 )
 def test_step_count_bound_is_validation_error(monkeypatch, capsys, argv):

@@ -24,6 +24,7 @@ from sshat import (
 import sshat.oracle
 from sshat.oracle import (
     _BLOCK,
+    _deflated,
     _oracle_grid,
     _phi,
     _results,
@@ -601,6 +602,27 @@ def test_phi_at_zero():
     with np.errstate(all="ignore"):
         got = _phi(np.array([0.0]))[:, 0]
     assert got.tolist() == pytest.approx([1.0, -0.5, -0.5, 1.0 / 6.0], rel=1e-15, abs=0)
+
+
+def test_deflated_residual_increases_in_s():
+    # _solve_roots takes q(lo) <= 0 <= q(hi) for granted: q's slope
+    # tau^2 (-l0 phi1' + sigma2 tau phi2') is a sum of two positive terms.
+    # Where q and its slope are finite, the slope is > 0 and q, rounded, does
+    # not decrease along sorted s, across the phi cutoff |s tau| = 4 too.
+    x = np.unique(np.concatenate([np.linspace(-700.0, 700.0, 2801), np.linspace(-8.0, 8.0, 1601)]))
+    checked = 0
+    for tau in (1e-9, 1e-4, 0.01, 1.0, 10.0, 100.0, 1e4):
+        s = x / tau
+        for l0 in (1e-3, 0.1, 10.0):
+            for sigma2 in (1e-6, 3e-4, 1e-2):
+                with np.errstate(all="ignore"):
+                    q, dq = _deflated(s, np.zeros_like(s), np.full_like(s, l0), sigma2, np.full_like(s, tau))
+                finite = np.isfinite(q) & np.isfinite(dq)
+                assert finite[x >= -8.0].all()
+                assert (dq[finite] > 0.0).all(), (tau, l0, sigma2)
+                assert (np.diff(q[finite]) >= 0.0).all(), (tau, l0, sigma2)
+                checked += finite.sum()
+    assert checked > 200_000
 
 
 def test_solve_unbracketable_raises(base_params):

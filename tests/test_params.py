@@ -51,6 +51,13 @@ def test_rejects_negative_gamma():
         ModelParams(m=0.72, mu=-0.01, gamma=-0.001, sigma2=3e-4)
 
 
+class _OldNumpyArray(np.ndarray):
+    """An array that converts with float() at size 1, as before numpy 2.4."""
+
+    def __float__(self):
+        return float(self.reshape(-1)[0])
+
+
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         ModelParams(m=math.inf, mu=-0.01, gamma=0.007, sigma2=3e-4)
@@ -59,10 +66,30 @@ def test_rejects_non_finite():
     # Finite constants whose risk adjustment lam*gamma/m overflows.
     with pytest.raises(ValueError, match="mu_hat must be finite"):
         ModelParams(m=1e-300, mu=0.0, gamma=1e10, sigma2=1e-4, lam=1.0)
-    # Text, bytes and booleans convert with float(), but are not numbers.
-    for name, value in (("m", "0.72"), ("m", True), ("mu", b"-0.01"), ("gamma", np.False_), ("lam", "0")):
+    # Text, bytes and booleans convert with float(), but are not numbers;
+    # None, complex numbers and 1-element arrays do not convert, or convert
+    # only on some numpy versions (_OldNumpyArray converts as numpy < 2.4 does).
+    cases = (
+        ("m", "0.72"), ("m", True), ("mu", b"-0.01"), ("gamma", np.False_), ("lam", "0"),
+        ("m", None), ("sigma2", 1 + 0j), ("m", np.array([0.72])), ("m", np.array([0.72]).view(_OldNumpyArray)),
+        ("m", np.array("0.72")), ("mu", np.array(True)), ("gamma", np.complex128(1)),
+    )
+    for name, value in cases:
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             ModelParams(**{**BASE, name: value})
+
+
+def test_numeric_inputs_are_stored_as_floats():
+    # A float32 m would carry mu_hat in float32; a 0-d array would make the
+    # frozen dataclass unhashable.
+    for m in (np.float32(0.72), np.array(0.72), 1):
+        p = ModelParams(**{**BASE, "lam": 0.1, "m": m})
+        assert type(p.m) is type(p.mu_hat) is float
+        assert hash(p) == hash(ModelParams(**{**BASE, "lam": 0.1, "m": float(m)}))
+    for s0, l0 in ((np.float32(-0.05), np.array(0.1)), (0, 1)):
+        state = InitialState(s0=s0, l0=l0)
+        assert type(state.s0) is type(state.l0) is float
+        assert hash(state) == hash(InitialState(s0=float(s0), l0=float(l0)))
 
 
 # ModelParams accepts every finite mu_hat.  Only the closed form of the
@@ -146,7 +173,12 @@ def test_initial_state_requires_positive_l0():
         InitialState(s0=0.0, l0=0.0)
     with pytest.raises(ValueError):
         InitialState(s0=0.0, l0=-0.1)
-    for s0, l0, name in ((-0.05, "0.1", "l0"), (-0.05, True, "l0"), (b"0", 0.1, "s0"), (np.True_, 0.1, "s0")):
+    cases = (
+        (-0.05, "0.1", "l0"), (-0.05, True, "l0"), (b"0", 0.1, "s0"), (np.True_, 0.1, "s0"),
+        (None, 0.1, "s0"), (-0.05, 1 + 0j, "l0"), (-0.05, np.array([0.1]), "l0"),
+        (-0.05, np.array([0.1]).view(_OldNumpyArray), "l0"), (np.array(b"0"), 0.1, "s0"),
+    )
+    for s0, l0, name in cases:
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             InitialState(s0=s0, l0=l0)
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sshat import (
     InitialState,
@@ -316,6 +317,30 @@ def test_eval_tau_lbar_zero_eps_is_L0(base_expansion):
     mu_hat = base_expansion.params.mu_hat
     closed = base_expansion.alpha[0] - base_expansion.beta[0, 0] * math.expm1(-mu_hat) / mu_hat
     assert L0 == pytest.approx(closed, rel=1e-14)
+
+
+def test_integrate_constant():
+    # At the equilibrium start c_0 is the constant c01; its integral is the slope c01 t.
+    p = ModelParams(m=0.72, mu=0.02, gamma=0.0, sigma2=3e-4)
+    c01 = p.sigma2 / p.mu_hat
+    expansion = build_expansion(p, c01, 0)
+    for tau in (0.5, 1.0, 30.0):
+        assert tau_lbar_terms(expansion, tau)[0] == pytest.approx(c01 * tau, rel=1e-14)
+
+
+def test_integrate_starts_at_zero_and_matches_quadrature(base_params):
+    # L_k(tau), the integral of c_k over [0, tau], against scipy's quad of the
+    # c_k(t) that path prints.
+    rng = random.Random(915203)
+    for params in (base_params, _random_valid_params(rng), _random_valid_params(rng)):
+        expansion = build_expansion(params, rng.uniform(0.01, 0.2), 6)
+        assert max(map(abs, tau_lbar_terms(expansion, 1e-300))) <= 1e-15
+        for tau in (0.5, 1.0, 5.0, 30.0):
+            L = tau_lbar_terms(expansion, tau)
+            for k in range(7):
+                ck = lambda t: _ell_terms(expansion, t)[k]  # noqa: E731
+                ref, _ = quad(ck, 0.0, tau, epsabs=1e-13, epsrel=1e-12, limit=200)
+                assert L[k] == pytest.approx(ref, rel=1e-10, abs=1e-11)
 
 
 def test_eval_tau_lbar_vanishes_at_zero_maturity(base_expansion):
