@@ -32,8 +32,8 @@ import numpy as np
 
 from .epsseries import _partial_sums, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
-from .oracle import _MAX_STEPS, _oracle_grid, compute_oracle, compute_oracles, default_n_steps, integrate_ell
-from .params import InitialState, ModelParams, _require_index, _require_maturity, _require_order, load_config
+from .oracle import _MAX_STEPS, _n_steps, _oracle_grid, compute_oracle, compute_oracles, integrate_ell
+from .params import InitialState, ModelParams, _require_order, load_config
 from .perturbation import _ell_terms, build_expansion, tau_lbar_terms
 
 __all__ = ["main", "console_main", "REFERENCE_TAU_LBAR", "REFERENCE_SHAT"]
@@ -148,15 +148,13 @@ def _resolve_config(args) -> RunConfig:
         params, state = load_config(args.params)
     s0, l0, tau, order, steps = (getattr(args, name, None) for name in ("s0", "l0", "tau", "order", "steps"))
     tau = DEFAULT_TAU if tau is None else tau
-    _require_maturity(tau)
-    if steps is not None:
-        _require_index(steps, "n_steps", 16, _MAX_STEPS)
+    n_steps = _n_steps(tau, steps)
     return RunConfig(
         params=params,
         state=InitialState(s0=state.s0 if s0 is None else s0, l0=state.l0 if l0 is None else l0),
         tau=tau,
         order=DEFAULT_ORDER if order is None else order,
-        n_steps=default_n_steps(tau) if steps is None else steps,
+        n_steps=n_steps,
         fmt=getattr(args, "fmt", "csv"),
         out=getattr(args, "out", None),
     )
@@ -221,11 +219,14 @@ def cmd_path(args) -> int:
     samples = args.samples
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples - 1 > _MAX_STEPS:
+        raise ValueError(f"samples must be at most {_MAX_STEPS + 1}, got {samples}")
     expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
     eps = cfg.state.s0 - cfg.params.mu_hat
 
-    # Round the step count up so grid points land exactly on RK4 nodes.
-    per_cell = -(-cfg.n_steps // (samples - 1))
+    # Round the step count up so grid points land exactly on RK4 nodes, or
+    # down where rounding up would pass _MAX_STEPS.
+    per_cell = min(-(-cfg.n_steps // (samples - 1)), _MAX_STEPS // (samples - 1))
     n_steps = per_cell * (samples - 1)
     path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps, samples)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .params import ModelParams, _require_index, _require_maturity
+from .params import ModelParams, _require_consol_rate, _require_index, _require_maturity
 from .perturbation import EllExpansion, _quadrature, tau_lbar_terms
 
 __all__ = [
@@ -162,7 +162,7 @@ class ShatExpansion:
 
 
 def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):
-    if l0 != expansion.l0 or params != expansion.params:
+    if _require_consol_rate(l0) != expansion.l0 or params != expansion.params:
         raise ValueError("l0 and params must be the ones the expansion was built from")
 
 
@@ -182,9 +182,9 @@ def solve_shat_series(
     f_1 underflows below a normal double.
     """
     _require_match(expansion, l0, params)
-    _require_maturity(tau)
+    tau = _require_maturity(tau)
     _require_index(order, "order", 0, expansion.order)
-    ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([float(l0)]), np.array([float(tau)]))
+    ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([expansion.l0]), np.array([tau]))
     return ShatExpansion(
         tau=tau,
         k=tuple(k[:, 0].tolist()),

@@ -95,17 +95,30 @@ class OracleResult:
 _MAX_STEPS = 10**7
 
 
+def _n_steps(tau: float, n_steps: int | None) -> int:
+    """The RK4 step count for maturity ``tau``: ``n_steps``, or the default where it is None.
+
+    Raises ValueError unless ``tau`` is a maturity and the count an integer
+    in [16, _MAX_STEPS]; the default exceeds that past tau = 10^4, and where
+    1000 tau overflows.
+    """
+    tau = _require_maturity(tau)
+    if n_steps is None:
+        n_steps = max(1000.0, 1000 * tau)
+        # Bounded as a float, before ceil, which overflows where 1000 tau is inf.
+        if n_steps <= _MAX_STEPS:
+            n_steps = math.ceil(n_steps)
+    _require_index(n_steps, "n_steps", 16, _MAX_STEPS)
+    return n_steps
+
+
 def default_n_steps(tau: float) -> int:
     """Default integrator resolution: at least 1000 steps, 1000 per year.
 
     Raises ValueError where that is more than the integrator takes, as for
     an explicit step count (past tau = 10^4, and where 1000 tau overflows).
     """
-    steps = max(1000.0, 1000 * _require_maturity(tau))
-    # Bounded as a float, before ceil, which overflows where 1000 tau is inf.
-    if steps > _MAX_STEPS:
-        raise ValueError(f"n_steps must be in [16, {_MAX_STEPS}], got {steps}")
-    return math.ceil(steps)
+    return _n_steps(tau, None)
 
 
 # RK4 steps per block of the scan.  Blocks are laid out from step 0 and the
@@ -331,7 +344,7 @@ def integrate_ell(
     state: InitialState,
     params: ModelParams,
     tau: float,
-    n_steps: int,
+    n_steps: int | None,
     samples: int,
 ) -> tuple[np.ndarray, float]:
     """RK4 integration of the consol rate and its running integral.
@@ -340,11 +353,12 @@ def integrate_ell(
     (samples, 2) with columns (t, l(t)) at steps 0, n_steps / (samples - 1),
     ..., n_steps, and ``tau_lbar`` is A(tau), the integral of l over
     [0, tau].  Each row after the first is read from the scan at its step,
-    as ``compute_oracle`` reads the last.  ``samples - 1`` must divide
-    ``n_steps``.
+    as ``compute_oracle`` reads the last.  ``n_steps`` None takes
+    ``default_n_steps(tau)``, as in ``compute_oracle``; ``samples - 1``
+    must divide the count.
     """
     tau = _require_maturity(tau)
-    _require_index(n_steps, "n_steps", 16, _MAX_STEPS)
+    n_steps = _n_steps(tau, n_steps)
     if not isinstance(samples, (int, np.integer)) or samples < 2 or n_steps % (samples - 1):
         raise ValueError(f"samples must be >= 2 with samples - 1 dividing n_steps={n_steps}, got {samples}")
     h = tau / n_steps
@@ -455,23 +469,18 @@ def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
     s_hat = np.full(size, math.nan)
     with np.errstate(all="ignore"):
         half_width = 10.0 * (np.abs(eps_hint) + sigma2 * tau + 0.01)
-        lo, hi, f_lo, f_hi = (np.empty(size) for _ in range(4))
-        # Pass 0 evaluates the initial bracket; each later pass doubles it,
-        # per entry, while there is no sign change.
-        wide = np.arange(size)
-        for widening in range(_MAX_BRACKET_WIDENINGS + 1):
-            if not wide.size:
+        # Each pass evaluates every entry's bracket; an entry with no sign
+        # change doubles it for the next pass, up to _MAX_BRACKET_WIDENINGS times.
+        while True:
+            lo, hi = mh - half_width, mh + half_width
+            f_lo = _deflated(lo, tau_lbar, l0, sigma2, tau)[0]
+            f_hi = _deflated(hi, tau_lbar, l0, sigma2, tau)[0]
+            grow = (f_lo * f_hi > 0.0) & (widenings < _MAX_BRACKET_WIDENINGS)
+            if not grow.any():
                 break
-            if widening:
-                half_width[wide] *= 2.0
-            widenings[wide] = widening
-            lo[wide] = mh - half_width[wide]
-            hi[wide] = mh + half_width[wide]
-            f_lo[wide] = _deflated(lo[wide], tau_lbar[wide], l0[wide], sigma2, tau[wide])[0]
-            f_hi[wide] = _deflated(hi[wide], tau_lbar[wide], l0[wide], sigma2, tau[wide])[0]
-            wide = wide[f_lo[wide] * f_hi[wide] > 0.0]
-        bracketed = np.ones(size, dtype=bool)
-        bracketed[wide] = False
+            widenings += grow
+            half_width = np.where(grow, 2.0 * half_width, half_width)
+        bracketed = ~(f_lo * f_hi > 0.0)
 
         # Safeguarded Newton from xl = lo, xh = hi: q's slope, tau^2 (-l0 phi1'
         # + sigma2 tau phi2'), is a sum of two positive terms, so q increases
@@ -579,9 +588,7 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     first, then its first failed root.
     """
     taus = [_require_maturity(tau) for tau in taus]
-    if n_steps is not None:
-        _require_index(n_steps, "n_steps", 16, _MAX_STEPS)
-    steps = [default_n_steps(tau) if n_steps is None else n_steps for tau in taus]
+    steps = [_n_steps(tau, n_steps) for tau in taus]
     groups: dict[float, list[int]] = {}
     for i, (tau, n) in enumerate(zip(taus, steps)):
         groups.setdefault(tau / n, []).append(i)
@@ -589,10 +596,8 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     ell = np.empty((len(taus), eps.size))
     for h, members in groups.items():
         ends = sorted({steps[i] for i in members})
-        group_tau_lbar, group_ell = _rk4(eps, l0, params, h, ends)
-        for i in members:
-            j = ends.index(steps[i])
-            tau_lbar[i], ell[i] = group_tau_lbar[j], group_ell[j]
+        rows = [ends.index(steps[i]) for i in members]
+        tau_lbar[members], ell[members] = (a[rows] for a in _rk4(eps, l0, params, h, ends))
     finite = (np.isfinite(tau_lbar) & np.isfinite(ell)).all(axis=1)
     solved = len(taus) if finite.all() else int(np.argmin(finite))
     roots = _solve_roots(

@@ -50,12 +50,18 @@ class EllExpansion:
 
     The closed form, ``alpha`` with shape (N+1,) and lower-triangular
     ``beta`` with shape (N+1, N+1), is written on each read as read-only
-    arrays.  Immutable; safe to share across threads and evaluate concurrently.
+    arrays.  Construction validates ``order`` and ``l0`` and stores ``l0``
+    as a float.  Immutable; safe to share across threads and evaluate
+    concurrently.
     """
 
     order: int
     params: ModelParams
     l0: float
+
+    def __post_init__(self):
+        _require_order(self.order)
+        object.__setattr__(self, "l0", _require_consol_rate(self.l0))
 
     @property
     def alpha(self) -> np.ndarray:
@@ -90,8 +96,6 @@ def _closed_form(params: ModelParams, l0: float, order: int) -> tuple[np.ndarray
 
 def build_expansion(params: ModelParams, l0: float, order: int) -> EllExpansion:
     """The expansion to ``order`` at (params, l0); validates and stores the three."""
-    _require_order(order)
-    _require_consol_rate(l0)
     return EllExpansion(order=order, params=params, l0=l0)
 
 

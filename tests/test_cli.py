@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sshat.cli
+import sshat.oracle
 from sshat import InitialState, build_expansion, compute_oracle, solve_shat_series
 from sshat.cli import BASE_PARAMS, main
 from sshat.epsseries import _BLOCK
@@ -24,6 +25,10 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("RK4 scan started")
 
 
 def test_no_command_is_validation_error(capsys):
@@ -199,10 +204,7 @@ def test_path_order3_beats_order1(capsys):
     ],
 )
 def test_step_count_bound_is_validation_error(monkeypatch, capsys, argv):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("RK4 scan started")
-
-    monkeypatch.setattr("sshat.oracle._rk4", no_scan)
+    monkeypatch.setattr("sshat.oracle._rk4", _no_scan)
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == ""
     assert "n_steps must be in [16, 10000000]" in err
@@ -211,6 +213,48 @@ def test_step_count_bound_is_validation_error(monkeypatch, capsys, argv):
 def test_path_rejects_single_sample(capsys):
     rc, _, _ = run(capsys, "path", "--samples", "1")
     assert rc == 1
+
+
+def test_path_rounds_down_at_the_step_bound(capsys):
+    # Rounding 10^7 up to a multiple of 6 would give 10000002 steps; path
+    # takes 9999996 instead.
+    rc, out, err = run(capsys, "path", "--steps", "10000000", "--samples", "7", "--tau", "0.001")
+    assert rc == 0 and err == ""
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 7
+    assert rows[1][0] == 1666666 * (0.001 / 9999996)
+
+
+@pytest.mark.parametrize(
+    "argv, steps",
+    [
+        # The default 1000 steps rounds up to 1002 and down to 996 (as tau = 10^4 with 10^6 samples would).
+        (("--samples", "7"), 996),
+        (("--steps", "1000", "--samples", "1001"), 1000),
+        (("--steps", "16", "--samples", "101"), 100),
+    ],
+)
+def test_path_step_count_stays_within_the_bound(monkeypatch, capsys, argv, steps):
+    for module in (sshat.oracle, sshat.cli):
+        monkeypatch.setattr(module, "_MAX_STEPS", 1000)
+    counts = []
+    integrate = sshat.cli.integrate_ell
+
+    def record(state, params, tau, n_steps, samples):
+        counts.append(n_steps)
+        return integrate(state, params, tau, n_steps, samples)
+
+    monkeypatch.setattr(sshat.cli, "integrate_ell", record)
+    rc, _, err = run(capsys, "path", *argv)
+    assert rc == 0 and err == ""
+    assert counts == [steps]
+
+
+def test_path_rejects_more_cells_than_steps(monkeypatch, capsys):
+    monkeypatch.setattr("sshat.oracle._rk4", _no_scan)
+    rc, out, err = run(capsys, "path", "--samples", "10000002")
+    assert rc == 1 and out == ""
+    assert err == "error: samples must be at most 10000001, got 10000002\n"
 
 
 def test_tables_default_prints_both_tables(capsys):
@@ -234,6 +278,17 @@ def test_tables_check_reports_known_deviations(capsys):
         assert line.startswith("s_hat order3") or line.startswith("s_hat numerical")
         assert "s0=-0.05" in line or "s0=+0.05" in line
     assert not any("tau_lbar" in line for line in lines)
+
+
+def test_tables_check_passes_against_the_printed_rows(monkeypatch, capsys):
+    rc, out, _ = run(capsys, "tables")
+    assert rc == 0
+    tables = out.split("\n\n")
+    rows = [tuple(tuple(float(v) for v in line.split()[1:]) for line in table.strip().split("\n")[2:]) for table in tables]
+    monkeypatch.setattr(sshat.cli, "REFERENCE_TAU_LBAR", rows[0])
+    monkeypatch.setattr(sshat.cli, "REFERENCE_SHAT", rows[1])
+    rc, _, err = run(capsys, "tables", "--check")
+    assert rc == 0 and err == "reference check passed\n"
 
 
 def test_tables_check_perturbed_parameters_fails(tmp_path, capsys):

@@ -225,6 +225,24 @@ def test_solve_rejects_l0_or_params_other_than_the_expansions(base_params, base_
             rhs1_printed(base_expansion, BASE_TAU, l0, params)
 
 
+def test_solve_takes_the_l0_the_expansion_stores(base_params):
+    # The expansion of a float32 l0 holds float(np.float32(0.1)), not 0.1:
+    # the solve accepts the float32 and that float, and rejects 0.1.
+    expansion = build_expansion(base_params, np.float32(0.1), 3)
+    stored = float(np.float32(0.1))
+    shat = solve_shat_series(expansion, BASE_TAU, stored, base_params, 3)
+    assert solve_shat_series(expansion, BASE_TAU, np.float32(0.1), base_params, 3) == shat
+    assert shat == solve_shat_series(build_expansion(base_params, stored, 3), BASE_TAU, stored, base_params, 3)
+    with pytest.raises(ValueError, match="expansion"):
+        solve_shat_series(expansion, BASE_TAU, 0.1, base_params, 3)
+
+
+def test_solve_stores_the_validated_maturity(base_params, base_expansion):
+    for tau in (1, np.float32(1.0), np.array(1.0)):
+        shat = solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3)
+        assert type(shat.tau) is float and shat == solve_shat_series(base_expansion, 1.0, BASE_L0, base_params, 3)
+
+
 def test_zero_L1_gives_zero_k1(monkeypatch, base_params, base_expansion):
     # The solve reads L = A + l0 B from the quadrature, and rhs1_printed
     # reads it through tau_lbar_terms; zero L_1 in both.

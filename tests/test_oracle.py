@@ -65,6 +65,10 @@ def test_integrate_validation(base_params):
         integrate_ell(state, base_params, 0.0, 1000, 2)
     with pytest.raises(ValueError):
         integrate_ell(state, base_params, 1.0, 15, 2)
+    # No count takes the default, 1000 steps per year, as compute_oracle does.
+    path, tau_lbar = integrate_ell(state, base_params, 2.0, None, 5)
+    default = integrate_ell(state, base_params, 2.0, 2000, 5)
+    assert path.tobytes() == default[0].tobytes() and tau_lbar == default[1]
 
 
 @pytest.mark.parametrize("samples", [1, 0, -1, 7, 1002])
@@ -541,6 +545,22 @@ def test_batched_solve_counters_equal_single_solves(base_params):
         assert fields + counters == tuple(a[i].item() for a in roots)
         assert 1 <= alone.iterations <= 200 and 0 <= alone.bisections <= alone.iterations
     assert near == [compute_oracle(state, base_params, BASE_TAU) for state in states]
+
+
+def test_batched_solve_raises_for_an_entry_that_never_brackets(base_params):
+    # The tau_lbar = -5 entry of test_solve_unbracketable_raises, batched
+    # with the widening far root and ordinary states, fails as it does alone.
+    with pytest.raises(BracketingError) as alone:
+        solve_shat_numeric(-5.0, BASE_L0, base_params, BASE_TAU)
+    assert "after 5 widenings" in str(alone.value)
+    _, far = integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, BASE_TAU, 4000, 2)
+    near = compute_oracles([InitialState(s0=s0, l0=BASE_L0) for s0 in TABLE_S0], base_params, BASE_TAU)
+    tau_lbar = np.array([far, near[0].tau_lbar, -5.0, near[1].tau_lbar, near[2].tau_lbar])
+    eps_hint = np.array([0.0, TABLE_S0[0] - BASE_MU_HAT, 0.0, TABLE_S0[1] - BASE_MU_HAT, TABLE_S0[2] - BASE_MU_HAT])
+    size = tau_lbar.size
+    with pytest.raises(BracketingError) as batched:
+        _solve_roots(tau_lbar, np.full(size, BASE_L0), base_params, np.full(size, BASE_TAU), eps_hint)
+    assert str(batched.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("l0", [math.nan, -0.1, 0.0, math.inf])

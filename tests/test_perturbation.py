@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from sshat import (
+    EllExpansion,
     InitialState,
     ModelParams,
     N_MAX,
@@ -239,6 +240,21 @@ def test_build_expansion_validation(base_params):
         build_expansion(base_params, 0.0, 3)
     with pytest.raises(ValueError, match="^l0 must be a number"):
         build_expansion(base_params, "0.1", 3)
+
+
+def test_expansion_stores_the_validated_l0(base_params):
+    # A numpy l0 is stored as the float it validates to, so the record hashes
+    # and compares like one built from that float; direct construction
+    # validates as build_expansion does.
+    for l0 in (np.float32(0.1), np.array(0.1), np.float64(0.1)):
+        expansion = build_expansion(base_params, l0, 3)
+        assert type(expansion.l0) is float and expansion.l0 == float(l0)
+        twin = build_expansion(base_params, float(l0), 3)
+        assert expansion == twin and hash(expansion) == hash(twin)
+    with pytest.raises(ValueError, match="expansion order"):
+        EllExpansion(order=17, params=base_params, l0=BASE_L0)
+    with pytest.raises(ValueError, match="l0"):
+        EllExpansion(order=3, params=base_params, l0=-0.1)
 
 
 @pytest.mark.parametrize("mu", [-0.01, 0.0, 0.01])
