@@ -230,28 +230,32 @@ def cmd_path(args) -> int:
     n_steps = per_cell * (samples - 1)
     path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps, samples)
 
+    # Every value is computed before the first output byte; rows are then
+    # written in spans of at most _SPAN, each one %-template of %.17g fields.
+    terms = np.array([_ell_terms(expansion, t) for t in path[:, 0].tolist()])
+    # An overflowing eps^n writes inf or nan in its column, as float sums do, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.column_stack((path, *_partial_sums(terms.T, eps)))
     header = ["t", "ell_rk4"] + [f"ell_order{n}" for n in range(cfg.order + 1)]
-    lines = [",".join(header)]
-    for t, ell_ref in path:
-        values = [t, ell_ref, *_partial_sums(_ell_terms(expansion, t).tolist(), eps)]
-        lines.append(",".join(_g17(v) for v in values))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with _output(cfg.out) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, samples, _SPAN):
+            span = values[lo : lo + _SPAN]
+            fh.write((row * len(span)) % tuple(span.ravel().tolist()))
     return 0
 
 
 def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
-    """Both reference tables: rows orders 0..3 plus the numerical row, columns TABLE_S0."""
+    """Both reference tables as (5, 3) arrays: rows orders 0..3 plus the numerical row, columns TABLE_S0."""
     expansion = build_expansion(params, l0, 3)
     terms = tau_lbar_terms(expansion, tau)
     shat = solve_shat_series(expansion, tau, l0, params, 3)
-    tl_columns = []
-    shat_columns = []
     results = compute_oracles([InitialState(s0=s0, l0=l0) for s0 in TABLE_S0], params, tau, n_steps)
-    for s0, result in zip(TABLE_S0, results):
-        eps = s0 - params.mu_hat
-        tl_columns.append([*_partial_sums(terms, eps), result.tau_lbar])
-        shat_columns.append([*_partial_sums(shat.k, eps), result.s_hat])
-    return list(zip(*tl_columns)), list(zip(*shat_columns))
+    eps = np.array(TABLE_S0) - params.mu_hat
+    tl_rows = np.array([*_partial_sums(terms, eps), [r.tau_lbar for r in results]])
+    shat_rows = np.array([*_partial_sums(shat.k, eps), [r.s_hat for r in results]])
+    return tl_rows, shat_rows
 
 
 def _format_table(title: str, rows, fmt) -> str:
@@ -283,19 +287,15 @@ def cmd_tables(args) -> int:
 
     if not args.check:
         return 0
+    labels = ["order0", "order1", "order2", "order3", "numerical"]
     mismatches = []
-    for name, got_rows, ref_rows in (
-        ("tau_lbar", tl_rows, REFERENCE_TAU_LBAR),
-        ("s_hat", shat_rows, REFERENCE_SHAT),
-    ):
-        labels = ["order0", "order1", "order2", "order3", "numerical"]
-        for label, got_row, ref_row in zip(labels, got_rows, ref_rows):
-            for s0, got, ref in zip(TABLE_S0, got_row, ref_row):
-                if abs(got - ref) > CHECK_TOLERANCE:
-                    mismatches.append(
-                        f"{name} {label} s0={s0:+.2f}: computed {_g17(got)} vs reference {ref} "
-                        f"(diff {abs(got - ref):.3g})"
-                    )
+    for name, rows, reference in (("tau_lbar", tl_rows, REFERENCE_TAU_LBAR), ("s_hat", shat_rows, REFERENCE_SHAT)):
+        diff = np.abs(rows - reference)
+        for i, j in np.argwhere(diff > CHECK_TOLERANCE).tolist():
+            mismatches.append(
+                f"{name} {labels[i]} s0={TABLE_S0[j]:+.2f}: computed {_g17(rows[i, j])} vs reference "
+                f"{reference[i][j]} (diff {diff[i, j]:.3g})"
+            )
     if mismatches:
         sys.stderr.write("reference check failed:\n" + "\n".join(mismatches) + "\n")
         return 3
@@ -352,7 +352,14 @@ def cmd_sweep(args) -> int:
     eps = (s0_grid - params.mu_hat)[:, None]
     values = np.empty((len(s0_grid), pairs))
     for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
-        values[:, start : start + k.shape[1]] = deque(_partial_sums(k, eps), maxlen=1)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[:, start : start + k.shape[1]] = deque(_partial_sums(k, eps), maxlen=1)[0]
+    if not np.isfinite(values).all():
+        i_s0, p = divmod(int(np.isfinite(values).argmin()), pairs)
+        raise NumericalFailure(
+            f"the series value shat_order{order} is not finite at s0={s0_grid[i_s0].item()!r}, "
+            f"l0={l0_grid[p // n_tau].item()!r}, tau={tau_grid[p % n_tau].item()!r}"
+        )
     share = (time.perf_counter() - started) / total  # per row: an equal share of the oracle batch and the series
 
     header = ["s0", "l0", "tau", f"shat_order{order}"]

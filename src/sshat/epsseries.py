@@ -28,9 +28,12 @@ and one quadrature gives both (``perturbation._quadrature``), so ``f_1 < 0``
 for every admissible parameter set and no order amplifies the rounding
 error of the orders below.
 
-The first-order closed form ``k_1 = L_1 / f_1`` is kept as an independent
-cross-check, written as in the cleared equation: ``k_1 * bracket = L_1 k_0^2``
-with ``bracket = k_0^2 f_1``.
+The first-order closed form ``k_1 = L_1 / f_1`` is kept as a check of the
+reversion's first order, written as in the cleared equation:
+``k_1 * bracket = L_1 k_0^2`` with ``bracket = k_0^2 f_1``.  L_1 and f_1 come
+from the same ``_quadrature`` call, so it does not check the quadrature.
+The mpmath values of ``tests/_reference.py`` and the closed-form L_k of
+acceptance criterion 5 do.
 
 Both sides are affine in l0: ``L_k = A_k + l0 B_k`` (perturbation) and
 ``f_j = a_j + l0 b_j``.  So one solve covers a whole grid of (l0, tau) pairs:

@@ -228,7 +228,12 @@ def tau_lbar_terms(expansion: EllExpansion, tau: float) -> list[float]:
     """The scalar values L_k(tau) = A_k(tau) + l0 B_k(tau) for k = 0..order.
 
     From ``_quadrature``: the same values the series solve reads at (l0, tau).
+    Raises NumericalFailure when a term overflows.
     """
     tau = _require_maturity(tau)
     A, B = _quadrature(expansion.params, tau, expansion.order)[:, 1]
-    return (A + expansion.l0 * B).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = A + expansion.l0 * B
+    if not np.isfinite(terms).all():
+        raise NumericalFailure(f"the terms L_k of tau*lbar overflowed at k0*tau={expansion.params.mu_hat * tau!r}")
+    return terms.tolist()

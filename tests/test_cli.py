@@ -9,9 +9,10 @@ import pytest
 
 import sshat.cli
 import sshat.oracle
-from sshat import InitialState, build_expansion, compute_oracle, solve_shat_series
-from sshat.cli import BASE_PARAMS, main
-from sshat.epsseries import _BLOCK
+from sshat import InitialState, build_expansion, compute_oracle, integrate_ell, solve_shat_series
+from sshat.cli import BASE_PARAMS, DEFAULT_L0, main
+from sshat.epsseries import _BLOCK, _partial_sums
+from sshat.perturbation import _ell_terms
 
 from _reference import BASE_L0, TRUE_SHAT
 
@@ -139,6 +140,42 @@ def test_path_order3_tracks_rk4(capsys):
     for line in out.strip().split("\n")[1:]:
         vals = [float(v) for v in line.split(",")]
         assert abs(vals[5] - vals[1]) < 1e-6
+
+
+def _reference_path(order, s0, tau, samples, steps):
+    """The path CSV built row by row: _ell_terms per row, float partial sums, %.17g joins."""
+    expansion = build_expansion(BASE_PARAMS, DEFAULT_L0, order)
+    path, _ = integrate_ell(InitialState(s0=s0, l0=DEFAULT_L0), BASE_PARAMS, tau, steps, samples)
+    lines = [",".join(["t", "ell_rk4"] + [f"ell_order{n}" for n in range(order + 1)])]
+    for t, ell in path.tolist():
+        sums = _partial_sums(_ell_terms(expansion, t).tolist(), s0 - BASE_PARAMS.mu_hat)
+        lines.append(",".join(f"{x:.17g}" for x in [t, ell, *sums]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("span", [None, 5], ids=["one_span", "spans_of_5"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("order", [0, 3, 16])
+def test_path_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, order, to_file, span):
+    # 13 samples and 1200 steps, a multiple of the 12 cells, so cmd_path keeps
+    # the count; with spans of 5 the rows are written as 5, 5 and 3.
+    if span:
+        monkeypatch.setattr("sshat.cli._SPAN", span)
+    argv = ["path", "--order", str(order), "--s0", "0.05", "--tau", "2", "--samples", "13", "--steps", "1200"]
+    target = tmp_path / "path.csv"
+    rc, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (rc, err) == (0, "")
+    if to_file:
+        assert out == ""
+        out = target.read_bytes().decode("utf-8")
+    assert out == _reference_path(order, 0.05, 2.0, 13, 1200)
+
+
+def test_path_overflow_message_prints_a_plain_float(capsys):
+    # exp(-mu_hat t) overflows at the last sample, mu_hat t = -1000.
+    rc, out, err = run(capsys, "path", "--order", "16", "--tau", "1e5", "--samples", "3", "--steps", "16")
+    assert (rc, out) == (2, "")
+    assert err == "numerical failure: path coefficients overflowed at k0*t=-1000.0\n"
 
 
 @pytest.mark.parametrize(
@@ -553,6 +590,25 @@ def test_sweep_failure_leaves_existing_out_file_untouched(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == "previous run\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_rejects_a_series_value_that_is_not_finite(tmp_path, capsys):
+    # eps^2 and eps^3 overflow at s0 = +/-1e300; the first such row is named,
+    # and nothing reaches stdout or an existing --out file.
+    argv = ("sweep", "--s0-grid=-1e300:1e300:3", "--l0-grid=0.1:0.1:1")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "numerical failure: the series value shat_order3 is not finite at s0=-1e+300, l0=0.1, tau=1.0\n"
+    target = tmp_path / "sweep.csv"
+    target.write_text("previous run\n", encoding="utf-8")
+    rc, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (rc, out) == (2, "")
+    assert target.read_text(encoding="utf-8") == "previous run\n"
+    # Finite rows come first here: s0 = 0 at every (l0, tau) pair.
+    rc, _, err = run(capsys, "sweep", "--s0-grid=0:1e300:2", "--l0-grid=0.1:0.2:2", "--tau-grid=1:2:2")
+    assert rc == 2
+    assert err == "numerical failure: the series value shat_order3 is not finite at s0=1e+300, l0=0.1, tau=1.0\n"
+
+
 def test_sweep_reads_params_file(tmp_path, capsys):
     base = tmp_path / "base.cfg"
     base.write_text(BASE_CONFIG, encoding="utf-8")
@@ -691,6 +747,18 @@ def test_console_main_exits_with_the_status_of_main(monkeypatch, capsys, argv, c
         sshat.cli.console_main()
     assert exit_info.value.code == code
     assert capsys.readouterr().err.startswith(("", "error: ", "numerical failure: ", "reference check failed:\n")[code])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["abar", "tables"])
+def test_tau_lbar_overflow_is_numerical_failure(capsys, command):
+    # The terms L_k overflow at l0 = 1e308; at l0 = 1e300 they do not.
+    rc, out, err = run(capsys, command, "--l0", "1e308", "--tau", "1000")
+    assert (rc, out) == (2, "")
+    assert err == "numerical failure: the terms L_k of tau*lbar overflowed at k0*tau=-10.0\n"
+    if command == "abar":
+        rc, out, _ = run(capsys, "abar", "--l0", "1e300", "--tau", "1000")
+        assert rc == 0 and out
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -383,6 +383,16 @@ def test_tau_lbar_terms_rejects_non_finite_maturity(base_expansion, tau):
         tau_lbar_terms(base_expansion, tau)
 
 
+@pytest.mark.filterwarnings("error")
+def test_tau_lbar_terms_overflow_raises(base_params):
+    # At l0 = 1e308 the l0 slope B_k times l0 overflows at tau = 1000.  At
+    # l0 = 1e300 the L_k stay finite, though F's coefficients a_j + l0 b_j
+    # overflow there.
+    with pytest.raises(NumericalFailure, match=r"^the terms L_k of tau\*lbar overflowed at k0\*tau=-10.0$"):
+        tau_lbar_terms(build_expansion(base_params, 1e308, 3), 1000.0)
+    assert np.isfinite(tau_lbar_terms(build_expansion(base_params, 1e300, 3), 1000.0)).all()
+
+
 def test_truncation_error_halves_at_expected_rate(base_params, base_expansion):
     """Error against the integrator scales as eps^(N+1)."""
     terms = tau_lbar_terms(base_expansion, 1.0)
