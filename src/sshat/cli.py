@@ -26,7 +26,6 @@ import math
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +68,6 @@ MAX_SWEEP_POINTS = 10**6
 _SPAN = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: ModelParams
-    state: InitialState
-    tau: float
-    order: int
-    n_steps: int
-    fmt: str
-    out: str | None
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse normally exits with status 2 on usage errors; route them
     through ValueError so bad configuration consistently exits 1."""
@@ -92,10 +80,10 @@ _OPTIONS = {
     "params": dict(metavar="FILE", help="key-value config file (keys: m, mu, gamma, sigma2, lambda, s0, l0)"),
     "s0": dict(type=float, help="initial spread"),
     "l0": dict(type=float, help="initial consol rate"),
-    "tau": dict(type=float, help="maturity in years"),
-    "order": dict(type=int, help="expansion truncation order"),
+    "tau": dict(type=float, default=DEFAULT_TAU, help="maturity in years (default %(default)s)"),
+    "order": dict(type=int, default=DEFAULT_ORDER, help="expansion truncation order (default %(default)s)"),
     "steps": dict(type=int, help="integrator step count"),
-    "format": dict(choices=("table", "csv"), default="table", dest="fmt"),
+    "format": dict(choices=("table", "csv"), default="table", dest="fmt", help="output format (default %(default)s)"),
     "out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
 }
 
@@ -119,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_path = sub.add_parser("path", help="CSV of the consol-rate path: RK4 next to each expansion order")
     _add_options(p_path, "params s0 l0 tau order steps out")
-    p_path.add_argument("--samples", type=int, default=101, help="grid points over [0, tau] (>= 2)")
+    p_path.add_argument("--samples", type=int, default=101, help="grid points in [0, tau] (>= 2; default %(default)s)")
 
     p_tables = sub.add_parser("tables", help="reference tables for the three standard initial spreads")
     _add_options(p_tables, "params l0 tau steps format out")
@@ -127,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a (s0, l0, tau) grid")
     _add_options(p_sweep, "params order steps out")
-    p_sweep.add_argument("--s0-grid", default="-0.05:0.05:10", metavar="LO:HI:N")
-    p_sweep.add_argument("--l0-grid", default="0.005:0.2:10", metavar="LO:HI:N")
-    p_sweep.add_argument("--tau-grid", default="1:1:1", metavar="LO:HI:N")
+    p_sweep.add_argument("--s0-grid", default="-0.05:0.05:10", metavar="LO:HI:N", help="s0 axis (default %(default)s)")
+    p_sweep.add_argument("--l0-grid", default="0.005:0.2:10", metavar="LO:HI:N", help="l0 axis (default %(default)s)")
+    p_sweep.add_argument("--tau-grid", default="1:1:1", metavar="LO:HI:N", help="tau axis (default %(default)s)")
     p_sweep.add_argument("--oracle", action="store_true", help="add the numerical root and absolute difference per row")
     p_sweep.add_argument(
         "--timing",
@@ -141,23 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    """The base settings, or a ``--params`` file's in their place; every flag given wins over either."""
+def _resolve_config(args) -> tuple[ModelParams, InitialState, int]:
+    """``(params, state, n_steps)`` of a command's parsed options.
+
+    ``params`` and ``state`` are the base settings, or a ``--params`` file's
+    in their place; ``--s0`` and ``--l0`` win over either.  ``n_steps`` is the
+    RK4 step count for ``--tau`` (1 year for ``sweep``, which has none) and
+    ``--steps``.  Errors come in this order: the file, then the maturity and
+    the step count, then ``s0`` and ``l0``.
+    """
     params, state = BASE_PARAMS, InitialState(s0=DEFAULT_S0, l0=DEFAULT_L0)
     if getattr(args, "params", None):
         params, state = load_config(args.params)
-    s0, l0, tau, order, steps = (getattr(args, name, None) for name in ("s0", "l0", "tau", "order", "steps"))
-    tau = DEFAULT_TAU if tau is None else tau
-    n_steps = _n_steps(tau, steps)
-    return RunConfig(
-        params=params,
-        state=InitialState(s0=state.s0 if s0 is None else s0, l0=state.l0 if l0 is None else l0),
-        tau=tau,
-        order=DEFAULT_ORDER if order is None else order,
-        n_steps=n_steps,
-        fmt=getattr(args, "fmt", "csv"),
-        out=getattr(args, "out", None),
-    )
+    s0, l0 = getattr(args, "s0", None), getattr(args, "l0", None)
+    n_steps = _n_steps(getattr(args, "tau", DEFAULT_TAU), args.steps)
+    state = InitialState(s0=state.s0 if s0 is None else s0, l0=state.l0 if l0 is None else l0)
+    return params, state, n_steps
 
 
 def _output(out: str | None):
@@ -180,11 +167,10 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _report(cfg: RunConfig, label: str, name: str, terms, oracle: float) -> str:
-    """Per-order ``terms``, their partial sums and the distance of each from ``oracle``."""
-    eps = cfg.state.s0 - cfg.params.mu_hat
+def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -> str:
+    """Per-order ``terms``, their partial sums at ``eps`` and the distance of each from ``oracle``."""
     rows = list(enumerate(zip(terms, _partial_sums(terms, eps))))
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         lines = [f"n,{label},partial_sum,oracle_{name},abs_diff"]
         for n, (term, partial) in rows:
             lines.append(f"{n},{_g17(term)},{_g17(partial)},{_g17(oracle)},{_g17(abs(partial - oracle))}")
@@ -197,48 +183,51 @@ def _report(cfg: RunConfig, label: str, name: str, terms, oracle: float) -> str:
 
 
 def cmd_shat(args) -> int:
-    cfg = _resolve_config(args)
-    expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
-    shat = solve_shat_series(expansion, cfg.tau, cfg.state.l0, cfg.params, cfg.order)
-    oracle = compute_oracle(cfg.state, cfg.params, cfg.tau, cfg.n_steps)
-    _emit(_report(cfg, "k_n", "s_hat", shat.k, oracle.s_hat), cfg.out)
+    params, state, n_steps = _resolve_config(args)
+    expansion = build_expansion(params, state.l0, args.order)
+    shat = solve_shat_series(expansion, args.tau, state.l0, params, args.order)
+    oracle = compute_oracle(state, params, args.tau, n_steps)
+    _emit(_report(args.fmt, state.s0 - params.mu_hat, "k_n", "s_hat", shat.k, oracle.s_hat), args.out)
     return 0
 
 
 def cmd_abar(args) -> int:
-    cfg = _resolve_config(args)
-    expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
-    terms = tau_lbar_terms(expansion, cfg.tau)
-    _, oracle_tl = integrate_ell(cfg.state, cfg.params, cfg.tau, cfg.n_steps, 2)
-    _emit(_report(cfg, "L_n", "tau_lbar", terms, oracle_tl), cfg.out)
+    params, state, n_steps = _resolve_config(args)
+    expansion = build_expansion(params, state.l0, args.order)
+    terms = tau_lbar_terms(expansion, args.tau)
+    _, oracle_tl = integrate_ell(state, params, args.tau, n_steps, 2)
+    _emit(_report(args.fmt, state.s0 - params.mu_hat, "L_n", "tau_lbar", terms, oracle_tl), args.out)
     return 0
 
 
 def cmd_path(args) -> int:
-    cfg = _resolve_config(args)
+    params, state, n_steps = _resolve_config(args)
     samples = args.samples
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if samples - 1 > _MAX_STEPS:
         raise ValueError(f"samples must be at most {_MAX_STEPS + 1}, got {samples}")
-    expansion = build_expansion(cfg.params, cfg.state.l0, cfg.order)
-    eps = cfg.state.s0 - cfg.params.mu_hat
+    expansion = build_expansion(params, state.l0, args.order)
+    eps = state.s0 - params.mu_hat
 
     # Round the step count up so grid points land exactly on RK4 nodes, or
     # down where rounding up would pass _MAX_STEPS.
-    per_cell = min(-(-cfg.n_steps // (samples - 1)), _MAX_STEPS // (samples - 1))
+    per_cell = min(-(-n_steps // (samples - 1)), _MAX_STEPS // (samples - 1))
     n_steps = per_cell * (samples - 1)
-    path, _ = integrate_ell(cfg.state, cfg.params, cfg.tau, n_steps, samples)
+    path, _ = integrate_ell(state, params, args.tau, n_steps, samples)
 
     # Every value is computed before the first output byte; rows are then
     # written in spans of at most _SPAN, each one %-template of %.17g fields.
     terms = np.array([_ell_terms(expansion, t) for t in path[:, 0].tolist()])
-    # An overflowing eps^n writes inf or nan in its column, as float sums do, without a warning.
+    # An overflowing eps^n gives inf or nan without a warning; the first such cell is named.
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.column_stack((path, *_partial_sums(terms.T, eps)))
-    header = ["t", "ell_rk4"] + [f"ell_order{n}" for n in range(cfg.order + 1)]
+    header = ["t", "ell_rk4"] + [f"ell_order{n}" for n in range(args.order + 1)]
+    if not np.isfinite(values).all():
+        i, j = divmod(int(np.isfinite(values).argmin()), values.shape[1])
+        raise NumericalFailure(f"the series value {header[j]} is not finite at t={values[i, 0].item()!r}")
     row = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with _output(cfg.out) as fh:
+    with _output(args.out) as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, samples, _SPAN):
             span = values[lo : lo + _SPAN]
@@ -273,17 +262,17 @@ def _format_table(title: str, rows, fmt) -> str:
 
 
 def cmd_tables(args) -> int:
-    cfg = _resolve_config(args)
-    tl_rows, shat_rows = _table_values(cfg.params, cfg.state.l0, cfg.tau, cfg.n_steps)
+    params, state, n_steps = _resolve_config(args)
+    tl_rows, shat_rows = _table_values(params, state.l0, args.tau, n_steps)
 
-    if cfg.fmt == "csv":
-        prefix = cfg.out if cfg.out else "tables"
+    if args.fmt == "csv":
+        prefix = args.out if args.out else "tables"
         _emit(_format_table("", tl_rows, "csv"), prefix + "_abar.csv")
         _emit(_format_table("", shat_rows, "csv"), prefix + "_shat.csv")
     else:
         text = _format_table("tau*lbar approximations", tl_rows, "table")
         text += "\n" + _format_table("s_hat approximations", shat_rows, "table")
-        _emit(text, cfg.out)
+        _emit(text, args.out)
 
     if not args.check:
         return 0
@@ -320,8 +309,8 @@ def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    params, order = cfg.params, cfg.order
+    params, _, _ = _resolve_config(args)
+    order = args.order
 
     specs = [_parse_grid(getattr(args, f"{axis}_grid"), f"--{axis}-grid") for axis in ("s0", "l0", "tau")]
     total = math.prod(count for _, _, count in specs)
@@ -387,7 +376,7 @@ def cmd_sweep(args) -> int:
         )
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
-    with _output(cfg.out) as fh:
+    with _output(args.out) as fh:
         fh.write(
             f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
             "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"

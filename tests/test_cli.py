@@ -178,6 +178,21 @@ def test_path_overflow_message_prints_a_plain_float(capsys):
     assert err == "numerical failure: path coefficients overflowed at k0*t=-1000.0\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_path_rejects_a_series_value_that_is_not_finite(tmp_path, capsys):
+    # eps^16 overflows at s0 = 1e20 and c_16(0) = 0, so ell_order16 is nan
+    # from the row t = 0 on; nothing reaches stdout or an existing --out file.
+    argv = ("path", "--s0", "1e20", "--tau", "1e-25", "--order", "16", "--samples", "3")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "numerical failure: the series value ell_order16 is not finite at t=0.0\n"
+    target = tmp_path / "path.csv"
+    target.write_text("previous run\n", encoding="utf-8")
+    rc, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (rc, out) == (2, "")
+    assert target.read_text(encoding="utf-8") == "previous run\n"
+
+
 @pytest.mark.parametrize(
     "argv", [("path", "--tau", "1000", "--samples", "11"), ("abar", "--tau", "1000")], ids=["path", "abar"]
 )
@@ -849,3 +864,61 @@ def test_validation_exit_codes(capsys):
     assert run(capsys, "shat", "--tau", "0")[0] == 1
     assert run(capsys, "shat", "--order", "40")[0] == 1
     assert run(capsys, "shat", "--steps", "4")[0] == 1
+
+
+README_DEFAULTS = ("--s0=-0.05", "--l0", "0.1", "--tau", "1", "--order", "3")
+
+
+@pytest.mark.parametrize(
+    "command, spelled_out",
+    [
+        ("shat", README_DEFAULTS + ("--format", "table")),
+        ("abar", README_DEFAULTS + ("--format", "table")),
+        ("path", README_DEFAULTS + ("--samples", "101")),
+        ("tables", ("--l0", "0.1", "--tau", "1", "--format", "table")),
+        ("sweep", ("--order", "3", "--s0-grid=-0.05:0.05:10", "--l0-grid=0.005:0.2:10", "--tau-grid=1:1:1")),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_no_flags_equal_the_readme_defaults_spelled_out(capsys, command, spelled_out):
+    default = run(capsys, command)
+    assert default[0] == 0
+    assert run(capsys, command, *spelled_out) == default
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("shat", ("default 1.0", "default 3", "default table")),
+        ("path", ("default 101",)),
+        ("sweep", ("default 3", "default -0.05:0.05:10", "default 0.005:0.2:10", "default 1:1:1")),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_help_names_the_parser_defaults(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for default in defaults:
+        assert default in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The file is read before the maturity is checked.
+        (("shat", "--params", "ABSENT", "--tau", "-1"), "[Errno 2] No such file or directory: 'ABSENT'"),
+        # The maturity and the step count are checked before s0 and l0.
+        (("shat", "--tau", "-1", "--l0", "-1"), "maturity must be > 0, got -1.0"),
+        (("shat", "--steps", "3", "--l0", "-1"), "n_steps must be in [16, 10000000], got 3"),
+        # sweep has no --tau, but its step count is checked against 1 year.
+        (("sweep", "--steps", "3"), "n_steps must be in [16, 10000000], got 3"),
+    ],
+    ids=["file", "maturity", "steps", "sweep_steps"],
+)
+def test_validation_order(tmp_path, capsys, argv, message):
+    absent = str(tmp_path / "absent.cfg")
+    rc, out, err = run(capsys, *(absent if arg == "ABSENT" else arg for arg in argv))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {message.replace('ABSENT', absent)}\n"
