@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error or an --out path that cannot be
 opened, 2 numerical failure, 3 reference mismatch under --check.  Table
-output prints values at 7 decimal places; CSV output uses 17 significant
-digits, comma separators, LF line endings.
+output prints values at 7 decimal places; CSV fields are the exact
+'%.17g' % x text of each value, with comma separators and LF line endings.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from collections import deque
 
 import numpy as np
 
+from ._g17 import _g17_bytes
 from .epsseries import _partial_sums, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
 from .oracle import _MAX_STEPS, _n_steps, _oracle_grid, compute_oracle, compute_oracles, integrate_ell
@@ -66,6 +67,8 @@ REFERENCE_SHAT = (
 MAX_SWEEP_POINTS = 10**6
 # (l0, tau) pairs per write of sweep rows.
 _SPAN = 4096
+# Values per _g17_bytes call where sweep and path can group rows.
+_TEXT_BATCH = 2048
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,7 +220,8 @@ def cmd_path(args) -> int:
     path, _ = integrate_ell(state, params, args.tau, n_steps, samples)
 
     # Every value is computed before the first output byte; rows are then
-    # written in spans of at most _SPAN, each one %-template of %.17g fields.
+    # written in spans of at most _SPAN rows and _TEXT_BATCH values, each
+    # one %-template filled from one _g17_bytes call.
     terms = np.array([_ell_terms(expansion, t) for t in path[:, 0].tolist()])
     # An overflowing eps^n gives inf or nan without a warning; the first such cell is named.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,12 +230,13 @@ def cmd_path(args) -> int:
     if not np.isfinite(values).all():
         i, j = divmod(int(np.isfinite(values).argmin()), values.shape[1])
         raise NumericalFailure(f"the series value {header[j]} is not finite at t={values[i, 0].item()!r}")
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    row = b",".join([b"%s"] * values.shape[1]) + b"\n"
+    step = min(_SPAN, max(1, _TEXT_BATCH // values.shape[1]))
     with _output(args.out) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, samples, _SPAN):
-            span = values[lo : lo + _SPAN]
-            fh.write((row * len(span)) % tuple(span.ravel().tolist()))
+        for lo in range(0, samples, step):
+            span = values[lo : lo + step]
+            fh.write(((row * len(span)) % tuple(_g17_bytes(span))).decode())
     return 0
 
 
@@ -358,35 +363,43 @@ def cmd_sweep(args) -> int:
         columns += [oracle, np.abs(values - oracle)]
     # Rows are written in spans of at most _SPAN (l0, tau) pairs, so the text
     # held at once stays bounded.  A span's rows of one s0 are one %-template:
-    # per row "\0" where the s0 text goes, the l0 and tau text, "%.17g" per
-    # value column and the --timing text; the last span's is kept, so a grid of
-    # one span builds it once for all s0.  No %.17g or %.3f text contains "%" or "\0".
-    l0_text = [_g17(l0) for l0 in l0_grid.tolist()]
-    tau_text = [_g17(tau) for tau in tau_grid.tolist()]
-    row_end = "\n"
+    # per row "\0" where the s0 text goes, the l0 and tau text, "%s" per value
+    # column and the --timing text; the last span's is kept, so a grid of one
+    # span builds it once for all s0.  One _g17_bytes call fills the span for
+    # one s0, or for as many s0 as fit in _TEXT_BATCH values when the grid is
+    # one span; the coordinates, built once, take % directly, which is faster
+    # than a kernel call below about 150 values.  No %.17g or %.3f text
+    # contains "%" or "\0".
+    l0_text = [b"%.17g" % l0 for l0 in l0_grid.tolist()]
+    tau_text = [b"%.17g" % tau for tau in tau_grid.tolist()]
+    row_end = b"\n"
     if args.timing:
         header.append("elapsed_ms")
-        row_end = f",{share * 1e3:.3f}\n"
-    value_fields = ",%.17g" * len(columns)
+        row_end = b",%.3f\n" % (share * 1e3)
+    value_fields = b",%s" * len(columns)
 
     @functools.lru_cache(maxsize=1)
     def template(lo, hi):
-        return "".join(
-            f"\0,{l0_text[p // n_tau]},{tau_text[p % n_tau]}{value_fields}{row_end}" for p in range(lo, hi)
+        return b"".join(
+            b"\0," + l0_text[p // n_tau] + b"," + tau_text[p % n_tau] + value_fields + row_end for p in range(lo, hi)
         )
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
+    group = max(1, _TEXT_BATCH // (pairs * len(columns))) if len(spans) == 1 else 1
     with _output(args.out) as fh:
         fh.write(
             f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
             "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
             f"{','.join(header)}\n"
         )
-        for i_s0, s0 in enumerate(s0_grid.tolist()):
-            s0_text = _g17(s0)
+        for r0 in range(0, len(s0_grid), group):
+            s0_rows = s0_grid[r0 : r0 + group].tolist()
             for lo, hi in spans:
-                rows = template(lo, hi).replace("\0", s0_text)
-                fh.write(rows % tuple(np.stack([c[i_s0, lo:hi] for c in columns], axis=-1).ravel().tolist()))
+                texts = _g17_bytes(np.stack([c[r0 : r0 + group, lo:hi] for c in columns], axis=-1))
+                width = (hi - lo) * len(columns)
+                for j, s0 in enumerate(s0_rows):
+                    rows = template(lo, hi).replace(b"\0", b"%.17g" % s0)
+                    fh.write((rows % tuple(texts[j * width : (j + 1) * width])).decode())
     return 0
 
 

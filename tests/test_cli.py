@@ -10,6 +10,7 @@ import pytest
 import sshat.cli
 import sshat.oracle
 from sshat import InitialState, build_expansion, compute_oracle, integrate_ell, solve_shat_series
+from sshat._g17 import _g17_bytes
 from sshat.cli import BASE_PARAMS, DEFAULT_L0, main
 from sshat.epsseries import _BLOCK, _partial_sums
 from sshat.perturbation import _ell_terms
@@ -157,18 +158,21 @@ def _reference_path(order, s0, tau, samples, steps):
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("order", [0, 3, 16])
 def test_path_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, order, to_file, span):
-    # 13 samples and 1200 steps, a multiple of the 12 cells, so cmd_path keeps
-    # the count; with spans of 5 the rows are written as 5, 5 and 3.
+    # 701 samples and 1400 steps, a multiple of the 700 cells, so cmd_path
+    # keeps the count.  Rows are written 2048 // columns at a time (682 at
+    # order 0, 409 at order 3, 107 at order 16), each one _g17_bytes call;
+    # with spans of 5 they are written 5 at a time.
     if span:
         monkeypatch.setattr("sshat.cli._SPAN", span)
-    argv = ["path", "--order", str(order), "--s0", "0.05", "--tau", "2", "--samples", "13", "--steps", "1200"]
+    argv = ["path", "--order", str(order), "--s0", "0.05", "--tau", "2", "--samples", "701", "--steps", "1400"]
     target = tmp_path / "path.csv"
     rc, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
     assert (rc, err) == (0, "")
     if to_file:
         assert out == ""
         out = target.read_bytes().decode("utf-8")
-    assert out == _reference_path(order, 0.05, 2.0, 13, 1200)
+    assert out == _reference_path(order, 0.05, 2.0, 701, 1400)
+    assert out.split("\n")[1].startswith("0,")
 
 
 def test_path_overflow_message_prints_a_plain_float(capsys):
@@ -516,10 +520,22 @@ def _sweep_output(tmp_path, capsys, order, oracle, to_file, specs):
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
 @pytest.mark.parametrize("order", [0, 1, 3, 8, 16])
-def test_sweep_bytes_equal_row_by_row_reference(tmp_path, capsys, order, oracle, to_file):
+def test_sweep_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, order, oracle, to_file):
     specs = ("-0.06:0.05:4", "0.02:0.2:3", "0.5:4:3")
     out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
     assert out == _reference_sweep(order, *specs, oracle)
+
+    # Here s_hat crosses zero; at order 3, 6 of its 40 values lie inside
+    # +-1e-4, where _g17_bytes falls back to %, as it does for every abs_diff.  At 20 values a
+    # call, the 5 s0 rows of 8 pairs take calls of 2, 2 and 1 rows, or one
+    # row a call with the oracle's three columns.
+    calls = []
+    monkeypatch.setattr("sshat.cli._TEXT_BATCH", 20)
+    monkeypatch.setattr("sshat.cli._g17_bytes", lambda values: calls.append(values.size) or _g17_bytes(values))
+    specs = ("0.0012:0.0014:5", "0.02:0.2:2", "0.3:0.7:4")
+    out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
+    assert out == _reference_sweep(order, *specs, oracle)
+    assert calls == ([24] * 5 if oracle else [16, 16, 8])
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
