@@ -13,8 +13,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation error or an --out path that cannot be
 opened, 2 numerical failure, 3 reference mismatch under --check.  Table
-output prints values at 7 decimal places; CSV fields are the exact
-'%.17g' % x text of each value, with comma separators and LF line endings.
+output, and the CSV files of tables, print values at 7 decimal places; the
+CSV of shat, abar, path and sweep gives each value as the exact '%.17g' % x
+text.  CSV uses comma separators and LF line endings.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ REFERENCE_SHAT = (
 )
 
 MAX_SWEEP_POINTS = 10**6
-# (l0, tau) pairs per write of sweep rows.
+# (l0, tau) pairs per span of sweep's row templates.
 _SPAN = 4096
-# Values per _g17_bytes call where sweep and path can group rows.
+# Values per _fill call where sweep and path can group rows.
 _TEXT_BATCH = 2048
 
 
@@ -166,22 +167,23 @@ def _f7(x: float) -> str:
     return f"{x:.7f}"
 
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+def _fill(template: bytes, values) -> str:
+    """``template`` with its ``%s`` fields filled, in order, by the exact ``%.17g`` text of ``values`` in C order."""
+    return (template % tuple(_g17_bytes(values))).decode()
 
 
 def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -> str:
     """Per-order ``terms``, their partial sums at ``eps`` and the distance of each from ``oracle``."""
-    rows = list(enumerate(zip(terms, _partial_sums(terms, eps))))
+    partials = _partial_sums(terms, eps)
+    rows = [(n, term, partial, oracle, abs(partial - oracle)) for n, (term, partial) in enumerate(zip(terms, partials))]
     if fmt == "csv":
-        lines = [f"n,{label},partial_sum,oracle_{name},abs_diff"]
-        for n, (term, partial) in rows:
-            lines.append(f"{n},{_g17(term)},{_g17(partial)},{_g17(oracle)},{_g17(abs(partial - oracle))}")
-    else:
-        lines = [f"eps = {_f7(eps)}", f"n  {label:<12}partial_sum  |diff_oracle|"]
-        for n, (term, partial) in rows:
-            lines.append(f"{n}  {_f7(term):>10}  {_f7(partial):>10}  {_f7(abs(partial - oracle))}")
-        lines.append(f"oracle {name} = {_f7(oracle)}")
+        # A whole float n has the %.17g text of the integer.
+        header = f"n,{label},partial_sum,oracle_{name},abs_diff\n"
+        return header + _fill(b"%s,%s,%s,%s,%s\n" * len(rows), np.array(rows))
+    lines = [f"eps = {_f7(eps)}", f"n  {label:<12}partial_sum  |diff_oracle|"]
+    for n, term, partial, _, diff in rows:
+        lines.append(f"{n}  {_f7(term):>10}  {_f7(partial):>10}  {_f7(diff)}")
+    lines.append(f"oracle {name} = {_f7(oracle)}")
     return "\n".join(lines) + "\n"
 
 
@@ -220,8 +222,7 @@ def cmd_path(args) -> int:
     path, _ = integrate_ell(state, params, args.tau, n_steps, samples)
 
     # Every value is computed before the first output byte; rows are then
-    # written in spans of at most _SPAN rows and _TEXT_BATCH values, each
-    # one %-template filled from one _g17_bytes call.
+    # written _TEXT_BATCH values at a time, each write one _fill call.
     terms = np.array([_ell_terms(expansion, t) for t in path[:, 0].tolist()])
     # An overflowing eps^n gives inf or nan without a warning; the first such cell is named.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,12 +232,12 @@ def cmd_path(args) -> int:
         i, j = divmod(int(np.isfinite(values).argmin()), values.shape[1])
         raise NumericalFailure(f"the series value {header[j]} is not finite at t={values[i, 0].item()!r}")
     row = b",".join([b"%s"] * values.shape[1]) + b"\n"
-    step = min(_SPAN, max(1, _TEXT_BATCH // values.shape[1]))
+    step = max(1, _TEXT_BATCH // values.shape[1])
     with _output(args.out) as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, samples, step):
             span = values[lo : lo + step]
-            fh.write(((row * len(span)) % tuple(_g17_bytes(span))).decode())
+            fh.write(_fill(row * len(span), span))
     return 0
 
 
@@ -287,7 +288,7 @@ def cmd_tables(args) -> int:
         diff = np.abs(rows - reference)
         for i, j in np.argwhere(diff > CHECK_TOLERANCE).tolist():
             mismatches.append(
-                f"{name} {labels[i]} s0={TABLE_S0[j]:+.2f}: computed {_g17(rows[i, j])} vs reference "
+                f"{name} {labels[i]} s0={TABLE_S0[j]:+.2f}: computed {rows[i, j]:.17g} vs reference "
                 f"{reference[i][j]} (diff {diff[i, j]:.3g})"
             )
     if mismatches:
@@ -361,28 +362,27 @@ def cmd_sweep(args) -> int:
     if args.oracle:
         header += ["oracle_s_hat", "abs_diff"]
         columns += [oracle, np.abs(values - oracle)]
-    # Rows are written in spans of at most _SPAN (l0, tau) pairs, so the text
-    # held at once stays bounded.  A span's rows of one s0 are one %-template:
-    # per row "\0" where the s0 text goes, the l0 and tau text, "%s" per value
-    # column and the --timing text; the last span's is kept, so a grid of one
-    # span builds it once for all s0.  One _g17_bytes call fills the span for
-    # one s0, or for as many s0 as fit in _TEXT_BATCH values when the grid is
-    # one span; the coordinates, built once, take % directly, which is faster
-    # than a kernel call below about 150 values.  No %.17g or %.3f text
-    # contains "%" or "\0".
-    l0_text = [b"%.17g" % l0 for l0 in l0_grid.tolist()]
-    tau_text = [b"%.17g" % tau for tau in tau_grid.tolist()]
+    # Rows are written in blocks: one s0 over a span of at most _SPAN
+    # (l0, tau) pairs, or, when the grid is one span, as many s0 as fit in
+    # _TEXT_BATCH values, so the text held at once stays bounded.  A span's
+    # template is per pair an l0 head ("\0" where the s0 text goes, then the
+    # l0 text) and a tau tail (the tau text, "%s" per value column and the
+    # --timing text), each built once; the last span's template is kept, so a
+    # grid of one span builds it once for all s0.  A block is the template
+    # with each s0's text in place of "\0", filled by one _fill call over the
+    # block's stacked columns and written at once.  The coordinates take %
+    # directly, which is faster than a kernel call below about 150 values.
+    # No %.17g or %.3f text contains "%" or "\0".
     row_end = b"\n"
     if args.timing:
         header.append("elapsed_ms")
         row_end = b",%.3f\n" % (share * 1e3)
-    value_fields = b",%s" * len(columns)
+    heads = [b"\0,%.17g," % l0 for l0 in l0_grid.tolist()]
+    tails = [b"%.17g" % tau + b",%s" * len(columns) + row_end for tau in tau_grid.tolist()]
 
     @functools.lru_cache(maxsize=1)
     def template(lo, hi):
-        return b"".join(
-            b"\0," + l0_text[p // n_tau] + b"," + tau_text[p % n_tau] + value_fields + row_end for p in range(lo, hi)
-        )
+        return b"".join(heads[p // n_tau] + tails[p % n_tau] for p in range(lo, hi))
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
     group = max(1, _TEXT_BATCH // (pairs * len(columns))) if len(spans) == 1 else 1
@@ -395,11 +395,8 @@ def cmd_sweep(args) -> int:
         for r0 in range(0, len(s0_grid), group):
             s0_rows = s0_grid[r0 : r0 + group].tolist()
             for lo, hi in spans:
-                texts = _g17_bytes(np.stack([c[r0 : r0 + group, lo:hi] for c in columns], axis=-1))
-                width = (hi - lo) * len(columns)
-                for j, s0 in enumerate(s0_rows):
-                    rows = template(lo, hi).replace(b"\0", b"%.17g" % s0)
-                    fh.write((rows % tuple(texts[j * width : (j + 1) * width])).decode())
+                block = b"".join(template(lo, hi).replace(b"\0", b"%.17g" % s0) for s0 in s0_rows)
+                fh.write(_fill(block, np.stack([c[r0 : r0 + group, lo:hi] for c in columns], axis=-1)))
     return 0
 
 

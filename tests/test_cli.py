@@ -13,7 +13,7 @@ from sshat import InitialState, build_expansion, compute_oracle, integrate_ell, 
 from sshat._g17 import _g17_bytes
 from sshat.cli import BASE_PARAMS, DEFAULT_L0, main
 from sshat.epsseries import _BLOCK, _partial_sums
-from sshat.perturbation import _ell_terms
+from sshat.perturbation import _ell_terms, tau_lbar_terms
 
 from _reference import BASE_L0, TRUE_SHAT
 
@@ -98,6 +98,40 @@ def test_shat_csv_values_match_library(capsys):
     assert float(rows[-1][4]) == pytest.approx(abs(final - oracle), abs=1e-15)
 
 
+def _reference_report(command, order, s0):
+    """The shat or abar CSV built row by row: float partial sums, one %.17g join per row."""
+    state = InitialState(s0=s0, l0=DEFAULT_L0)
+    expansion = build_expansion(BASE_PARAMS, DEFAULT_L0, order)
+    if command == "shat":
+        terms = solve_shat_series(expansion, 1.0, DEFAULT_L0, BASE_PARAMS, order).k
+        oracle = compute_oracle(state, BASE_PARAMS, 1.0).s_hat
+        lines = ["n,k_n,partial_sum,oracle_s_hat,abs_diff"]
+    else:
+        terms = tau_lbar_terms(expansion, 1.0)
+        oracle = integrate_ell(state, BASE_PARAMS, 1.0, None, 2)[1]
+        lines = ["n,L_n,partial_sum,oracle_tau_lbar,abs_diff"]
+    for n, (term, partial) in enumerate(zip(terms, _partial_sums(terms, s0 - BASE_PARAMS.mu_hat))):
+        lines.append(",".join([str(n)] + [f"{x:.17g}" for x in (term, partial, oracle, abs(partial - oracle))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("s0", [BASE_PARAMS.mu_hat, 0.05], ids=["mu_hat", "0.05"])
+@pytest.mark.parametrize("order", [0, 3, 16])
+@pytest.mark.parametrize("command", ["shat", "abar"])
+def test_report_csv_bytes_equal_row_by_row_reference(tmp_path, capsys, command, order, s0, to_file):
+    # At s0 = mu_hat, eps = 0: every partial sum is the order-0 term and every
+    # abs_diff lies below 1e-4, where the text kernel falls back to %.
+    target = tmp_path / "report.csv"
+    argv = [command, "--format", "csv", "--order", str(order), f"--s0={s0!r}"]
+    rc, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (rc, err) == (0, "")
+    if to_file:
+        assert out == ""
+        out = target.read_bytes().decode("utf-8")
+    assert out == _reference_report(command, order, s0)
+
+
 def test_abar_order_column(capsys):
     rc, out, _ = run(capsys, "abar", "--s0", "0.05")
     assert rc == 0
@@ -154,16 +188,21 @@ def _reference_path(order, s0, tau, samples, steps):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("span", [None, 5], ids=["one_span", "spans_of_5"])
+@pytest.mark.parametrize("batch", [None, "5 rows", 12], ids=["one_span", "spans_of_5", "text_batch_12"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("order", [0, 3, 16])
-def test_path_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, order, to_file, span):
+def test_path_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, order, to_file, batch):
     # 701 samples and 1400 steps, a multiple of the 700 cells, so cmd_path
-    # keeps the count.  Rows are written 2048 // columns at a time (682 at
-    # order 0, 409 at order 3, 107 at order 16), each one _g17_bytes call;
-    # with spans of 5 they are written 5 at a time.
-    if span:
-        monkeypatch.setattr("sshat.cli._SPAN", span)
+    # keeps the count.  Rows are written _TEXT_BATCH // columns at a time, at
+    # least one, each one _g17_bytes call: at 2048 values 682 rows at order
+    # 0, 341 at order 3 and 107 at order 16; at 5 columns' worth 5 rows; at
+    # 12 values 4 rows of 3 columns, 2 of 6 and 1 of 19.
+    columns = order + 3
+    rows = {None: {0: 682, 3: 341, 16: 107}[order], "5 rows": 5, 12: {0: 4, 3: 2, 16: 1}[order]}[batch]
+    if batch:
+        monkeypatch.setattr("sshat.cli._TEXT_BATCH", 5 * columns if batch == "5 rows" else batch)
+    calls = []
+    monkeypatch.setattr("sshat.cli._g17_bytes", lambda values: calls.append(values.size) or _g17_bytes(values))
     argv = ["path", "--order", str(order), "--s0", "0.05", "--tau", "2", "--samples", "701", "--steps", "1400"]
     target = tmp_path / "path.csv"
     rc, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
@@ -173,6 +212,7 @@ def test_path_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, or
         out = target.read_bytes().decode("utf-8")
     assert out == _reference_path(order, 0.05, 2.0, 701, 1400)
     assert out.split("\n")[1].startswith("0,")
+    assert calls == [rows * columns] * (701 // rows) + [701 % rows * columns] * (701 % rows > 0)
 
 
 def test_path_overflow_message_prints_a_plain_float(capsys):
