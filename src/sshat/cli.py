@@ -33,7 +33,7 @@ import numpy as np
 from ._g17 import _g17_bytes
 from .epsseries import _partial_sums, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
-from .oracle import _MAX_STEPS, _n_steps, _oracle_grid, compute_oracle, compute_oracles, integrate_ell
+from .oracle import _n_steps, _oracle_grid, compute_oracle, compute_oracles, integrate_ell
 from .params import InitialState, ModelParams, _require_order, load_config
 from .perturbation import _ell_terms, build_expansion, tau_lbar_terms
 
@@ -207,19 +207,9 @@ def cmd_abar(args) -> int:
 
 def cmd_path(args) -> int:
     params, state, n_steps = _resolve_config(args)
-    samples = args.samples
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if samples - 1 > _MAX_STEPS:
-        raise ValueError(f"samples must be at most {_MAX_STEPS + 1}, got {samples}")
     expansion = build_expansion(params, state.l0, args.order)
     eps = state.s0 - params.mu_hat
-
-    # Round the step count up so grid points land exactly on RK4 nodes, or
-    # down where rounding up would pass _MAX_STEPS.
-    per_cell = min(-(-n_steps // (samples - 1)), _MAX_STEPS // (samples - 1))
-    n_steps = per_cell * (samples - 1)
-    path, _ = integrate_ell(state, params, args.tau, n_steps, samples)
+    path, _ = integrate_ell(state, params, args.tau, n_steps, args.samples)
 
     # Every value is computed before the first output byte; rows are then
     # written _TEXT_BATCH values at a time, each write one _fill call.
@@ -235,7 +225,7 @@ def cmd_path(args) -> int:
     step = max(1, _TEXT_BATCH // values.shape[1])
     with _output(args.out) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, samples, step):
+        for lo in range(0, len(values), step):
             span = values[lo : lo + step]
             fh.write(_fill(row * len(span), span))
     return 0

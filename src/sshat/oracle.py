@@ -262,8 +262,9 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     """Classical RK4 for l and its running integral A with step ``h``, as an affine scan.
 
     ``eps = s0 - mu_hat`` and ``l0`` are 1-D float64 arrays, one entry per
-    state of a batch.  ``ends`` are step counts in ascending order; the scan
-    runs to the last of them and reads every state after each end's steps.
+    state of a batch.  ``ends`` are step counts in any order, repeats
+    included; the scan runs to the largest of them and reads every state
+    once after each distinct end's steps.
 
     RK4 on dl/dt = sigma2 - s(t) l is affine in the state: step j maps
     l_{j+1} = (1 + alpha_j) l_j + b_j and A_{j+1} = A_j + c_j l_j + d_j
@@ -297,10 +298,11 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
     spread's decay) makes the state non-finite.
 
     Returns ``(tau_lbar, ell)``, A and l per end and state, shape
-    (len(ends), states); nothing is kept per step beyond the current pass.
+    (len(ends), states), row i for ``ends[i]``; nothing is kept per step
+    beyond the current pass.
     A state that blows up is left non-finite; ``_check_finite`` reports it.
     """
-    ends = np.asarray(ends)
+    ends, at = np.unique(ends, return_inverse=True)
     eps_u, row = np.unique(eps, return_inverse=True)
     n_blocks = -(-int(ends[-1]) // _BLOCK)
     # Room for any group's passes: _PASS_ELEMENTS, or one block of a full group.
@@ -324,7 +326,7 @@ def _rk4(eps: np.ndarray, l0: np.ndarray, params: ModelParams, h: float, ends: S
                 if read is not None:
                     reads[:, i_end:stop, g : g + size] = read
                     i_end = stop
-        a_p, a_q, p, q = reads
+        a_p, a_q, p, q = reads[:, at]
         return a_p[:, row] * l0 + a_q[:, row], p[:, row] * l0 + q[:, row]
 
 
@@ -350,19 +352,22 @@ def integrate_ell(
     """RK4 integration of the consol rate and its running integral.
 
     Returns ``(path, tau_lbar)`` where ``path`` is an array of shape
-    (samples, 2) with columns (t, l(t)) at steps 0, n_steps / (samples - 1),
-    ..., n_steps, and ``tau_lbar`` is A(tau), the integral of l over
+    (samples, 2) with columns (t, l(t)) at ``samples`` evenly spaced steps
+    from 0 to the last, and ``tau_lbar`` is A(tau), the integral of l over
     [0, tau].  Each row after the first is read from the scan at its step,
     as ``compute_oracle`` reads the last.  ``n_steps`` None takes
-    ``default_n_steps(tau)``, as in ``compute_oracle``; ``samples - 1``
-    must divide the count.
+    ``default_n_steps(tau)``, as in ``compute_oracle``.  ``samples`` is an
+    integer in [2, _MAX_STEPS + 1].  So that every sample lands on a step,
+    the count is rounded up to a multiple of ``samples - 1``, or down where
+    rounding up would pass _MAX_STEPS.
     """
     tau = _require_maturity(tau)
     n_steps = _n_steps(tau, n_steps)
-    if not isinstance(samples, (int, np.integer)) or samples < 2 or n_steps % (samples - 1):
-        raise ValueError(f"samples must be >= 2 with samples - 1 dividing n_steps={n_steps}, got {samples}")
+    _require_index(samples, "samples", 2, _MAX_STEPS + 1)
+    per_cell = min(-(-n_steps // (samples - 1)), _MAX_STEPS // (samples - 1))
+    n_steps = per_cell * (samples - 1)
     h = tau / n_steps
-    ends = range(0, n_steps + 1, n_steps // (samples - 1))
+    ends = range(0, n_steps + 1, per_cell)
     tau_lbar, ell = _rk4(np.array([state.s0 - params.mu_hat]), np.array([state.l0]), params, h, ends[1:])
     _check_finite(tau_lbar[-1], ell[-1])
     path = np.empty((samples, 2))
@@ -595,9 +600,7 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     tau_lbar = np.empty((len(taus), eps.size))
     ell = np.empty((len(taus), eps.size))
     for h, members in groups.items():
-        ends = sorted({steps[i] for i in members})
-        rows = [ends.index(steps[i]) for i in members]
-        tau_lbar[members], ell[members] = (a[rows] for a in _rk4(eps, l0, params, h, ends))
+        tau_lbar[members], ell[members] = _rk4(eps, l0, params, h, [steps[i] for i in members])
     finite = (np.isfinite(tau_lbar) & np.isfinite(ell)).all(axis=1)
     solved = len(taus) if finite.all() else int(np.argmin(finite))
     roots = _solve_roots(

@@ -1,6 +1,7 @@
 """Integrator and root-finder ground truth: convergence order, closed forms."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -71,15 +72,27 @@ def test_integrate_validation(base_params):
     assert path.tobytes() == default[0].tobytes() and tau_lbar == default[1]
 
 
-@pytest.mark.parametrize("samples", [1, 0, -1, 7, 1002])
-def test_integrate_rejects_samples_off_the_step_grid(base_params, samples):
-    # samples - 1 must be a positive divisor of n_steps (1000 = 2^3 5^3).
-    with pytest.raises(ValueError, match="samples must be >= 2 with samples - 1 dividing n_steps=1000"):
-        integrate_ell(InitialState(s0=0.0, l0=BASE_L0), base_params, 1.0, 1000, samples)
+@pytest.mark.parametrize("n_steps, samples, aligned", [(1000, 7, 1002), (1000, 1002, 1001)])
+def test_integrate_aligns_the_step_count_to_the_samples(base_params, n_steps, samples, aligned):
+    # The count rounds up to a multiple of samples - 1 (1000 = 2^3 5^3), so
+    # every sample lands on a step.
+    state = InitialState(s0=0.05, l0=BASE_L0)
+    path, tau_lbar = integrate_ell(state, base_params, 1.0, n_steps, samples)
+    aligned_path, aligned_tau_lbar = integrate_ell(state, base_params, 1.0, aligned, samples)
+    assert path.tobytes() == aligned_path.tobytes() and tau_lbar == aligned_tau_lbar
 
 
 def _no_scan(*args, **kwargs):
     raise AssertionError("RK4 scan started")
+
+
+@pytest.mark.parametrize("samples", [1, 0, -1, True, 2.0, 10**7 + 2])
+def test_integrate_rejects_samples_off_the_step_grid(monkeypatch, base_params, samples):
+    # Below 2 samples there is no grid, and past 10^7 + 1 more cells than
+    # the integrator takes steps; only an integer count is a grid.
+    monkeypatch.setattr(sshat.oracle, "_rk4", _no_scan)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be in [2, 10000001], got {samples}")):
+        integrate_ell(InitialState(s0=0.0, l0=BASE_L0), base_params, 1.0, 1000, samples)
 
 
 @pytest.mark.parametrize(
@@ -324,12 +337,13 @@ def test_batched_oracle_equals_single_states(base_params, tau):
 
 @pytest.mark.parametrize(
     "ends",
-    [[256, 512, 1000, 4000], [16, 255, 256, 257, 700], [1000, 4000, 7000, 10000]],
-    ids=["block-ends-and-inside", "around-one-boundary", "sweep-grid"],
+    [[256, 512, 1000, 4000], [16, 255, 256, 257, 700], [1000, 4000, 7000, 10000], [4000, 1000, 4000, 2500]],
+    ids=["block-ends-and-inside", "around-one-boundary", "sweep-grid", "unsorted-with-repeat"],
 )
 def test_shared_scan_rows_equal_single_end_scans(base_params, ends):
     # Ends on block boundaries (256, 512) and inside blocks (1000 = 3 * 256
-    # + 232, 4000): each end reads A and l bitwise as a scan that stops there.
+    # + 232, 4000), in any order and repeated: each end reads A and l
+    # bitwise as a scan that stops there.
     eps = np.array([-0.06, -0.02, 0.0, 0.0, 0.05])
     l0 = np.array([0.005, 0.1, 0.1, 0.2, 0.1])
     tau_lbar, ell = _rk4(eps, l0, base_params, 0.001, ends)
