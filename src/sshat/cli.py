@@ -89,48 +89,19 @@ _OPTIONS = {
     "steps": dict(type=int, help="integrator step count"),
     "format": dict(choices=("table", "csv"), default="table", dest="fmt", help="output format (default %(default)s)"),
     "out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
-}
-
-
-def _add_options(parser: argparse.ArgumentParser, names: str):
-    """Add the shared options named in ``names`` (space-separated) to ``parser``."""
-    for name in names.split():
-        parser.add_argument(f"--{name}", **_OPTIONS[name])
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``sshat`` parser, built on first use and shared by every later ``main`` call."""
-    parser = _Parser(prog="sshat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_shat = sub.add_parser("shat", help="effective spread constant, per order, with the numerical root")
-    _add_options(p_shat, "params s0 l0 tau order steps format out")
-    p_abar = sub.add_parser("abar", help="integral term tau*lbar, per order, with the numerical value")
-    _add_options(p_abar, "params s0 l0 tau order steps format out")
-
-    p_path = sub.add_parser("path", help="CSV of the consol-rate path: RK4 next to each expansion order")
-    _add_options(p_path, "params s0 l0 tau order steps out")
-    p_path.add_argument("--samples", type=int, default=101, help="grid points in [0, tau] (>= 2; default %(default)s)")
-
-    p_tables = sub.add_parser("tables", help="reference tables for the three standard initial spreads")
-    _add_options(p_tables, "params l0 tau steps format out")
-    p_tables.add_argument("--check", action="store_true", help="compare against embedded reference values; exit 3 on mismatch")
-
-    p_sweep = sub.add_parser("sweep", help="CSV sweep over a (s0, l0, tau) grid")
-    _add_options(p_sweep, "params order steps out")
-    p_sweep.add_argument("--s0-grid", default="-0.05:0.05:10", metavar="LO:HI:N", help="s0 axis (default %(default)s)")
-    p_sweep.add_argument("--l0-grid", default="0.005:0.2:10", metavar="LO:HI:N", help="l0 axis (default %(default)s)")
-    p_sweep.add_argument("--tau-grid", default="1:1:1", metavar="LO:HI:N", help="tau axis (default %(default)s)")
-    p_sweep.add_argument("--oracle", action="store_true", help="add the numerical root and absolute difference per row")
-    p_sweep.add_argument(
-        "--timing",
+    "samples": dict(type=int, default=101, help="grid points in [0, tau] (>= 2; default %(default)s)"),
+    "check": dict(action="store_true", help="compare against embedded reference values; exit 3 on mismatch"),
+    "s0-grid": dict(default="-0.05:0.05:10", metavar="LO:HI:N", help="s0 axis (default %(default)s)"),
+    "l0-grid": dict(default="0.005:0.2:10", metavar="LO:HI:N", help="l0 axis (default %(default)s)"),
+    "tau-grid": dict(default="1:1:1", metavar="LO:HI:N", help="tau axis (default %(default)s)"),
+    "oracle": dict(action="store_true", help="add the numerical root and absolute difference per row"),
+    "timing": dict(
         action="store_true",
         help="add an elapsed_ms column: per row, an equal share of the batched series solve and "
         "evaluation plus an equal share of the whole oracle batch, its shared RK4 scans and its "
         "batched root solve (not byte-deterministic)",
-    )
-    return parser
+    ),
+}
 
 
 def _resolve_config(args) -> tuple[ModelParams, InitialState, int]:
@@ -301,6 +272,9 @@ def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
         raise ValueError(f"{name}: LO and HI must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"{name}: N must be >= 1, got {count}")
+    # np.linspace over a span that overflows loses its ends to inf and nan.
+    if count > 1 and not math.isfinite(hi - lo):
+        raise ValueError(f"{name}: HI - LO must be finite, got {spec!r}")
     return lo, hi, count
 
 
@@ -357,8 +331,9 @@ def cmd_sweep(args) -> int:
     # _TEXT_BATCH values, so the text held at once stays bounded.  A span's
     # template is per pair an l0 head ("\0" where the s0 text goes, then the
     # l0 text) and a tau tail (the tau text, "%s" per value column and the
-    # --timing text), each built once; the last span's template is kept, so a
-    # grid of one span builds it once for all s0.  A block is the template
+    # --timing text), each built once.  Over two or more s0 every span's
+    # template is kept (about 45 B a pair), so each is built once for all s0;
+    # over one s0 only the last is kept.  A block is the template
     # with each s0's text in place of "\0", filled by one _fill call over the
     # block's stacked columns and written at once.  The coordinates take %
     # directly, which is faster than a kernel call below about 150 values.
@@ -370,7 +345,7 @@ def cmd_sweep(args) -> int:
     heads = [b"\0,%.17g," % l0 for l0 in l0_grid.tolist()]
     tails = [b"%.17g" % tau + b",%s" * len(columns) + row_end for tau in tau_grid.tolist()]
 
-    @functools.lru_cache(maxsize=1)
+    @functools.lru_cache(maxsize=None if len(s0_grid) > 1 else 1)
     def template(lo, hi):
         return b"".join(heads[p // n_tau] + tails[p % n_tau] for p in range(lo, hi))
 
@@ -390,20 +365,35 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "shat": cmd_shat,
-    "abar": cmd_abar,
-    "path": cmd_path,
-    "tables": cmd_tables,
-    "sweep": cmd_sweep,
+# Each subcommand: its handler, its --help line and its options, in --help order.
+_COMMANDS = {
+    "shat": (cmd_shat, "effective spread constant, per order, with the numerical root", "params s0 l0 tau order steps format out"),
+    "abar": (cmd_abar, "integral term tau*lbar, per order, with the numerical value", "params s0 l0 tau order steps format out"),
+    "path": (cmd_path, "CSV of the consol-rate path: RK4 next to each expansion order", "params s0 l0 tau order steps out samples"),
+    "tables": (cmd_tables, "reference tables for the three standard initial spreads", "params l0 tau steps format out check"),
+    "sweep": (cmd_sweep, "CSV sweep over a (s0, l0, tau) grid", "params order steps out s0-grid l0-grid tau-grid oracle timing"),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``sshat`` parser, built on first use and shared by every later ``main`` call."""
+    parser = _Parser(prog="sshat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # main dispatches on the handler default; dest names the missing command in the usage error.
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        command.set_defaults(handler=handler)
+        for option in options.split():
+            command.add_argument(f"--{option}", **_OPTIONS[option])
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -3,8 +3,8 @@
 Run ``python tests/_make_shat_reference.py``; it needs mpmath, which the
 package itself does not use, and takes a few minutes.  It prints the
 ``SHAT_K_REFERENCE``, ``SHAT_K_SHORT_REFERENCE``, ``COEFFICIENT_REFERENCE``,
-``MOMENT_REFERENCE``, ``PHI_REFERENCE`` and ``PATH_REFERENCE`` tables to paste
-into _reference.py.
+``BOX_REFERENCE``, ``MOMENT_REFERENCE``, ``PHI_REFERENCE`` and
+``PATH_REFERENCE`` tables to paste into _reference.py.
 
 The computation shares no code with the package:
 
@@ -57,6 +57,22 @@ MOMENT_J = 17
 # its quadrature cutoff |x| = 4.
 PATH_TIMES = (0.01, 0.1, 1.0, 10.0)
 PHI_X = tuple(sign * x for x in (1e-8, 1.01e-4, 1e-2, 3.96, 4.04, 10.0) for sign in (-1.0, 1.0))
+# Sets across the parameter box, (m, mu_hat, sigma2, tau) with l0 = L0 and
+# gamma = lambda = 0: slow and fast mean reversion, mu_hat at 0 and at m,
+# maturities from 0.01 to 50.  At m = 0.5, mu_hat = 0.3, tau = 50 the tensor
+# quadrature at degree 6 misses degree 7 by 1.6e-35, so the box runs at
+# degrees 7 and 8.
+BOX = (
+    (0.72, -0.01, 3e-4, 1.0),
+    (0.72, -0.01, 3e-4, 0.01),
+    (3.0, 0.25, 3e-4, 5.0),
+    (0.1, -0.05, 5e-4, 50.0),
+    (0.72, 0.0, 3e-4, 1.0),
+    (0.72, 0.72, 3e-4, 2.0),
+    (0.5, 0.3, 3e-4, 50.0),
+    (5.0, -0.3, 1e-4, 0.5),
+)
+BOX_DEGREE = 7
 
 
 def gauss_legendre(a, b, degree):
@@ -95,24 +111,21 @@ def tau_lbar_coefficients(m, mu_hat, sigma2, tau, order, degree):
 
 def taylor_parts(k0, tau, sigma2, order):
     """a_0..a_order and b_0..b_order: the Taylor coefficients at k0 of the two terms of F."""
-    def phi1(s):
-        x = s * tau
-        return -mp.expm1(-x) / x
-
-    def phi2(s):
-        x = s * tau
-        return (-mp.expm1(-x) - x) / (x * x)
-
-    b = mp.taylor(lambda s: tau * phi1(s), k0, order)
-    a = mp.taylor(lambda s: -sigma2 * tau * tau * phi2(s), k0, order)
+    b = mp.taylor(lambda s: tau * phi1(s * tau), k0, order)
+    a = mp.taylor(lambda s: -sigma2 * tau * tau * phi2(s * tau), k0, order)
     return a, b
 
 
+def phi1(x):
+    return -mp.expm1(-x) / x if x else mp.mpf(1)
+
+
+def phi2(x):
+    return (-mp.expm1(-x) - x) / (x * x) if x else -mp.mpf(1) / 2
+
+
 def F(s, tau, l0, sigma2):
-    x = s * tau
-    phi1 = -mp.expm1(-x) / x
-    phi2 = (-mp.expm1(-x) - x) / (x * x)
-    return l0 * tau * phi1 - sigma2 * tau * tau * phi2
+    return l0 * tau * phi1(s * tau) - sigma2 * tau * tau * phi2(s * tau)
 
 
 def one_dimensional_integrals(m, mu_hat, sigma2, tau, order):
@@ -205,6 +218,50 @@ def print_table(name, rows):
     print("}")
 
 
+def reference_set(m, k0, sigma2, l0, tau, degree):
+    """``(k, (A, B, a, b))`` at one set: k_0..ORDER and both sides of the reversion, each stage checked."""
+    A, B = tau_lbar_coefficients(m, k0, sigma2, tau, ORDER, degree)
+    A_fine, B_fine = tau_lbar_coefficients(m, k0, sigma2, tau, ORDER, degree + 1)
+    check(relative_gap(A + B, A_fine + B_fine) < mp.mpf(10) ** -45, "quadrature not converged")
+    a, b = taylor_parts(k0, tau, sigma2, ORDER)
+    second = one_dimensional_integrals(m, k0, sigma2, tau, ORDER)
+    check(relative_gap(A + B + a + b, sum(second, [])) < mp.mpf(10) ** -40, "the two routes disagree")
+    L = [x + l0 * y for x, y in zip(A, B)]
+    f = [x + l0 * y for x, y in zip(a, b)]
+    delta = revert(f, L)
+    k = [k0] + delta[1:]
+    # The truncated reversion must solve F(s) = sum_k L_k eps^k to O(eps^(N+1)).
+    eps = mp.mpf("1e-3")
+    root = mp.findroot(lambda s: F(s, tau, l0, sigma2) - mp.polyval(L[::-1], eps), k0)
+    gap = abs(root - mp.polyval(k[::-1], eps))
+    check(gap < 10 * abs(k[ORDER]) * eps ** (ORDER + 1) + mp.mpf(10) ** -50, "reversion misses the root")
+    return k, (A, B, a, b)
+
+
+def print_families(name, table):
+    """``name = {key: {family: (values...), ...}, ...}``, three values to a line."""
+    print(f"{name} = {{")
+    for key, families in table.items():
+        print(f"    {key!r}: {{")
+        for family, values in families.items():
+            print(f"        {family!r}: (")
+            for row in range(0, len(values), 3):
+                print("            " + " ".join(f"{float(v)!r}," for v in values[row : row + 3]))
+            print("        ),")
+        print("    },")
+    print("}")
+
+
+def box_reference():
+    """``{(m, mu_hat, sigma2, tau): {"k": ..., "A": ..., "B": ..., "a": ..., "b": ...}}`` over BOX."""
+    table = {}
+    for key in BOX:
+        m, mu_hat, sigma2, tau = (mp.mpf(x) for x in key)
+        k, sides = reference_set(m, mu_hat, sigma2, mp.mpf(L0), tau, BOX_DEGREE)
+        table[key] = dict(zip("kABab", (k, *sides)))
+    return table
+
+
 def main():
     m, mu, gamma, sigma2, lam = (BASE[k] for k in ("m", "mu", "gamma", "sigma2", "lam"))
     k0 = mp.mpf(mu - lam * gamma / m)  # the double the package uses for mu_hat
@@ -212,24 +269,7 @@ def main():
     shat = {}
     coefficients = {}
     for tau_float in COEFFICIENT_TAUS:
-        tau = mp.mpf(tau_float)
-        A, B = tau_lbar_coefficients(m, k0, sigma2, tau, ORDER, 6)
-        A_fine, B_fine = tau_lbar_coefficients(m, k0, sigma2, tau, ORDER, 7)
-        check(relative_gap(A + B, A_fine + B_fine) < mp.mpf(10) ** -45, "quadrature not converged")
-        a, b = taylor_parts(k0, tau, sigma2, ORDER)
-        second = one_dimensional_integrals(m, k0, sigma2, tau, ORDER)
-        check(relative_gap(A + B + a + b, sum(second, [])) < mp.mpf(10) ** -40, "the two routes disagree")
-        L = [x + l0 * y for x, y in zip(A, B)]
-        f = [x + l0 * y for x, y in zip(a, b)]
-        delta = revert(f, L)
-        k = [k0] + delta[1:]
-        # The truncated reversion must solve F(s) = sum_k L_k eps^k to O(eps^(N+1)).
-        eps = mp.mpf("1e-3")
-        root = mp.findroot(lambda s: F(s, tau, l0, sigma2) - mp.polyval(L[::-1], eps), k0)
-        gap = abs(root - mp.polyval(k[::-1], eps))
-        check(gap < 10 * abs(k[ORDER]) * eps ** (ORDER + 1) + mp.mpf(10) ** -50, "reversion misses the root")
-        shat[tau_float] = k
-        coefficients[tau_float] = (A, B, a, b)
+        shat[tau_float], coefficients[tau_float] = reference_set(m, k0, sigma2, l0, mp.mpf(tau_float), 6)
     print("SHAT_K_REFERENCE = {")
     for tau_float in TAUS:
         print(f"    {tau_float!r}: (")
@@ -238,16 +278,8 @@ def main():
         print("    ),")
     print("}")
     print_table("SHAT_K_SHORT_REFERENCE", {tau: shat[tau] for tau in SHORT_TAUS})
-    print("COEFFICIENT_REFERENCE = {")
-    for tau_float, families in coefficients.items():
-        print(f"    {tau_float!r}: {{")
-        for name, values in zip("ABab", families):
-            print(f"        {name!r}: (")
-            for row in range(0, len(values), 3):
-                print("            " + " ".join(f"{float(v)!r}," for v in values[row : row + 3]))
-            print("        ),")
-        print("    },")
-    print("}")
+    print_families("COEFFICIENT_REFERENCE", {tau: dict(zip("ABab", sides)) for tau, sides in coefficients.items()})
+    print_families("BOX_REFERENCE", box_reference())
     # I_j(x) = int_0^1 u^j exp(-x u) du by adaptive quadrature.
     moments = {}
     for x in MOMENT_X:

@@ -1,5 +1,6 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -42,6 +43,25 @@ def test_no_command_is_validation_error(capsys):
 def test_unknown_flag_is_validation_error(capsys):
     rc, _, _ = run(capsys, "shat", "--frobnicate")
     assert rc == 1
+
+
+COMMAND_FLAGS = {
+    "shat": "params s0 l0 tau order steps format out",
+    "abar": "params s0 l0 tau order steps format out",
+    "path": "params s0 l0 tau order steps out samples",
+    "tables": "params l0 tau steps format out check",
+    "sweep": "params order steps out s0-grid l0-grid tau-grid oracle timing",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_subcommand_has_its_own_flags(capsys, command):
+    # Every flag but --help that the command's --help names, in the order it names them.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    named = dict.fromkeys(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+    assert [flag for flag in named if flag != "help"] == COMMAND_FLAGS[command].split()
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -749,6 +769,22 @@ def test_sweep_invalid_order_fails_before_the_oracle_batch(monkeypatch, capsys):
     assert err == "error: expansion order must be in [0, 16], got 17\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", ["s0", "l0", "tau"])
+def test_sweep_rejects_a_grid_whose_span_overflows(tmp_path, capsys, axis):
+    # np.linspace(-1e308, 1e308, 3) is [nan, inf, inf]: the negative end is
+    # lost, and nan or inf would get past the positivity checks.
+    grid = f"--{axis}-grid=-1e308:1e308:3"
+    message = f"error: --{axis}-grid: HI - LO must be finite, got '-1e308:1e308:3'\n"
+    assert run(capsys, "sweep", grid) == (1, "", message)
+    target = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", grid, "--out", str(target)) == (1, "", message)
+    assert not target.exists()
+    # A one-point axis is [LO] whatever HI is.
+    rc, _, err = run(capsys, "sweep", "--s0-grid=-1e308:1e308:1")
+    assert (rc, err) == (2, "numerical failure: the series value shat_order3 is not finite at s0=-1e+308, l0=0.005, tau=1.0\n")
+
+
 def test_sweep_grid_too_large(capsys):
     rc, _, err = run(capsys, "sweep", "--s0-grid", "0:1:101", "--l0-grid", "0.01:0.2:100", "--tau-grid", "1:2:100")
     assert rc == 1
@@ -891,8 +927,16 @@ def test_out_in_missing_directory_is_validation_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("tables", "--s0", "0.05"), ("tables", "--order", "2"), ("path", "--format", "csv")],
-    ids=["tables-s0", "tables-order", "path-format"],
+    [
+        ("tables", "--s0", "0.05"),
+        ("tables", "--order", "2"),
+        ("path", "--format", "csv"),
+        ("sweep", "--format", "csv"),
+        ("shat", "--samples", "5"),
+        ("abar", "--check"),
+        ("path", "--oracle"),
+    ],
+    ids=["tables-s0", "tables-order", "path-format", "sweep-format", "shat-samples", "abar-check", "path-oracle"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     rc, out, err = run(capsys, *argv)

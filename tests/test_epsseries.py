@@ -27,6 +27,7 @@ from _reference import (
     BASE,
     BASE_L0,
     BASE_TAU,
+    BOX_REFERENCE,
     COEFFICIENT_REFERENCE,
     MOMENT_REFERENCE,
     SHAT_K_REFERENCE,
@@ -46,14 +47,26 @@ def test_moments_match_mpmath(x):
         assert b[j] == pytest.approx((-1) ** j * moment / math.factorial(j), rel=2e-15, abs=0), f"I_{j}({x})"
 
 
-@pytest.mark.parametrize("tau", sorted(COEFFICIENT_REFERENCE))
-def test_quadrature_matches_mpmath_coefficients(base_params, tau):
+def _box_param(key, expected):
+    """A ``pytest.param`` of (params, tau, expected) at one set of the parameter box."""
+    m, mu_hat, sigma2, tau = key
+    params = ModelParams(m=m, mu=mu_hat, gamma=0.0, sigma2=sigma2, lam=0.0)
+    return pytest.param(params, tau, expected, id=f"box-m{m}-mu{mu_hat}-tau{tau}")
+
+
+# Both sides of the reversion at the base set's maturities, then across the box.
+_SIDES = [pytest.param(ModelParams(**BASE), tau, sides, id=str(tau)) for tau, sides in sorted(COEFFICIENT_REFERENCE.items())]
+_SIDES += [_box_param(key, families) for key, families in BOX_REFERENCE.items()]
+
+
+@pytest.mark.parametrize("params, tau, sides", _SIDES)
+def test_quadrature_matches_mpmath_coefficients(params, tau, sides):
     # Both sides of the reversion to a small relative error at every order,
     # where the closed form's alternating sums lost up to 1e23 at tau = 0.01.
-    terms = _quadrature(base_params, tau, 16)
+    terms = _quadrature(params, tau, 16)
     got = {"a": terms[0, 0], "b": terms[1, 0], "A": terms[0, 1], "B": terms[1, 1]}
-    for name, expected in COEFFICIENT_REFERENCE[tau].items():
-        for k, value in enumerate(expected):
+    for name in "ABab":
+        for k, value in enumerate(sides[name]):
             assert got[name][k] == pytest.approx(value, rel=1e-13, abs=0), f"{name}_{k}"
 
 
@@ -128,19 +141,21 @@ def test_order_zero_residual_at_mu_hat(base_params, base_expansion):
     assert math.isfinite(shat.bracket) and shat.bracket < 0
 
 
-# k_0..k_16 at every frozen maturity.
+# k_0..k_16 at every frozen maturity of the base set, then across the box.
 _SHAT_K = {**SHAT_K_REFERENCE, **SHAT_K_SHORT_REFERENCE}
+_COEFFICIENTS = [pytest.param(ModelParams(**BASE), tau, k, id=str(tau)) for tau, k in sorted(_SHAT_K.items())]
+_COEFFICIENTS += [_box_param(key, families["k"]) for key, families in BOX_REFERENCE.items()]
 
 
-@pytest.mark.parametrize("tau", sorted(_SHAT_K))
-def test_solve_matches_mpmath_coefficients(base_params, tau):
+@pytest.mark.parametrize("params, tau, k_ref", _COEFFICIENTS)
+def test_solve_matches_mpmath_coefficients(params, tau, k_ref):
     # Every order against the frozen references, per coefficient and against
     # the series' envelope max_n |k_n| rho^n, with rho = R / 2 and the radius
     # R = min_(n>=8) |k_n|^(-1/n).  An oscillating k_n that dips far below
-    # its neighbours is the least accurate relative to itself (2.6e-10 at
-    # tau = 0.01, n = 11); against the envelope every maturity is within 3e-15.
-    expected = np.array(_SHAT_K[tau])
-    shat = solve_shat_series(build_expansion(base_params, BASE_L0, 16), tau, BASE_L0, base_params, 16)
+    # its neighbours is the least accurate relative to itself (2.9e-10 at
+    # m = 0.1, tau = 50); against the envelope every set is within 1e-14.
+    expected = np.array(k_ref)
+    shat = solve_shat_series(build_expansion(params, BASE_L0, 16), tau, BASE_L0, params, 16)
     for n, k in enumerate(expected.tolist()):
         assert shat.k[n] == pytest.approx(k, rel=1e-9, abs=0), f"k_{n}"
     radius = min(abs(expected[n]) ** (-1 / n) for n in range(8, 17))
