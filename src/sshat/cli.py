@@ -214,18 +214,13 @@ def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
     return tl_rows, shat_rows
 
 
-def _format_table(title: str, rows, fmt) -> str:
-    labels = ["0", "1", "2", "3", "numerical"]
-    lines = [title] if title else []
+def _format_table(rows, fmt) -> str:
+    """A reference table's header and rows, as CSV or as aligned columns."""
+    lines = [["order", *(f"s0={s0:+.2f}" for s0 in TABLE_S0)]]
+    lines += [[label, *map(_f7, row)] for label, row in zip(["0", "1", "2", "3", "numerical"], rows)]
     if fmt == "csv":
-        lines.append("order," + ",".join(f"s0={s0:+.2f}" for s0 in TABLE_S0))
-        for label, row in zip(labels, rows):
-            lines.append(label + "," + ",".join(_f7(v) for v in row))
-    else:
-        lines.append("order      " + "  ".join(f"s0={s0:+.2f}".rjust(10) for s0 in TABLE_S0))
-        for label, row in zip(labels, rows):
-            lines.append(f"{label:<9}  " + "  ".join(_f7(v).rjust(10) for v in row))
-    return "\n".join(lines) + "\n"
+        return "".join(",".join(cells) + "\n" for cells in lines)
+    return "".join(f"{cells[0]:<9}  " + "  ".join(cell.rjust(10) for cell in cells[1:]) + "\n" for cells in lines)
 
 
 def cmd_tables(args) -> int:
@@ -234,11 +229,11 @@ def cmd_tables(args) -> int:
 
     if args.fmt == "csv":
         prefix = args.out if args.out else "tables"
-        _emit(_format_table("", tl_rows, "csv"), prefix + "_abar.csv")
-        _emit(_format_table("", shat_rows, "csv"), prefix + "_shat.csv")
+        _emit(_format_table(tl_rows, "csv"), prefix + "_abar.csv")
+        _emit(_format_table(shat_rows, "csv"), prefix + "_shat.csv")
     else:
-        text = _format_table("tau*lbar approximations", tl_rows, "table")
-        text += "\n" + _format_table("s_hat approximations", shat_rows, "table")
+        text = "tau*lbar approximations\n" + _format_table(tl_rows, "table")
+        text += "\ns_hat approximations\n" + _format_table(shat_rows, "table")
         _emit(text, args.out)
 
     if not args.check:
@@ -261,11 +256,9 @@ def cmd_tables(args) -> int:
 
 def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
     """``(lo, hi, count)`` of a LO:HI:N grid spec."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"{name} must look like LO:HI:N, got {spec!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError(f"{name} must look like LO:HI:N, got {spec!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -378,11 +371,11 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``sshat`` parser, built on first use and shared by every later ``main`` call."""
-    parser = _Parser(prog="sshat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="sshat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
     # main dispatches on the handler default; dest names the missing command in the usage error.
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_line, options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
+        command = sub.add_parser(name, help=help_line, allow_abbrev=False)
         command.set_defaults(handler=handler)
         for option in options.split():
             command.add_argument(f"--{option}", **_OPTIONS[option])

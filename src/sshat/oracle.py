@@ -15,7 +15,7 @@ blocks; no Python loop runs over single steps.  Maturities integrated with
 the same step size share one scan, read at each maturity's last step.  The
 oracle then solves the defining equation for the effective spread constant
 by a safeguarded Newton iteration with bisection fallback, vectorised over
-every (state, maturity) pair of a batch (``_solve_roots``).
+fixed chunks of a batch's (state, maturity) pairs (``_solve_roots``).
 
 The cleared form of the defining equation,
 
@@ -139,6 +139,10 @@ _GROUP = 256
 # allocating a pass's arrays anew each time costs page faults on the order
 # of its arithmetic.
 _WORK_ROWS = 8
+# Entries per chunk of the root solve.  Each of _phi's (4, 16, entries)
+# tables is 4 MB at this size; one batch of 10^6 entries peaked near 1 GB.
+# Chunks of 1024 were slower than one batch.
+_ROOT_CHUNK = 8192
 
 
 def _step_coefficients(e: np.ndarray, t: np.ndarray, h: float, params: ModelParams, work: np.ndarray):
@@ -455,16 +459,28 @@ def _deflated(s, tau_lbar, l0, sigma2: float, tau):
 
 
 def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
-    """Safeguarded Newton (``rtsafe``) for every entry of 1-D arrays at once.
+    """Safeguarded Newton (``rtsafe``) for every entry of 1-D arrays, in chunks of ``_ROOT_CHUNK``.
 
     Entry i solves q(s) = 0 for ``tau_lbar[i]``, ``l0[i]`` and ``tau[i]``,
     with the bracket sized by ``eps_hint[i]`` as ``solve_shat_numeric``
     documents.  Every step is elementwise, so each entry's root, bracket
-    and counters are bitwise those of the entry solved alone.  Raises
-    BracketingError or NumericalFailure for the first entry, in index
-    order, that has no bracket or whose residual exceeds the rounding floor
-    of g (``_ROOT_ROUNDING``).
+    and counters are bitwise those of the entry solved alone, in any chunk.
+    The chunks run in index order, and each raises BracketingError or
+    NumericalFailure for its first entry that has no bracket or whose
+    residual exceeds the rounding floor of g (``_ROOT_ROUNDING``), so the
+    first such entry of the batch is the one raised.
     """
+    size = tau_lbar.size
+    roots = _Roots(*(np.empty(size) for _ in range(4)), *(np.empty(size, dtype=int) for _ in range(3)))
+    for start in range(0, size, _ROOT_CHUNK):
+        part = slice(start, start + _ROOT_CHUNK)
+        for whole, chunk in zip(roots, _solve_chunk(tau_lbar[part], l0[part], params, tau[part], eps_hint[part])):
+            whole[part] = chunk
+    return roots
+
+
+def _solve_chunk(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
+    """``_solve_roots`` for every entry of one chunk at once."""
     sigma2 = params.sigma2
     mh = params.mu_hat
     size = tau_lbar.size

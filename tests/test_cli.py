@@ -730,8 +730,7 @@ def test_sweep_oracle_failure_in_a_shared_scan(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
+FAILURE_ORDER = pytest.mark.parametrize(
     "tau_grid, message, without_floor",
     [
         ("1:3:3", "integration produced a non-finite state in state 10 of the batch", "root refinement stalled: "),
@@ -739,6 +738,10 @@ def test_sweep_oracle_failure_in_a_shared_scan(tmp_path, capsys):
     ],
     ids=["ascending", "descending"],
 )
+
+
+@pytest.mark.filterwarnings("error")
+@FAILURE_ORDER
 def test_sweep_oracle_failures_are_taken_in_maturity_order(monkeypatch, capsys, tau_grid, message, without_floor):
     # States 0-9 start at s0 = -600 and states 10-19 at s0 = -800.  All stay
     # finite to tau = 1, where tau_lbar reaches 1e244 and every root is found
@@ -756,6 +759,14 @@ def test_sweep_oracle_failures_are_taken_in_maturity_order(monkeypatch, capsys, 
     monkeypatch.setattr("sshat.oracle._ROOT_ROUNDING", 0.0)
     rc, out, err = run(capsys, *grid, f"--tau-grid={tau_grid}")
     assert (rc, out) == (2, "") and err.startswith(f"numerical failure: {without_floor}")
+
+
+@pytest.mark.filterwarnings("error")
+@FAILURE_ORDER
+def test_sweep_oracle_failures_in_root_chunks(monkeypatch, capsys, tau_grid, message, without_floor):
+    # Root-solve chunks of 7 entries split the 20 roots at tau = 1 into three.
+    monkeypatch.setattr("sshat.oracle._ROOT_CHUNK", 7)
+    test_sweep_oracle_failures_are_taken_in_maturity_order(monkeypatch, capsys, tau_grid, message, without_floor)
 
 
 def test_sweep_invalid_order_fails_before_the_oracle_batch(monkeypatch, capsys):
@@ -795,7 +806,8 @@ def test_sweep_rejects_bad_grids(capsys):
     assert run(capsys, "sweep", "--s0-grid", "nope")[0] == 1
     assert run(capsys, "sweep", "--l0-grid", "0:0.2:5")[0] == 1
     assert run(capsys, "sweep", "--tau-grid", "0:1:2")[0] == 1
-    assert run(capsys, "sweep", "--s0-grid=a:b:c") == (1, "", "error: --s0-grid must look like LO:HI:N, got 'a:b:c'\n")
+    for spec in ("a:b:c", "1:2", "1:2:3:4", ""):
+        assert run(capsys, "sweep", f"--s0-grid={spec}") == (1, "", f"error: --s0-grid must look like LO:HI:N, got {spec!r}\n")
     assert run(capsys, "sweep", "--l0-grid=0.1:0.2:0") == (1, "", "error: --l0-grid: N must be >= 1, got 0\n")
 
 
@@ -935,8 +947,16 @@ def test_out_in_missing_directory_is_validation_error(tmp_path, capsys, argv):
         ("shat", "--samples", "5"),
         ("abar", "--check"),
         ("path", "--oracle"),
+        ("shat", "--ord", "5"),
+        ("path", "--samp", "5"),
+        ("sweep", "--tau", "2"),
+        ("sweep", "--s0", "0.1"),
+        ("sweep", "--s0-g=0:0:1"),
     ],
-    ids=["tables-s0", "tables-order", "path-format", "sweep-format", "shat-samples", "abar-check", "path-oracle"],
+    ids=[
+        "tables-s0", "tables-order", "path-format", "sweep-format", "shat-samples", "abar-check", "path-oracle",
+        "shat-ord", "path-samp", "sweep-tau", "sweep-s0", "sweep-s0-g",
+    ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     rc, out, err = run(capsys, *argv)

@@ -577,6 +577,58 @@ def test_batched_solve_raises_for_an_entry_that_never_brackets(base_params):
     assert str(batched.value) == str(alone.value)
 
 
+def test_chunked_solve_raises_the_first_failure_in_index_order(monkeypatch, base_params):
+    # Entries 2 and 4 never bracket, in the second and third chunks of 2, and
+    # their brackets differ: the first of them is raised.
+    with pytest.raises(BracketingError) as alone:
+        solve_shat_numeric(-5.0, BASE_L0, base_params, BASE_TAU)
+    near = compute_oracles([InitialState(s0=s0, l0=BASE_L0) for s0 in TABLE_S0], base_params, BASE_TAU)
+    tau_lbar = np.array([near[0].tau_lbar, near[1].tau_lbar, -5.0, near[2].tau_lbar, -5.0])
+    eps_hint = np.array([TABLE_S0[0] - BASE_MU_HAT, TABLE_S0[1] - BASE_MU_HAT, 0.0, TABLE_S0[2] - BASE_MU_HAT, 1.0])
+    size = tau_lbar.size
+    monkeypatch.setattr(sshat.oracle, "_ROOT_CHUNK", 2)
+    with pytest.raises(BracketingError) as batched:
+        _solve_roots(tau_lbar, np.full(size, BASE_L0), base_params, np.full(size, BASE_TAU), eps_hint)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_chunked_oracle_grid_equals_per_entry_solves(monkeypatch, base_params):
+    # Chunks of 7 entries straddle the maturities of 12 states: each entry's
+    # root, bracket and counters are those of one chunk and of the entry alone.
+    states = [InitialState(s0=s0, l0=l0) for s0 in (-0.06, -0.02, base_params.mu_hat, 0.05) for l0 in (0.005, 0.1, 0.2)]
+    eps = np.array([state.s0 - base_params.mu_hat for state in states])
+    l0 = np.array([state.l0 for state in states])
+    taus = [0.5, 1.0, 2.5]
+    _, one_chunk, _ = _oracle_grid(eps, l0, base_params, taus)
+    monkeypatch.setattr(sshat.oracle, "_ROOT_CHUNK", 7)
+    tau_lbar, roots, _ = _oracle_grid(eps, l0, base_params, taus)
+    assert [a.tolist() for a in roots] == [a.tolist() for a in one_chunk]
+    for i, tau in enumerate(taus):
+        for j in range(eps.size):
+            alone = solve_shat_numeric(tau_lbar[i, j].item(), l0[j].item(), base_params, tau, eps[j].item())
+            fields = (alone.s_hat, alone.residual, alone.bracket_lo, alone.bracket_hi)
+            counters = (alone.iterations, alone.bisections, alone.widenings)
+            assert fields + counters == tuple(a[i, j].item() for a in roots)
+
+
+def test_root_solve_memory_is_bounded(base_params):
+    # 10^5 entries solve _ROOT_CHUNK at a time; one batch of them peaked at
+    # about 100 MB, of which the (4, 16, entries) table of _phi was 51 MB.
+    near = compute_oracles([InitialState(s0=s0, l0=BASE_L0) for s0 in TABLE_S0], base_params, BASE_TAU)
+    size = 10**5
+    tau_lbar = np.resize([result.tau_lbar for result in near], size)
+    eps_hint = np.resize(np.array(TABLE_S0) - BASE_MU_HAT, size)
+    l0, tau = np.full(size, BASE_L0), np.full(size, BASE_TAU)
+    tracemalloc.start()
+    try:
+        roots = _solve_roots(tau_lbar, l0, base_params, tau, eps_hint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert roots.s_hat.tolist() == np.resize([result.s_hat for result in near], size).tolist()
+    assert peak < 20_000_000
+
+
 @pytest.mark.parametrize("l0", [math.nan, -0.1, 0.0, math.inf])
 def test_solve_rejects_invalid_consol_rate(base_params, l0):
     with pytest.raises(ValueError, match="l0"):
