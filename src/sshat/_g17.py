@@ -16,8 +16,10 @@ import numpy as np
 def _text_tables():
     """The constant tables of ``_g17_bytes``, built on its first call.
 
-    - the four ASCII digits of 0..9999 as little-endian uint32, first digit in
-      the low byte, and their trailing zero digits (4 for 0);
+    - the four ASCII digits of 0..9999 as little-endian uint64, first digit in
+      the low byte and the top four bytes zero, and the place, 1 to 4, of
+      their last nonzero digit (-16 for 0, below any place another group
+      gives);
     - 10^0..10^20, each exact as a double;
     - per layout key ``(neg * 20 + k + 4) * 17 + kept - 1`` (sign, decimal
       exponent k in [-4, 15], 1..17 significant digits kept), as
@@ -28,8 +30,9 @@ def _text_tables():
     """
     quads = np.arange(10000)
     digits = np.stack([quads // 10 ** (3 - j) - quads // 10 ** (4 - j) * 10 + 48 for j in range(4)], axis=1)
-    quad_text = digits.astype(np.uint8).view("<u4").ravel()
-    quad_zeros = sum(quads // 10**j * 10**j == quads for j in range(1, 5))
+    quad_text = digits.astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+    quad_kept = 4 - sum(quads % 10**j == 0 for j in range(1, 5))
+    quad_kept[0] = -16
     pow10 = np.array([float(10**j) for j in range(21)])
 
     fixed, head, tail, shift = [], [], [], []
@@ -48,7 +51,7 @@ def _text_tables():
                 tail.append((b"\0" * before + b"\xff" * after).ljust(24, b"\0"))
                 shift.append(8 * at)
     words = [np.frombuffer(b"".join(t), "<u8").reshape(-1, 3).T.copy() for t in (fixed, head, tail)]
-    return quad_text, quad_zeros, pow10, *words, np.array(shift, np.uint64)
+    return quad_text, quad_kept, pow10, *words, np.array(shift, np.uint64)
 
 
 def _split(v: np.ndarray):
@@ -81,24 +84,27 @@ def _decimal(x: np.ndarray, pow10: np.ndarray):
     return np.where(exact, d, 10**16), k, exact
 
 
-def _digit_words(d: np.ndarray, quad_text: np.ndarray, quad_zeros: np.ndarray):
+def _digit_words(d: np.ndarray, quad_text: np.ndarray, quad_kept: np.ndarray):
     """The 17 digits of each D in ``d`` as ASCII in little-endian uint64 words
     of shape (3, n), first digit in the low byte of word 0, and the count of
     digits up to the last nonzero one."""
-    # D is 16 digits q, as the four-digit groups g0..g3, and a last digit.
+    # D is 16 digits q, as two halves of two four-digit groups each, and a
+    # last digit.  Every divisor is a scalar, which numpy turns into a
+    # multiply and a shift.
     q = d // 10
     last = d - 10 * q
-    heads = q // np.array([10**16, 10**12, 10**8, 10**4, 1])[:, None]
-    groups = heads[1:] - 10**4 * heads[:-1]
-    zeros = quad_zeros[groups[0]]
-    for g in groups[1:]:
-        zeros = np.where(g != 0, quad_zeros[g], 4 + zeros)
-    zeros = np.where(last != 0, 0, 1 + zeros)
-    # Word 0 holds g0 g1, word 1 g2 g3 and word 2 the last digit.
-    quads = np.zeros((3, len(d), 2), "<u4")
-    quads[:2] = quad_text[groups].reshape(2, 2, -1).transpose(0, 2, 1)
-    quads[2, :, 0] = last + 48
-    return quads.view("<u8")[..., 0], 17 - zeros
+    halves = np.empty((2, len(d)), np.int64)
+    np.floor_divide(q, 10**8, out=halves[0])
+    np.subtract(q, 10**8 * halves[0], out=halves[1])
+    firsts = halves // 10**4
+    seconds = halves - 10**4 * firsts
+    # Word 0 holds the first half, word 1 the second and word 2 the last digit.
+    words = np.empty((3, len(d)), np.uint64)
+    np.bitwise_or(quad_text.take(firsts), quad_text.take(seconds) << np.uint64(32), out=words[:2])
+    words[2] = last + 48
+    # The place of the last nonzero digit, in each half, then in all 17.
+    places = np.maximum(quad_kept.take(firsts), quad_kept.take(seconds) + 4)
+    return words, np.where(last != 0, 17, np.maximum(places[0], places[1] + 8))
 
 
 def _g17_bytes(values: np.ndarray) -> list[bytes]:
@@ -112,10 +118,10 @@ def _g17_bytes(values: np.ndarray) -> list[bytes]:
     other element (0, subnormals, inf, nan, |x| < 1e-4 or >= 1e16) is
     formatted by ``%`` one at a time.
     """
-    quad_text, quad_zeros, pow10, fixed, head, tail, shifts = _text_tables()
+    quad_text, quad_kept, pow10, fixed, head, tail, shifts = _text_tables()
     x = np.asarray(values, dtype=np.float64).ravel()
     d, k, exact = _decimal(x, pow10)
-    digits, kept = _digit_words(d, quad_text, quad_zeros)
+    digits, kept = _digit_words(d, quad_text, quad_kept)
     key = (np.signbit(x) * 20 + k + 4) * 17 + kept - 1
 
     # The digits after the point move one byte right, then all of them move

@@ -69,7 +69,7 @@ MAX_SWEEP_POINTS = 10**6
 # (l0, tau) pairs per span of sweep's row templates.
 _SPAN = 4096
 # Values per _fill call where sweep and path can group rows.
-_TEXT_BATCH = 2048
+_TEXT_BATCH = 4096
 
 
 class _Parser(argparse.ArgumentParser):

@@ -214,11 +214,10 @@ def _reference_path(order, s0, tau, samples, steps):
 def test_path_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, order, to_file, batch):
     # 701 samples and 1400 steps, a multiple of the 700 cells, so cmd_path
     # keeps the count.  Rows are written _TEXT_BATCH // columns at a time, at
-    # least one, each one _g17_bytes call: at 2048 values 682 rows at order
-    # 0, 341 at order 3 and 107 at order 16; at 5 columns' worth 5 rows; at
-    # 12 values 4 rows of 3 columns, 2 of 6 and 1 of 19.
+    # least one, each one _g17_bytes call: at 5 columns' worth 5 rows; at 12
+    # values 4 rows of 3 columns, 2 of 6 and 1 of 19.
     columns = order + 3
-    rows = {None: {0: 682, 3: 341, 16: 107}[order], "5 rows": 5, 12: {0: 4, 3: 2, 16: 1}[order]}[batch]
+    rows = {None: sshat.cli._TEXT_BATCH // columns, "5 rows": 5, 12: {0: 4, 3: 2, 16: 1}[order]}[batch]
     if batch:
         monkeypatch.setattr("sshat.cli._TEXT_BATCH", 5 * columns if batch == "5 rows" else batch)
     calls = []

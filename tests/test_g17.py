@@ -12,11 +12,12 @@ import sys
 
 import numpy as np
 
-from sshat._g17 import _decimal, _g17_bytes, _text_tables
+from sshat._g17 import _decimal, _digit_words, _g17_bytes, _text_tables
+from sshat.cli import _TEXT_BATCH
 
 # Values per generated chunk, and per kernel call as the writers make them.
 CHUNK = 2**16
-CALL = 2048
+CALL = _TEXT_BATCH
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
 POWERS = 10.0 ** np.arange(-25, 26)
@@ -90,6 +91,48 @@ def test_the_fast_path_covers_the_positional_range():
     # Every tie and every power of ten in the range takes the fast path.
     for x in (classes[5], POWERS[(POWERS >= 1e-4) & (POWERS < 1e16)]):
         assert _decimal(x, pow10)[2].all()
+
+
+def _d_and_k(x: float) -> tuple[int, int]:
+    """D and k of ``x`` as Python reads them: the 17 significant digits and
+    the decimal exponent of its ``"%.16e"`` text."""
+    mantissa, exponent = ("%.16e" % abs(x)).split("e")
+    return int(mantissa.replace(".", "")), int(exponent)
+
+
+def _kept(d: int) -> int:
+    return len(str(d).rstrip("0"))
+
+
+def test_the_kept_digit_count_at_every_group_boundary():
+    # D is split into the four-digit groups of places 1-4, 5-8, 9-12 and
+    # 13-16, and a 17th digit; the last nonzero digit of D sits in each place
+    # in turn, after zeros (1 0...0 i) and after nines (9...9 i).
+    quad_text, quad_kept, pow10 = _text_tables()[:3]
+    d = [10**16, 10**17 - 1]
+    for kept in range(1, 18):
+        d += [10**16 + 10 ** (17 - kept), 10**17 - 10 ** (17 - kept)]
+    assert _digit_words(np.array(d), quad_text, quad_kept)[1].tolist() == list(map(_kept, d))
+    assert sorted(set(map(_kept, d))) == list(range(1, 18))
+
+    # No double in the kernel's range has D = 10^17 - 1 (the largest double
+    # below each power of ten has D <= 10^17 - 8), so the doubles take, per
+    # place and k, the first D of the two forms, tried in turn, whose
+    # nearest double prints it back.
+    values = []
+    for k in (-4, 0, 15):
+        for kept in range(1, 18):
+            steps = [i * 10 ** (17 - kept) for i in range(1, 100) if i % 10]
+            tries = [v for step in steps for v in (10**17 - step, 10**16 + step)]
+            nearest = [float(f"{v}e{k - 16}") for v in tries]
+            x = next(x for x, v in zip(nearest, tries) if _d_and_k(x) == (v, k))
+            values += [x, -x]
+    x = np.array(values)
+    d, k, exact = _decimal(x, pow10)
+    assert exact.all()
+    assert list(zip(d.tolist(), k.tolist())) == list(map(_d_and_k, values))
+    assert _digit_words(d, quad_text, quad_kept)[1].tolist() == [_kept(_d_and_k(v)[0]) for v in values]
+    assert _g17_bytes(x) == [b"%.17g" % v for v in values]
 
 
 def test_special_and_out_of_range_values_fall_back():
