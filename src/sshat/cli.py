@@ -69,7 +69,7 @@ MAX_SWEEP_POINTS = 10**6
 # (l0, tau) pairs per span of sweep's row templates.
 _SPAN = 4096
 # Values per _fill call where sweep and path can group rows.
-_TEXT_BATCH = 4096
+_TEXT_BATCH = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,40 +122,62 @@ def _resolve_config(args) -> tuple[ModelParams, InitialState, int]:
     return params, state, n_steps
 
 
+class _Decoding:
+    """A binary face on a text stream with no ``.buffer``, such as an ``io.StringIO``."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, data: bytes):
+        return self.stream.write(data.decode())
+
+
+@contextlib.contextmanager
 def _output(out: str | None):
-    """The stream for a command's output: stdout, or the file at ``out``."""
-    if out is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(out, "w", encoding="utf-8", newline="\n")
+    """The binary stream for a command's output: the file at ``out``, or stdout's buffer.
+
+    Text already written to ``sys.stdout`` is flushed first, so it comes
+    before the output, and the output is flushed at the end, as a
+    line-buffered stdout would have it before any later stderr message.  A
+    stdout without ``.buffer`` (``io.StringIO`` under
+    ``contextlib.redirect_stdout``, say) is written through ``_Decoding``.
+    """
+    if out is not None:
+        with open(out, "wb") as fh:
+            yield fh
+        return
+    sys.stdout.flush()
+    yield getattr(sys.stdout, "buffer", None) or _Decoding(sys.stdout)
+    sys.stdout.flush()
 
 
-def _emit(text: str, out: str | None):
+def _emit(data: bytes, out: str | None):
     with _output(out) as fh:
-        fh.write(text)
+        fh.write(data)
 
 
 def _f7(x: float) -> str:
     return f"{x:.7f}"
 
 
-def _fill(template: bytes, values) -> str:
-    """``template`` with its ``%s`` fields filled, in order, by the exact ``%.17g`` text of ``values`` in C order."""
-    return (template % tuple(_g17_bytes(values))).decode()
+def _fill(template: bytes, values) -> bytes:
+    """The bytes of ``template`` with its ``%s`` fields filled, in order, by the exact ``%.17g`` text of ``values`` in C order."""
+    return template % tuple(_g17_bytes(values))
 
 
-def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -> str:
+def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -> bytes:
     """Per-order ``terms``, their partial sums at ``eps`` and the distance of each from ``oracle``."""
     partials = _partial_sums(terms, eps)
     rows = [(n, term, partial, oracle, abs(partial - oracle)) for n, (term, partial) in enumerate(zip(terms, partials))]
     if fmt == "csv":
         # A whole float n has the %.17g text of the integer.
-        header = f"n,{label},partial_sum,oracle_{name},abs_diff\n"
+        header = f"n,{label},partial_sum,oracle_{name},abs_diff\n".encode()
         return header + _fill(b"%s,%s,%s,%s,%s\n" * len(rows), np.array(rows))
     lines = [f"eps = {_f7(eps)}", f"n  {label:<12}partial_sum  |diff_oracle|"]
     for n, term, partial, _, diff in rows:
         lines.append(f"{n}  {_f7(term):>10}  {_f7(partial):>10}  {_f7(diff)}")
     lines.append(f"oracle {name} = {_f7(oracle)}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 def cmd_shat(args) -> int:
@@ -195,7 +217,7 @@ def cmd_path(args) -> int:
     row = b",".join([b"%s"] * values.shape[1]) + b"\n"
     step = max(1, _TEXT_BATCH // values.shape[1])
     with _output(args.out) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, len(values), step):
             span = values[lo : lo + step]
             fh.write(_fill(row * len(span), span))
@@ -214,13 +236,13 @@ def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
     return tl_rows, shat_rows
 
 
-def _format_table(rows, fmt) -> str:
+def _format_table(rows, fmt) -> bytes:
     """A reference table's header and rows, as CSV or as aligned columns."""
     lines = [["order", *(f"s0={s0:+.2f}" for s0 in TABLE_S0)]]
     lines += [[label, *map(_f7, row)] for label, row in zip(["0", "1", "2", "3", "numerical"], rows)]
     if fmt == "csv":
-        return "".join(",".join(cells) + "\n" for cells in lines)
-    return "".join(f"{cells[0]:<9}  " + "  ".join(cell.rjust(10) for cell in cells[1:]) + "\n" for cells in lines)
+        return "".join(",".join(cells) + "\n" for cells in lines).encode()
+    return "".join(f"{cells[0]:<9}  " + "  ".join(cell.rjust(10) for cell in cells[1:]) + "\n" for cells in lines).encode()
 
 
 def cmd_tables(args) -> int:
@@ -232,8 +254,8 @@ def cmd_tables(args) -> int:
         _emit(_format_table(tl_rows, "csv"), prefix + "_abar.csv")
         _emit(_format_table(shat_rows, "csv"), prefix + "_shat.csv")
     else:
-        text = "tau*lbar approximations\n" + _format_table(tl_rows, "table")
-        text += "\ns_hat approximations\n" + _format_table(shat_rows, "table")
+        text = b"tau*lbar approximations\n" + _format_table(tl_rows, "table")
+        text += b"\ns_hat approximations\n" + _format_table(shat_rows, "table")
         _emit(text, args.out)
 
     if not args.check:
@@ -286,23 +308,25 @@ def cmd_sweep(args) -> int:
     if np.any(tau_grid <= 0):
         raise ValueError("tau grid must be strictly positive")
 
-    # All numerical work is done before the first output byte, into arrays
-    # indexed [s0, pair] with the (l0, tau) pairs l0-major: row [i_s0] holds
-    # the rows of one s0 in output order.
+    # All numerical work is done before the first output byte, into one table
+    # indexed [s0, pair, column] with the (l0, tau) pairs l0-major: row [i_s0]
+    # holds the rows of one s0 in output order.  Column 0 is the series value;
+    # under --oracle, columns 1 and 2 are the oracle value and abs_diff.
     n_tau = len(tau_grid)
     pairs = len(l0_grid) * n_tau
     _require_order(order)  # before the oracle batch
     started = time.perf_counter()
+    table = np.empty((len(s0_grid), pairs, 3 if args.oracle else 1))
+    values = table[:, :, 0]
     if args.oracle:
         # One batch over every (s0, l0) state, s0-major, at every tau.
         eps = np.repeat(s0_grid - params.mu_hat, len(l0_grid))
         _, roots, _ = _oracle_grid(eps, np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)
-        oracle = roots.s_hat.T.reshape(len(s0_grid), pairs)
+        table[:, :, 1] = roots.s_hat.T.reshape(len(s0_grid), pairs)
 
     # One batched solve over every (l0, tau) pair; each block of pairs is
     # evaluated over the whole s0 grid at once.
     eps = (s0_grid - params.mu_hat)[:, None]
-    values = np.empty((len(s0_grid), pairs))
     for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
         with np.errstate(over="ignore", invalid="ignore"):
             values[:, start : start + k.shape[1]] = deque(_partial_sums(k, eps), maxlen=1)[0]
@@ -315,10 +339,9 @@ def cmd_sweep(args) -> int:
     share = (time.perf_counter() - started) / total  # per row: an equal share of the oracle batch and the series
 
     header = ["s0", "l0", "tau", f"shat_order{order}"]
-    columns = [values]
     if args.oracle:
         header += ["oracle_s_hat", "abs_diff"]
-        columns += [oracle, np.abs(values - oracle)]
+        table[:, :, 2] = np.abs(values - table[:, :, 1])
     # Rows are written in blocks: one s0 over a span of at most _SPAN
     # (l0, tau) pairs, or, when the grid is one span, as many s0 as fit in
     # _TEXT_BATCH values, so the text held at once stays bounded.  A span's
@@ -328,33 +351,36 @@ def cmd_sweep(args) -> int:
     # template is kept (about 45 B a pair), so each is built once for all s0;
     # over one s0 only the last is kept.  A block is the template
     # with each s0's text in place of "\0", filled by one _fill call over the
-    # block's stacked columns and written at once.  The coordinates take %
-    # directly, which is faster than a kernel call below about 150 values.
+    # table's slice [s0 rows, span] (C order is row order, no copy) and
+    # written at once as bytes.  The coordinates take % directly, which is
+    # faster than a kernel call below about 150 values.
     # No %.17g or %.3f text contains "%" or "\0".
     row_end = b"\n"
     if args.timing:
         header.append("elapsed_ms")
         row_end = b",%.3f\n" % (share * 1e3)
     heads = [b"\0,%.17g," % l0 for l0 in l0_grid.tolist()]
-    tails = [b"%.17g" % tau + b",%s" * len(columns) + row_end for tau in tau_grid.tolist()]
+    tails = [b"%.17g" % tau + b",%s" * table.shape[2] + row_end for tau in tau_grid.tolist()]
 
     @functools.lru_cache(maxsize=None if len(s0_grid) > 1 else 1)
     def template(lo, hi):
         return b"".join(heads[p // n_tau] + tails[p % n_tau] for p in range(lo, hi))
 
     spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
-    group = max(1, _TEXT_BATCH // (pairs * len(columns))) if len(spans) == 1 else 1
+    group = max(1, _TEXT_BATCH // table[0].size) if len(spans) == 1 else 1
     with _output(args.out) as fh:
         fh.write(
-            f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
-            "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
-            f"{','.join(header)}\n"
+            (
+                f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
+                "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
+                f"{','.join(header)}\n"
+            ).encode()
         )
         for r0 in range(0, len(s0_grid), group):
             s0_rows = s0_grid[r0 : r0 + group].tolist()
             for lo, hi in spans:
                 block = b"".join(template(lo, hi).replace(b"\0", b"%.17g" % s0) for s0 in s0_rows)
-                fh.write(_fill(block, np.stack([c[r0 : r0 + group, lo:hi] for c in columns], axis=-1)))
+                fh.write(_fill(block, table[r0 : r0 + group, lo:hi]))
     return 0
 
 

@@ -64,14 +64,19 @@ def _partial_sums(terms, eps):
 
     ``eps`` is a float or an ndarray; each term is a float or an ndarray
     that broadcasts against ``eps``.  Each element has the bits of the float
-    call at that element.  Every yielded sum is a new object.
+    call at that element.  Every yielded sum is a new object.  No power
+    past the last term's is formed: it could overflow where the sum does not.
     """
     total = 0.0
     power = np.ones_like(eps, dtype=float) if isinstance(eps, np.ndarray) else 1.0
-    for term in terms:
+    terms = iter(terms)
+    for term in terms:  # the first term; the inner loop takes the rest
         total = term * power + total
-        power = power * eps
         yield total
+        for term in terms:
+            power = power * eps
+            total = term * power + total
+            yield total
 
 
 # (l0, tau) pairs per block of the batched solve.  The block length is fixed,

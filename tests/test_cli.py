@@ -1,5 +1,8 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
+import os
 import re
 import subprocess
 import sys
@@ -391,6 +394,18 @@ def test_tables_check_reports_known_deviations(capsys):
     assert not any("tau_lbar" in line for line in lines)
 
 
+def test_stdout_is_flushed_before_the_check_message():
+    # stdout and stderr share one block-buffered pipe: the tables are flushed
+    # when written, so they come before the message, as on a line-buffered
+    # terminal.
+    probe = "import sshat.cli; raise SystemExit(sshat.cli.main(['tables', '--check']))"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    run = subprocess.run([sys.executable, "-c", probe], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+    assert run.returncode == 3
+    assert run.stdout.startswith("tau*lbar approximations\n")
+    assert run.stdout.index("reference check failed") > run.stdout.index("s_hat approximations")
+
+
 def test_tables_check_passes_against_the_printed_rows(monkeypatch, capsys):
     rc, out, _ = run(capsys, "tables")
     assert rc == 0
@@ -611,6 +626,45 @@ def test_sweep_bytes_equal_row_by_row_reference_multi_span(monkeypatch, tmp_path
     specs = ("-0.06:0.05:3", "0.02:0.2:3", "0.5:4:4")
     out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
     assert out == _reference_sweep(order, *specs, oracle)
+
+
+_STDOUT_CASES = {
+    "sweep": ["sweep", "--s0-grid=-0.05:0.05:7", "--l0-grid=0.01:0.2:5", "--tau-grid=1:3:3"],
+    "sweep_oracle": ["sweep", "--oracle", "--s0-grid=-0.05:0.05:4", "--l0-grid=0.01:0.2:5", "--tau-grid=1:3:3"],
+    "path": ["path", "--order", "16", "--samples", "101"],
+    "shat_csv": ["shat", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("stdout", ["capsys", "string_io", "text_io_wrapper"])
+@pytest.mark.parametrize("case", list(_STDOUT_CASES))
+def test_stdout_gives_the_bytes_of_out(monkeypatch, tmp_path, capsys, case, stdout):
+    # The CLI writes bytes to stdout's binary buffer, or through a decoding
+    # adapter where stdout has none (io.StringIO).  Text already written to
+    # sys.stdout comes first: the TextIOWrapper holds it pending until the
+    # CLI flushes it.  At 40 values a call the sweeps take several blocks
+    # and path several groups of rows.
+    monkeypatch.setattr("sshat.cli._TEXT_BATCH", 40)
+    calls = []
+    monkeypatch.setattr("sshat.cli._g17_bytes", lambda values: calls.append(values.size) or _g17_bytes(values))
+    argv = _STDOUT_CASES[case]
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    expected = b"pending text\n" + target.read_bytes()
+    assert len(calls) == 1 if case == "shat_csv" else len(calls) > 2
+    capsys.readouterr()
+    if stdout == "capsys":
+        sys.stdout.write("pending text\n")
+        assert main(argv) == 0
+        got = capsys.readouterr().out.encode()
+    else:
+        stream = io.StringIO() if stdout == "string_io" else io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+        stream.write("pending text\n")
+        with contextlib.redirect_stdout(stream):
+            assert main(argv) == 0
+        stream.flush()
+        got = stream.getvalue().encode() if stdout == "string_io" else stream.buffer.getvalue()
+    assert got == expected
 
 
 def test_sweep_memory_does_not_grow_with_the_pairs(tmp_path):

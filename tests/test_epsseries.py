@@ -217,6 +217,17 @@ def test_value_on_array_equals_scalar_calls(base_params):
     assert shat.value(grid).tolist() == [[shat.value(float(e)) for e in row] for row in grid]
 
 
+@pytest.mark.filterwarnings("error")
+def test_value_on_array_forms_no_power_past_the_last_term(base_params, base_expansion):
+    # At order 3, eps^3 = 1e240 is finite but eps^4 overflows: a power past
+    # the last term would raise an overflow warning on the array call only.
+    shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
+    expected = shat.value(1e80)
+    assert math.isfinite(expected)
+    assert shat.value(np.array([1e80])).tolist() == [expected]
+    assert shat.value(np.array([1e80, -1e80]), order=3).tolist() == [expected, shat.value(-1e80)]
+
+
 def test_solve_validation(base_params, base_expansion):
     with pytest.raises(ValueError):
         solve_shat_series(base_expansion, 0.0, BASE_L0, base_params, 3)
