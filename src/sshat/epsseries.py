@@ -43,7 +43,6 @@ blocks of pairs.  A scalar solve is a grid of one pair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +83,9 @@ def _partial_sums(terms, eps):
 # (order+1)^2 * _BLOCK floats, 2.4 MB at order N_MAX.
 _BLOCK = 1024
 
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
+
 
 def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray):
     """Solve the reversion at every pair of ``l0`` x ``tau`` (1-D arrays).
@@ -103,7 +105,9 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     # Both f_j and L_k are affine in l0.  Per maturity, the l0-free part
     # [a, A] and the l0 slope [b, B]: shape (2, 2, n + 1, len(tau)).  At
     # order 0, L has a row that the solve does not read.
-    affine = np.stack([_quadrature(params, t, n) for t in taus], axis=-1)
+    affine = np.empty((2, 2, n + 1, len(taus)))
+    for i, t in enumerate(taus):
+        affine[..., i] = _quadrature(params, t, n)
 
     pairs = len(l0) * len(taus)
     for start in range(0, pairs, _BLOCK):
@@ -117,7 +121,7 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
             raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * t!r}")
         # Every order divides by f_1, about -l0 tau^2 / 2: below a normal
         # double (tau under about 1e-154) the quotients lose their digits or are NaN.
-        underflowed = np.abs(f[1]) < np.finfo(float).tiny
+        underflowed = np.abs(f[1]) < _TINY
         if underflowed.any():
             t = taus[i_tau[underflowed.argmax()]]
             raise NumericalFailure(f"the slope f_1 of F underflowed at tau={t!r}")
@@ -125,11 +129,17 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
         # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
         # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
         # rest_t = L_t - sum_(j>=2) f_j [delta^j]_t and delta_t = rest_t / f_1.
-        # np.einsum adds each sum left to right, whatever the block holds.
+        # Order 1 has no powers delta^j with j >= 2: rest_1 = L_1.
+        # np.einsum adds each sum left to right, whatever the block holds, on
+        # these strided operands (test_reversion_adds_left_to_right); on
+        # contiguous one-pair operands it may sum in another order.
         D = np.zeros((n + 1, order + 1, len(x)))
         delta, rest = D[1], np.empty((order + 1, len(x)))
         np.subtract(L[0], f[0], out=rest[0])
-        for t in range(1, order + 1):
+        if order:
+            rest[1] = L[1]
+            np.divide(rest[1], f[1], out=delta[1])
+        for t in range(2, order + 1):
             powers = D[2 : t + 1, t]
             np.einsum("i...,ji...->j...", delta[1:t], D[1:t, t - 1 : 0 : -1], out=powers)
             np.subtract(L[t], np.einsum("j...,j...->...", f[2 : t + 1], powers), out=rest[t])
@@ -166,7 +176,9 @@ class ShatExpansion:
         """
         upto = self.order if order is None else order
         _require_index(upto, "order", 0, self.order)
-        return deque(_partial_sums(self.k[: upto + 1], eps), maxlen=1)[0]
+        for total in _partial_sums(self.k[: upto + 1], eps):
+            pass
+        return total
 
 
 def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):

@@ -147,19 +147,22 @@ def _nodes(params: ModelParams, tau: float):
 
 
 def _powers(params: ModelParams, tau: float, top: int):
-    """Distances ``u = tau - v`` and ``powers[:, k] = w e(v) (v^k, g(v)^k)``, k = 0..top.
+    """Distances ``u = tau - v`` and ``powers[k] = w e(v) (v^k, g(v)^k)``, k = 0..top.
 
     At the nodes v and weights w of ``_nodes`` on [0, tau], with
     ``e(v) = exp(-mu_hat v)`` and ``g(v) = -expm1(-m v)/m``; ``powers`` has
-    shape (2, top + 1, nodes).  Call under ``np.errstate(over="ignore")``.
+    shape (top + 1, 2, nodes), so each power is one contiguous row pair.
+    Call under ``np.errstate(over="ignore")``.
     """
     mu_hat, m = params.mu_hat, params.m
     v, u, w = _nodes(params, tau)
-    powers = np.empty((2, top + 1, v.size))
-    powers[:, 0] = w * np.exp(-mu_hat * v)
-    base = np.array([v, np.expm1(-m * v) / -m])
+    powers = np.empty((top + 1, 2, v.size))
+    powers[0] = w * np.exp(-mu_hat * v)
+    base = np.empty((2, v.size))
+    base[0] = v
+    np.divide(np.expm1(-m * v), -m, out=base[1])
     for k in range(1, top + 1):
-        np.multiply(powers[:, k - 1], base, out=powers[:, k])
+        np.multiply(powers[k - 1], base, out=powers[k])
     return u, powers
 
 
@@ -178,8 +181,10 @@ def _quadrature(params: ModelParams, tau: float, top: int) -> np.ndarray:
 
     and b_j and a_j are the same with m -> 0: g(v) = v and h_j(w) = w.
     Every integrand has one sign, so each coefficient has a small relative
-    error at every order and maturity; each is a row-wise ``np.sum`` over
-    the nodes, so its bits do not depend on top.  Raises
+    error at every order and maturity.  Each is an ``np.sum`` over the
+    contiguous node axis of one row of the (top + 1, 2, nodes) tables that
+    ``_powers`` lays out, so its bits do not depend on top
+    (``test_quadrature_rows_do_not_depend_on_top``).  Raises
     NumericalFailure when ``exp(-mu_hat v)`` or a coefficient overflows.
     """
     mu_hat, m = params.mu_hat, params.m
@@ -187,12 +192,14 @@ def _quadrature(params: ModelParams, tau: float, top: int) -> np.ndarray:
         rates = -m * np.arange(1.0, top + 1)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             u, powers = _powers(params, tau, top)
-            # The powers times (tau - v, h_k(tau - v)).
+            # The powers times (tau - v, h_k(tau - v)), in their layout.
             weighted = np.empty_like(powers)
             weighted[...] = u
-            weighted[1, 1:] = np.expm1(rates * u) / rates
+            weighted[1:, 1] = np.expm1(rates * u) / rates
             weighted *= powers
-            terms = np.array([np.sum(weighted, axis=2), np.sum(powers, axis=2)])
+            terms = np.empty((2, 2, top + 1))
+            np.sum(weighted, axis=2, out=terms[0].T)
+            np.sum(powers, axis=2, out=terms[1].T)
             terms /= _SIGNED_FACTORIALS[: top + 1]
             terms[0] *= params.sigma2
         if np.isfinite(terms).all():
@@ -216,7 +223,7 @@ def _ell_terms(expansion: EllExpansion, t: float) -> np.ndarray:
     k = np.arange(order + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         u, powers = _powers(params, t, order)
-        integral = params.sigma2 * np.sum(powers[1] * np.exp(-m * k[:, None] * u), axis=1)
+        integral = params.sigma2 * np.sum(powers[:, 1] * np.exp(-m * k[:, None] * u), axis=1)
         closed = expansion.l0 * np.exp(-params.mu_hat * t) * (-math.expm1(-m * t) / m) ** k
         terms = (closed + integral) / _SIGNED_FACTORIALS[: order + 1]
     if not np.isfinite(terms).all():

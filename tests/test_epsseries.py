@@ -1,7 +1,19 @@
-"""The order-by-order solve for the constant and its building blocks."""
+"""The order-by-order solve for the constant and its building blocks.
+
+Run as a script for a longer check of the reversion's summation order, as CI
+does:
+
+    python -W error tests/test_epsseries.py 2000 [SEED]
+
+It solves that many seeded configurations (orders 0-16, maturities 1e-4 to
+1e4) at block lengths 1, 7 and 1024 and prints the count of columns checked.
+It exits 1 when any column differs from the plain-Python reversion in any
+bit, naming the first three.
+"""
 
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,6 +33,7 @@ from sshat import (
 )
 from sshat.epsseries import _solve_grid
 from sshat.oracle import _phi
+from sshat.params import N_MAX
 from sshat.perturbation import _ell_terms, _quadrature
 
 from _reference import (
@@ -336,6 +349,97 @@ def test_batched_solve_rows_equal_scalar_solves(monkeypatch, order):
         assert (shat.k, shat.bracket, shat.residuals) == (tuple(k), bracket, tuple(residuals))
 
 
+def _reference_reversion(params, order, l0, tau):
+    """k, bracket and residuals of one pair, each sum added left to right in plain Python.
+
+    The inputs are ``_quadrature``'s values as floats.  ``D[j][t]`` is the
+    eps^t coefficient of delta^j and ``S_t = sum_(j>=2) f_j D[j][t]``; both
+    start from 0.0 and add their products in increasing i and j.
+    """
+    n = max(order, 1)
+    (a, A), (b, B) = _quadrature(params, tau, n).tolist()
+    f = [a[j] + l0 * b[j] for j in range(n + 1)]
+    L = [A[j] + l0 * B[j] for j in range(n + 1)]
+    D = [[0.0] * (order + 1) for _ in range(n + 1)]
+    delta, rest = D[1], [L[0] - f[0]] + [0.0] * order
+    for t in range(1, order + 1):
+        for j in range(2, t + 1):
+            s = 0.0
+            for i in range(1, t):
+                s = s + delta[i] * D[j - 1][t - i]
+            D[j][t] = s
+        s = 0.0
+        for j in range(2, t + 1):
+            s = s + f[j] * D[j][t]
+        rest[t] = L[t] - s
+        delta[t] = rest[t] / f[1]
+    residuals = [abs(f[1] * d - r) for d, r in zip(delta, rest)]
+    k0 = params.mu_hat
+    return [k0, *delta[1:]], k0 * k0 * f[1], residuals
+
+
+def _bits(row):
+    """The bits of a (k, bracket, residuals) row, with -0.0 apart from 0.0."""
+    k, bracket, residuals = row
+    return [x.hex() for x in (*k, bracket, *residuals)]
+
+
+_BLOCK = sshat.epsseries._BLOCK
+
+
+def reversion_mismatches(count, seed, blocks=(1, 7, 1024)):
+    """Solve ``count`` seeded configurations and compare each column with ``_reference_reversion``.
+
+    Configuration i has order ``i % 17``, 1-3 values of l0 and 1-3 maturities
+    log-uniform in [1e-4, 1e4].  Returns the columns checked and the
+    ``(i, block, pair)`` of every column that differs in any bit.  A
+    configuration that the solve rejects as a NumericalFailure is skipped.
+    """
+    checked, bad = 0, []
+    for i in range(count):
+        rng = random.Random(f"{seed}-{i}")
+        params = _random_valid_params(rng)
+        order = i % (N_MAX + 1)
+        l0 = np.array([rng.uniform(0.005, 0.25) for _ in range(rng.randint(1, 3))])
+        tau = np.array([10.0 ** rng.uniform(-4.0, 4.0) for _ in range(rng.randint(1, 3))])
+        try:
+            expected = [_bits(_reference_reversion(params, order, a, t)) for a in l0.tolist() for t in tau.tolist()]
+            for block in blocks:
+                sshat.epsseries._BLOCK = block
+                rows = _grid_rows(params, order, l0, tau)
+                bad += [(i, block, p) for p, row in enumerate(rows) if _bits(row) != expected[p]]
+                checked += len(rows)
+        except NumericalFailure:
+            continue
+        finally:
+            sshat.epsseries._BLOCK = _BLOCK
+    return checked, bad
+
+
+def test_reversion_adds_left_to_right():
+    # Every column of the grid solve has the bits of the plain-Python
+    # reversion, which adds each sum left to right, at orders 0-16 and at
+    # any block length: np.einsum keeps that order on _solve_grid's operands.
+    checked, bad = reversion_mismatches(4 * (N_MAX + 1), 1978)
+    assert checked >= 600 and not bad
+
+
+def test_quadrature_rows_do_not_depend_on_top():
+    # Row k of the quadrature, and of the path terms, has the same bits
+    # whatever the highest row the call forms.
+    keys = [(3.0, 0.25, 0.0003, 5.0), (0.1, -0.05, 0.0005, 50.0)]
+    sets = [ModelParams(**BASE)] + [ModelParams(m=m, mu=mu, gamma=0.0, sigma2=s2, lam=0.0) for m, mu, s2, _ in keys]
+    assert all(key in BOX_REFERENCE for key in keys)
+    for params in sets:
+        for tau in (0.01, 1.0, 50.0):
+            full = _quadrature(params, tau, N_MAX + 1)
+            path = _ell_terms(build_expansion(params, BASE_L0, N_MAX), tau)
+            for k in range(N_MAX + 2):
+                assert _quadrature(params, tau, k).tobytes() == full[..., : k + 1].tobytes(), (params, tau, k)
+                if k <= N_MAX:
+                    assert _ell_terms(build_expansion(params, BASE_L0, k), tau).tobytes() == path[: k + 1].tobytes()
+
+
 def test_batched_solve_overflow_matches_scalar_solve():
     # One maturity overflows the Taylor coefficients of F: the grid solve
     # raises what the scalar solve at that pair raises, before any block.
@@ -463,3 +567,12 @@ def test_concurrent_solves_match_sequential(base_params, base_expansion):
             pool.map(lambda tau: solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3).k, taus)
         )
     assert concurrent == sequential
+
+
+if __name__ == "__main__":
+    count = int(float(sys.argv[1]))
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1978
+    checked, bad = reversion_mismatches(count, seed)
+    if bad:
+        sys.exit(f"{len(bad)} columns differ from the left-to-right reversion, first (config, block, pair) {bad[:3]}")
+    print(f"{checked} columns of {count} configurations, each equal to the left-to-right reversion")
