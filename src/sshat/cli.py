@@ -66,9 +66,8 @@ REFERENCE_SHAT = (
 )
 
 MAX_SWEEP_POINTS = 10**6
-# (l0, tau) pairs per span of sweep's row templates.
-_SPAN = 4096
-# Values per _fill call where sweep and path can group rows.
+# Bounds every %.17g kernel call of sweep and path: none formats more than
+# max(_TEXT_BATCH, columns) values.  Only _write_blocks reads it.
 _TEXT_BATCH = 8192
 
 
@@ -165,6 +164,25 @@ def _fill(template: bytes, values) -> bytes:
     return template % tuple(_g17_bytes(values))
 
 
+def _write_blocks(fh, table, template) -> None:
+    """Write ``table`` of shape ``(rows, pairs, columns)`` as text, one ``_fill`` call per write.
+
+    ``template(r, lo, hi)`` is the ``%s`` template of row ``r`` over pairs
+    ``lo..hi``.  A write holds as many whole rows as fit in ``_TEXT_BATCH``
+    values or, where one row is wider, one row's pairs in spans of
+    ``_TEXT_BATCH // columns``, at least one pair.  The slice of ``table``
+    it fills is a view in row order, so nothing is copied.
+    """
+    rows, pairs, columns = table.shape
+    width = max(1, _TEXT_BATCH // columns)
+    group = max(1, _TEXT_BATCH // (pairs * columns))
+    for r0 in range(0, rows, group):
+        r1 = min(r0 + group, rows)
+        for lo in range(0, pairs, width):
+            hi = min(lo + width, pairs)
+            fh.write(_fill(b"".join(template(r, lo, hi) for r in range(r0, r1)), table[r0:r1, lo:hi]))
+
+
 def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -> bytes:
     """Per-order ``terms``, their partial sums at ``eps`` and the distance of each from ``oracle``."""
     partials = _partial_sums(terms, eps)
@@ -205,7 +223,7 @@ def cmd_path(args) -> int:
     path, _ = integrate_ell(state, params, args.tau, n_steps, args.samples)
 
     # Every value is computed before the first output byte; rows are then
-    # written _TEXT_BATCH values at a time, each write one _fill call.
+    # written by _write_blocks, as many as fit in _TEXT_BATCH values a call.
     terms = np.array([_ell_terms(expansion, t) for t in path[:, 0].tolist()])
     # An overflowing eps^n gives inf or nan without a warning; the first such cell is named.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -215,12 +233,9 @@ def cmd_path(args) -> int:
         i, j = divmod(int(np.isfinite(values).argmin()), values.shape[1])
         raise NumericalFailure(f"the series value {header[j]} is not finite at t={values[i, 0].item()!r}")
     row = b",".join([b"%s"] * values.shape[1]) + b"\n"
-    step = max(1, _TEXT_BATCH // values.shape[1])
     with _output(args.out) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(values), step):
-            span = values[lo : lo + step]
-            fh.write(_fill(row * len(span), span))
+        _write_blocks(fh, values[:, None, :], lambda r, lo, hi: row)
     return 0
 
 
@@ -342,19 +357,10 @@ def cmd_sweep(args) -> int:
     if args.oracle:
         header += ["oracle_s_hat", "abs_diff"]
         table[:, :, 2] = np.abs(values - table[:, :, 1])
-    # Rows are written in blocks: one s0 over a span of at most _SPAN
-    # (l0, tau) pairs, or, when the grid is one span, as many s0 as fit in
-    # _TEXT_BATCH values, so the text held at once stays bounded.  A span's
-    # template is per pair an l0 head ("\0" where the s0 text goes, then the
-    # l0 text) and a tau tail (the tau text, "%s" per value column and the
-    # --timing text), each built once.  Over two or more s0 every span's
-    # template is kept (about 45 B a pair), so each is built once for all s0;
-    # over one s0 only the last is kept.  A block is the template
-    # with each s0's text in place of "\0", filled by one _fill call over the
-    # table's slice [s0 rows, span] (C order is row order, no copy) and
-    # written at once as bytes.  The coordinates take % directly, which is
-    # faster than a kernel call below about 150 values.
-    # No %.17g or %.3f text contains "%" or "\0".
+    # Over two or more s0 every span's template is kept (about 45 B a pair),
+    # so each is built once for all s0; over one s0 only the last is kept.
+    # "\0" marks where a row's s0 text goes: no %.17g or %.3f text contains
+    # "%" or "\0".
     row_end = b"\n"
     if args.timing:
         header.append("elapsed_ms")
@@ -366,8 +372,7 @@ def cmd_sweep(args) -> int:
     def template(lo, hi):
         return b"".join(heads[p // n_tau] + tails[p % n_tau] for p in range(lo, hi))
 
-    spans = [(lo, min(lo + _SPAN, pairs)) for lo in range(0, pairs, _SPAN)]
-    group = max(1, _TEXT_BATCH // table[0].size) if len(spans) == 1 else 1
+    s0_texts = [b"%.17g" % s0 for s0 in s0_grid.tolist()]
     with _output(args.out) as fh:
         fh.write(
             (
@@ -376,11 +381,7 @@ def cmd_sweep(args) -> int:
                 f"{','.join(header)}\n"
             ).encode()
         )
-        for r0 in range(0, len(s0_grid), group):
-            s0_rows = s0_grid[r0 : r0 + group].tolist()
-            for lo, hi in spans:
-                block = b"".join(template(lo, hi).replace(b"\0", b"%.17g" % s0) for s0 in s0_rows)
-                fh.write(_fill(block, table[r0 : r0 + group, lo:hi]))
+        _write_blocks(fh, table, lambda r, lo, hi: template(lo, hi).replace(b"\0", s0_texts[r]))
     return 0
 
 

@@ -542,8 +542,9 @@ def test_sweep_timing_column_without_oracle(capsys):
 
 @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["series", "oracle"])
 def test_sweep_timing_column_multi_span(monkeypatch, capsys, oracle):
-    # 3 l0 x 4 tau = 12 pairs, written in spans of 5, 5 and 2.
-    monkeypatch.setattr("sshat.cli._SPAN", 5)
+    # 3 l0 x 4 tau = 12 pairs, written in spans of 5, 5 and 2 at 5 pairs' worth
+    # of values a call.
+    monkeypatch.setattr("sshat.cli._TEXT_BATCH", 5 * (3 if oracle else 1))
     args = ("sweep", "--s0-grid=-0.05:0.05:2", "--l0-grid=0.05:0.15:3", "--tau-grid=1:4:4", *oracle)
     _assert_timing_column(capsys, args, 24)
 
@@ -597,15 +598,15 @@ def test_sweep_bytes_equal_row_by_row_reference(monkeypatch, tmp_path, capsys, o
 
     # Here s_hat crosses zero; at order 3, 6 of its 40 values lie inside
     # +-1e-4, where _g17_bytes falls back to %, as it does for every abs_diff.  At 20 values a
-    # call, the 5 s0 rows of 8 pairs take calls of 2, 2 and 1 rows, or one
-    # row a call with the oracle's three columns.
+    # call, the 5 s0 rows of 8 pairs take calls of 2, 2 and 1 rows, or, with
+    # the oracle's three columns, each row spans of 6 and 2 pairs.
     calls = []
     monkeypatch.setattr("sshat.cli._TEXT_BATCH", 20)
     monkeypatch.setattr("sshat.cli._g17_bytes", lambda values: calls.append(values.size) or _g17_bytes(values))
     specs = ("0.0012:0.0014:5", "0.02:0.2:2", "0.3:0.7:4")
     out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
     assert out == _reference_sweep(order, *specs, oracle)
-    assert calls == ([24] * 5 if oracle else [16, 16, 8])
+    assert calls == ([18, 6] * 5 if oracle else [16, 16, 8])
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
@@ -621,11 +622,77 @@ def test_sweep_bytes_equal_row_by_row_reference_repeated_grid(tmp_path, capsys, 
 @pytest.mark.parametrize("oracle", [False, True], ids=["series", "oracle"])
 @pytest.mark.parametrize("order", [0, 3])
 def test_sweep_bytes_equal_row_by_row_reference_multi_span(monkeypatch, tmp_path, capsys, order, oracle, to_file):
-    # 3 l0 x 4 tau = 12 pairs, written in spans of 5, 5 and a short last 2.
-    monkeypatch.setattr("sshat.cli._SPAN", 5)
+    # 3 l0 x 4 tau = 12 pairs, written in spans of 5, 5 and a short last 2 at
+    # 5 pairs' worth of values a call.
+    monkeypatch.setattr("sshat.cli._TEXT_BATCH", 5 * (3 if oracle else 1))
     specs = ("-0.06:0.05:3", "0.02:0.2:3", "0.5:4:4")
     out = _sweep_output(tmp_path, capsys, order, oracle, to_file, specs)
     assert out == _reference_sweep(order, *specs, oracle)
+
+
+def _record_text_calls(monkeypatch):
+    """Route sshat.cli's _g17_bytes through a recorder; returns its list of (size, columns) per call."""
+    calls = []
+
+    def g17(values):
+        calls.append((values.size, values.shape[-1]))
+        return _g17_bytes(values)
+
+    monkeypatch.setattr("sshat.cli._g17_bytes", g17)
+    return calls
+
+
+_BOUNDED_GRIDS = {
+    # The CI's multi-span grid, 5000 pairs x 3 columns: spans of 2730 and 2270 pairs.
+    "ci_multi_span": (
+        ["sweep", "--oracle", "--timing", "--s0-grid=0:0:1", "--l0-grid=0.01:0.2:100", "--tau-grid=1:2:50"],
+        [8190, 6810],
+    ),
+    # 3 s0 x 4000 pairs x 3 columns, 12000 values an s0: each s0 in spans of
+    # 2730 and 1270 pairs.
+    "one_span_oracle": (
+        ["sweep", "--oracle", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.01:0.2:400", "--tau-grid=1:2:10"],
+        [8190, 3810] * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUNDED_GRIDS))
+def test_every_text_call_stays_within_the_batch(monkeypatch, tmp_path, case):
+    # No _g17_bytes call of sweep formats more than max(_TEXT_BATCH, columns)
+    # values, whatever the grid's shape.
+    argv, expected = _BOUNDED_GRIDS[case]
+    calls = _record_text_calls(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert [size for size, _ in calls] == expected
+    assert all(size <= max(sshat.cli._TEXT_BATCH, columns) for size, columns in calls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.01:0.2:3", "--tau-grid=1:2:4"],
+        ["sweep", "--oracle", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.01:0.2:3", "--tau-grid=1:2:4"],
+        ["path", "--order", "16", "--samples", "21"],
+    ],
+    ids=["sweep", "sweep_oracle", "path"],
+)
+def test_small_text_batches_give_the_same_bytes(monkeypatch, tmp_path, argv):
+    # Down to one value a call, each call stays within max(_TEXT_BATCH,
+    # columns) values, every value is formatted once and the bytes are those
+    # of the default batch.
+    calls = _record_text_calls(monkeypatch)
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    expected = target.read_bytes()
+    total = sum(size for size, _ in calls)
+    for batch in (1, 2, 3, 7, 40):
+        monkeypatch.setattr("sshat.cli._TEXT_BATCH", batch)
+        calls.clear()
+        assert main(argv + ["--out", str(target)]) == 0
+        assert target.read_bytes() == expected
+        assert all(size <= max(batch, columns) for size, columns in calls), (batch, calls)
+        assert sum(size for size, _ in calls) == total
 
 
 _STDOUT_CASES = {
@@ -665,6 +732,27 @@ def test_stdout_gives_the_bytes_of_out(monkeypatch, tmp_path, capsys, case, stdo
         stream.flush()
         got = stream.getvalue().encode() if stdout == "string_io" else stream.buffer.getvalue()
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "limit, commands, rc, message",
+    [
+        ("500", ["sweep --s0-grid=0:0:2 --l0-grid=0.1:0.2:3", "path --samples 3"], 0, ""),
+        ("1", ["sweep --s0-grid=0:0:2 --l0-grid=0.1:0.2:3", "path --samples 3"], 1, "exceeds 1 MB"),
+        ("500", ["sweep --s0-grid=0:0:1", "shat --s0=-50000", "path"], 1, "sshat shat --s0=-50000 failed"),
+    ],
+    ids=["within", "above", "failing_command"],
+)
+def test_peak_rss_script(tmp_path, limit, commands, rc, message):
+    # tests/_peak_rss.py, which the CI's memory steps run: every command in
+    # one interpreter, the first failing one named, then the peak checked.
+    script = os.path.join(os.path.dirname(__file__), "_peak_rss.py")
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path))
+    done = subprocess.run([sys.executable, "-W", "error", script, limit, *commands], capture_output=True, text=True, env=env)
+    assert done.returncode == rc, done.stderr
+    assert message in done.stderr
+    assert done.stdout.startswith("peak RSS ") == ("failed" not in message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_memory_does_not_grow_with_the_pairs(tmp_path):
