@@ -21,7 +21,6 @@ text.  CSV uses comma separators and LF line endings.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -66,8 +65,8 @@ REFERENCE_SHAT = (
 )
 
 MAX_SWEEP_POINTS = 10**6
-# Bounds every %.17g kernel call of sweep and path: none formats more than
-# max(_TEXT_BATCH, columns) values.  Only _write_blocks reads it.
+# Bounds every %.17g kernel call of the CLI: none formats more than
+# max(_TEXT_BATCH, columns) values.  Only _csv reads it.
 _TEXT_BATCH = 8192
 
 
@@ -127,52 +126,47 @@ class _Decoding:
     def __init__(self, stream):
         self.stream = stream
 
-    def write(self, data: bytes):
-        return self.stream.write(data.decode())
+    def writelines(self, chunks):
+        self.stream.writelines(map(bytes.decode, chunks))
 
 
-@contextlib.contextmanager
-def _output(out: str | None):
-    """The binary stream for a command's output: the file at ``out``, or stdout's buffer.
+def _write(out: str | None, chunks) -> None:
+    """Write the bytes of ``chunks``, in order, to the file at ``out`` or to stdout's buffer.
 
-    Text already written to ``sys.stdout`` is flushed first, so it comes
-    before the output, and the output is flushed at the end, as a
-    line-buffered stdout would have it before any later stderr message.  A
-    stdout without ``.buffer`` (``io.StringIO`` under
-    ``contextlib.redirect_stdout``, say) is written through ``_Decoding``.
+    The file is opened, and truncated, before the first chunk is drawn, so
+    every value is computed and checked before the call.  Text already
+    written to ``sys.stdout`` is flushed first, so it comes before the
+    output, and the output is flushed at the end, as a line-buffered stdout
+    would have it before any later stderr message.  A stdout without
+    ``.buffer`` (``io.StringIO`` under ``contextlib.redirect_stdout``, say)
+    is written through ``_Decoding``.
     """
+    # writelines drops each chunk before it draws the next; a Python for loop
+    # would hold the last block while _csv builds the next one.
     if out is not None:
         with open(out, "wb") as fh:
-            yield fh
+            fh.writelines(chunks)
         return
     sys.stdout.flush()
-    yield getattr(sys.stdout, "buffer", None) or _Decoding(sys.stdout)
+    (getattr(sys.stdout, "buffer", None) or _Decoding(sys.stdout)).writelines(chunks)
     sys.stdout.flush()
-
-
-def _emit(data: bytes, out: str | None):
-    with _output(out) as fh:
-        fh.write(data)
 
 
 def _f7(x: float) -> str:
     return f"{x:.7f}"
 
 
-def _fill(template: bytes, values) -> bytes:
-    """The bytes of ``template`` with its ``%s`` fields filled, in order, by the exact ``%.17g`` text of ``values`` in C order."""
-    return template % tuple(_g17_bytes(values))
-
-
-def _write_blocks(fh, table, template) -> None:
-    """Write ``table`` of shape ``(rows, pairs, columns)`` as text, one ``_fill`` call per write.
+def _csv(header: bytes, table, template):
+    """Yield ``header``, then ``table`` of shape ``(rows, pairs, columns)`` as text, one ``%.17g`` kernel call a block.
 
     ``template(r, lo, hi)`` is the ``%s`` template of row ``r`` over pairs
-    ``lo..hi``.  A write holds as many whole rows as fit in ``_TEXT_BATCH``
-    values or, where one row is wider, one row's pairs in spans of
-    ``_TEXT_BATCH // columns``, at least one pair.  The slice of ``table``
-    it fills is a view in row order, so nothing is copied.
+    ``lo..hi``; its fields are filled, in order, by the exact ``%.17g`` text
+    of the block's values.  A block holds as many whole rows as fit in
+    ``_TEXT_BATCH`` values or, where one row is wider, one row's pairs in
+    spans of ``_TEXT_BATCH // columns``, at least one pair.  The slice of
+    ``table`` it fills is a view in row order, so nothing is copied.
     """
+    yield header
     rows, pairs, columns = table.shape
     width = max(1, _TEXT_BATCH // columns)
     group = max(1, _TEXT_BATCH // (pairs * columns))
@@ -180,7 +174,7 @@ def _write_blocks(fh, table, template) -> None:
         r1 = min(r0 + group, rows)
         for lo in range(0, pairs, width):
             hi = min(lo + width, pairs)
-            fh.write(_fill(b"".join(template(r, lo, hi) for r in range(r0, r1)), table[r0:r1, lo:hi]))
+            yield b"".join(template(r, lo, hi) for r in range(r0, r1)) % tuple(_g17_bytes(table[r0:r1, lo:hi]))
 
 
 def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -> bytes:
@@ -190,7 +184,7 @@ def _report(fmt: str, eps: float, label: str, name: str, terms, oracle: float) -
     if fmt == "csv":
         # A whole float n has the %.17g text of the integer.
         header = f"n,{label},partial_sum,oracle_{name},abs_diff\n".encode()
-        return header + _fill(b"%s,%s,%s,%s,%s\n" * len(rows), np.array(rows))
+        return b"".join(_csv(header, np.array(rows)[:, None, :], lambda r, lo, hi: b"%s,%s,%s,%s,%s\n"))
     lines = [f"eps = {_f7(eps)}", f"n  {label:<12}partial_sum  |diff_oracle|"]
     for n, term, partial, _, diff in rows:
         lines.append(f"{n}  {_f7(term):>10}  {_f7(partial):>10}  {_f7(diff)}")
@@ -203,7 +197,7 @@ def cmd_shat(args) -> int:
     expansion = build_expansion(params, state.l0, args.order)
     shat = solve_shat_series(expansion, args.tau, state.l0, params, args.order)
     oracle = compute_oracle(state, params, args.tau, n_steps)
-    _emit(_report(args.fmt, state.s0 - params.mu_hat, "k_n", "s_hat", shat.k, oracle.s_hat), args.out)
+    _write(args.out, [_report(args.fmt, state.s0 - params.mu_hat, "k_n", "s_hat", shat.k, oracle.s_hat)])
     return 0
 
 
@@ -212,7 +206,7 @@ def cmd_abar(args) -> int:
     expansion = build_expansion(params, state.l0, args.order)
     terms = tau_lbar_terms(expansion, args.tau)
     _, oracle_tl = integrate_ell(state, params, args.tau, n_steps, 2)
-    _emit(_report(args.fmt, state.s0 - params.mu_hat, "L_n", "tau_lbar", terms, oracle_tl), args.out)
+    _write(args.out, [_report(args.fmt, state.s0 - params.mu_hat, "L_n", "tau_lbar", terms, oracle_tl)])
     return 0
 
 
@@ -223,7 +217,7 @@ def cmd_path(args) -> int:
     path, _ = integrate_ell(state, params, args.tau, n_steps, args.samples)
 
     # Every value is computed before the first output byte; rows are then
-    # written by _write_blocks, as many as fit in _TEXT_BATCH values a call.
+    # written by _csv, as many as fit in _TEXT_BATCH values a call.
     terms = np.array([_ell_terms(expansion, t) for t in path[:, 0].tolist()])
     # An overflowing eps^n gives inf or nan without a warning; the first such cell is named.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -233,9 +227,7 @@ def cmd_path(args) -> int:
         i, j = divmod(int(np.isfinite(values).argmin()), values.shape[1])
         raise NumericalFailure(f"the series value {header[j]} is not finite at t={values[i, 0].item()!r}")
     row = b",".join([b"%s"] * values.shape[1]) + b"\n"
-    with _output(args.out) as fh:
-        fh.write((",".join(header) + "\n").encode())
-        _write_blocks(fh, values[:, None, :], lambda r, lo, hi: row)
+    _write(args.out, _csv((",".join(header) + "\n").encode(), values[:, None, :], lambda r, lo, hi: row))
     return 0
 
 
@@ -266,12 +258,12 @@ def cmd_tables(args) -> int:
 
     if args.fmt == "csv":
         prefix = args.out if args.out else "tables"
-        _emit(_format_table(tl_rows, "csv"), prefix + "_abar.csv")
-        _emit(_format_table(shat_rows, "csv"), prefix + "_shat.csv")
+        _write(prefix + "_abar.csv", [_format_table(tl_rows, "csv")])
+        _write(prefix + "_shat.csv", [_format_table(shat_rows, "csv")])
     else:
         text = b"tau*lbar approximations\n" + _format_table(tl_rows, "table")
         text += b"\ns_hat approximations\n" + _format_table(shat_rows, "table")
-        _emit(text, args.out)
+        _write(args.out, [text])
 
     if not args.check:
         return 0
@@ -373,15 +365,12 @@ def cmd_sweep(args) -> int:
         return b"".join(heads[p // n_tau] + tails[p % n_tau] for p in range(lo, hi))
 
     s0_texts = [b"%.17g" % s0 for s0 in s0_grid.tolist()]
-    with _output(args.out) as fh:
-        fh.write(
-            (
-                f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
-                "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
-                f"{','.join(header)}\n"
-            ).encode()
-        )
-        _write_blocks(fh, table, lambda r, lo, hi: template(lo, hi).replace(b"\0", s0_texts[r]))
+    head = (
+        f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
+        "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
+        f"{','.join(header)}\n"
+    ).encode()
+    _write(args.out, _csv(head, table, lambda r, lo, hi: template(lo, hi).replace(b"\0", s0_texts[r])))
     return 0
 
 

@@ -1,6 +1,7 @@
-"""Placeholder for the benchmark's tracer, which imports this module and patches
-``ExpPolySeries.evaluate``.  No module of the package imports it and nothing
-calls it.  ROADMAP item 1 deletes the module together with that patch.
+"""Placeholder for the benchmark's tracer: ``perfbench/tracing.py`` imports this
+module on every run and patches ``ExpPolySeries.evaluate``.  No module of the
+package imports it and nothing calls it.  ROADMAP item 14 deletes the module
+together with that patch.
 """
 
 

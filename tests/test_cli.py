@@ -328,6 +328,21 @@ def test_step_count_bound_is_validation_error(monkeypatch, capsys, argv):
     assert "n_steps must be in [16, 10000000]" in err
 
 
+def test_sweep_without_oracle_takes_no_step_count_from_its_maturities(monkeypatch, capsys):
+    # A 2e4-year maturity's default count (2e7 steps) exceeds the bound, but
+    # a sweep without --oracle never integrates: it checks --steps alone and
+    # writes its rows.  The same grid with --oracle exits 1.
+    monkeypatch.setattr("sshat.oracle._rk4", _no_scan)
+    argv = ["sweep", "--s0-grid=-0.05:0.05:2", "--l0-grid=0.1:0.1:1", "--tau-grid=20000:20000:1"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    rows = [row.split(",") for row in out.strip().split("\n")[3:]]
+    assert [(float(s0), float(tau)) for s0, _, tau, _ in rows] == [(-0.05, 20000.0), (0.05, 20000.0)]
+    rc, out, err = run(capsys, *argv, "--oracle")
+    assert rc == 1 and out == ""
+    assert "n_steps must be in [16, 10000000]" in err
+
+
 def test_path_rejects_single_sample(capsys):
     rc, _, _ = run(capsys, "path", "--samples", "1")
     assert rc == 1
@@ -674,8 +689,10 @@ def test_every_text_call_stays_within_the_batch(monkeypatch, tmp_path, case):
         ["sweep", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.01:0.2:3", "--tau-grid=1:2:4"],
         ["sweep", "--oracle", "--s0-grid=-0.05:0.05:3", "--l0-grid=0.01:0.2:3", "--tau-grid=1:2:4"],
         ["path", "--order", "16", "--samples", "21"],
+        ["shat", "--format", "csv", "--order", "16"],
+        ["abar", "--format", "csv", "--order", "16"],
     ],
-    ids=["sweep", "sweep_oracle", "path"],
+    ids=["sweep", "sweep_oracle", "path", "shat_csv", "abar_csv"],
 )
 def test_small_text_batches_give_the_same_bytes(monkeypatch, tmp_path, argv):
     # Down to one value a call, each call stays within max(_TEXT_BATCH,
@@ -695,11 +712,20 @@ def test_small_text_batches_give_the_same_bytes(monkeypatch, tmp_path, argv):
         assert sum(size for size, _ in calls) == total
 
 
+# Each case's argv and its count of text kernel calls at 40 values a call.
 _STDOUT_CASES = {
-    "sweep": ["sweep", "--s0-grid=-0.05:0.05:7", "--l0-grid=0.01:0.2:5", "--tau-grid=1:3:3"],
-    "sweep_oracle": ["sweep", "--oracle", "--s0-grid=-0.05:0.05:4", "--l0-grid=0.01:0.2:5", "--tau-grid=1:3:3"],
-    "path": ["path", "--order", "16", "--samples", "101"],
-    "shat_csv": ["shat", "--format", "csv"],
+    # 7 s0 of 15 values: groups of 2 s0.
+    "sweep": (["sweep", "--s0-grid=-0.05:0.05:7", "--l0-grid=0.01:0.2:5", "--tau-grid=1:3:3"], 4),
+    # 4 s0 of 45 values: each s0 in spans of 13 and 2 pairs.
+    "sweep_oracle": (["sweep", "--oracle", "--s0-grid=-0.05:0.05:4", "--l0-grid=0.01:0.2:5", "--tau-grid=1:3:3"], 8),
+    # 101 rows of 19 values: groups of 2 rows.
+    "path": (["path", "--order", "16", "--samples", "101"], 51),
+    # 4 rows of 5 values: one call.
+    "shat_csv": (["shat", "--format", "csv"], 1),
+    # 17 rows of 5 values: groups of 8 rows.
+    "abar_csv": (["abar", "--format", "csv", "--order", "16"], 3),
+    # Text at 7 decimal places: no call.
+    "tables": (["tables"], 0),
 }
 
 
@@ -714,11 +740,11 @@ def test_stdout_gives_the_bytes_of_out(monkeypatch, tmp_path, capsys, case, stdo
     monkeypatch.setattr("sshat.cli._TEXT_BATCH", 40)
     calls = []
     monkeypatch.setattr("sshat.cli._g17_bytes", lambda values: calls.append(values.size) or _g17_bytes(values))
-    argv = _STDOUT_CASES[case]
+    argv, count = _STDOUT_CASES[case]
     target = tmp_path / "out.csv"
     assert main(argv + ["--out", str(target)]) == 0
     expected = b"pending text\n" + target.read_bytes()
-    assert len(calls) == 1 if case == "shat_csv" else len(calls) > 2
+    assert len(calls) == count
     capsys.readouterr()
     if stdout == "capsys":
         sys.stdout.write("pending text\n")
