@@ -25,12 +25,11 @@ import functools
 import math
 import sys
 import time
-from collections import deque
 
 import numpy as np
 
 from ._g17 import _g17_bytes
-from .epsseries import _partial_sums, _solve_grid, solve_shat_series
+from .epsseries import _partial_sums, _series_sum, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
 from .oracle import _n_steps, _oracle_grid, compute_oracle, compute_oracles, integrate_ell
 from .params import InitialState, ModelParams, _require_order, load_config
@@ -120,16 +119,6 @@ def _resolve_config(args) -> tuple[ModelParams, InitialState, int]:
     return params, state, n_steps
 
 
-class _Decoding:
-    """A binary face on a text stream with no ``.buffer``, such as an ``io.StringIO``."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def writelines(self, chunks):
-        self.stream.writelines(map(bytes.decode, chunks))
-
-
 def _write(out: str | None, chunks) -> None:
     """Write the bytes of ``chunks``, in order, to the file at ``out`` or to stdout's buffer.
 
@@ -137,9 +126,9 @@ def _write(out: str | None, chunks) -> None:
     every value is computed and checked before the call.  Text already
     written to ``sys.stdout`` is flushed first, so it comes before the
     output, and the output is flushed at the end, as a line-buffered stdout
-    would have it before any later stderr message.  A stdout without
-    ``.buffer`` (``io.StringIO`` under ``contextlib.redirect_stdout``, say)
-    is written through ``_Decoding``.
+    would have it before any later stderr message.  A stdout whose
+    ``.buffer`` is missing or ``None`` (``io.StringIO`` under
+    ``contextlib.redirect_stdout``, say) is given the chunks decoded.
     """
     # writelines drops each chunk before it draws the next; a Python for loop
     # would hold the last block while _csv builds the next one.
@@ -148,7 +137,11 @@ def _write(out: str | None, chunks) -> None:
             fh.writelines(chunks)
         return
     sys.stdout.flush()
-    (getattr(sys.stdout, "buffer", None) or _Decoding(sys.stdout)).writelines(chunks)
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer:
+        buffer.writelines(chunks)
+    else:
+        sys.stdout.writelines(map(bytes.decode, chunks))
     sys.stdout.flush()
 
 
@@ -336,7 +329,7 @@ def cmd_sweep(args) -> int:
     eps = (s0_grid - params.mu_hat)[:, None]
     for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
         with np.errstate(over="ignore", invalid="ignore"):
-            values[:, start : start + k.shape[1]] = deque(_partial_sums(k, eps), maxlen=1)[0]
+            values[:, start : start + k.shape[1]] = _series_sum(k, eps)
     if not np.isfinite(values).all():
         i_s0, p = divmod(int(np.isfinite(values).argmin()), pairs)
         raise NumericalFailure(

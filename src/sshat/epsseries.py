@@ -78,6 +78,13 @@ def _partial_sums(terms, eps):
             yield total
 
 
+def _series_sum(terms, eps):
+    """The last partial sum of ``_partial_sums(terms, eps)``: the whole series at ``eps``."""
+    for total in _partial_sums(terms, eps):
+        pass
+    return total
+
+
 # (l0, tau) pairs per block of the batched solve.  The block length is fixed,
 # and no result depends on it; a block's table of powers takes
 # (order+1)^2 * _BLOCK floats, 2.4 MB at order N_MAX.
@@ -171,14 +178,13 @@ class ShatExpansion:
         """Partial sum k_0 + k_1 eps + ... up to ``order`` (default: all).
 
         ``eps`` is a float or an ndarray of them; an ndarray gives an ndarray
-        of its shape.  The sum runs in increasing powers, so each element has
-        the bits of the float call at that element.
+        of its shape.  The sum is ``_series_sum``'s, the rule that ``sweep``
+        uses too: in increasing powers, so each element has the bits of the
+        float call at that element.
         """
         upto = self.order if order is None else order
         _require_index(upto, "order", 0, self.order)
-        for total in _partial_sums(self.k[: upto + 1], eps):
-            pass
-        return total
+        return _series_sum(self.k[: upto + 1], eps)
 
 
 def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):

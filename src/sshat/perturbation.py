@@ -193,10 +193,8 @@ def _quadrature(params: ModelParams, tau: float, top: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             u, powers = _powers(params, tau, top)
             # The powers times (tau - v, h_k(tau - v)), in their layout.
-            weighted = np.empty_like(powers)
-            weighted[...] = u
-            weighted[1:, 1] = np.expm1(rates * u) / rates
-            weighted *= powers
+            weighted = powers * u
+            weighted[1:, 1] = powers[1:, 1] * (np.expm1(rates * u) / rates)
             terms = np.empty((2, 2, top + 1))
             np.sum(weighted, axis=2, out=terms[0].T)
             np.sum(powers, axis=2, out=terms[1].T)

@@ -729,14 +729,20 @@ _STDOUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("stdout", ["capsys", "string_io", "text_io_wrapper"])
+class _NoneBuffer(io.StringIO):
+    """A text stream whose ``buffer`` attribute is there but ``None``."""
+
+    buffer = None
+
+
+@pytest.mark.parametrize("stdout", ["capsys", "string_io", "none_buffer", "text_io_wrapper"])
 @pytest.mark.parametrize("case", list(_STDOUT_CASES))
 def test_stdout_gives_the_bytes_of_out(monkeypatch, tmp_path, capsys, case, stdout):
-    # The CLI writes bytes to stdout's binary buffer, or through a decoding
-    # adapter where stdout has none (io.StringIO).  Text already written to
-    # sys.stdout comes first: the TextIOWrapper holds it pending until the
-    # CLI flushes it.  At 40 values a call the sweeps take several blocks
-    # and path several groups of rows.
+    # The CLI writes bytes to stdout's binary buffer, or decoded to stdout
+    # itself where the buffer is missing (io.StringIO) or None.  Text
+    # already written to sys.stdout comes first: the TextIOWrapper holds it
+    # pending until the CLI flushes it.  At 40 values a call the sweeps take
+    # several blocks and path several groups of rows.
     monkeypatch.setattr("sshat.cli._TEXT_BATCH", 40)
     calls = []
     monkeypatch.setattr("sshat.cli._g17_bytes", lambda values: calls.append(values.size) or _g17_bytes(values))
@@ -751,12 +757,15 @@ def test_stdout_gives_the_bytes_of_out(monkeypatch, tmp_path, capsys, case, stdo
         assert main(argv) == 0
         got = capsys.readouterr().out.encode()
     else:
-        stream = io.StringIO() if stdout == "string_io" else io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+        if stdout == "text_io_wrapper":
+            stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+        else:
+            stream = io.StringIO() if stdout == "string_io" else _NoneBuffer()
         stream.write("pending text\n")
         with contextlib.redirect_stdout(stream):
             assert main(argv) == 0
         stream.flush()
-        got = stream.getvalue().encode() if stdout == "string_io" else stream.buffer.getvalue()
+        got = stream.buffer.getvalue() if stdout == "text_io_wrapper" else stream.getvalue().encode()
     assert got == expected
 
 
