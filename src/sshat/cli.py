@@ -31,7 +31,7 @@ import numpy as np
 from ._g17 import _g17_bytes
 from .epsseries import _partial_sums, _series_sum, _solve_grid, solve_shat_series
 from .errors import NumericalFailure
-from .oracle import _n_steps, _oracle_grid, compute_oracle, compute_oracles, integrate_ell
+from .oracle import _n_steps, _oracle_grid, compute_oracle, integrate_ell
 from .params import InitialState, ModelParams, _require_order, load_config
 from .perturbation import _ell_terms, build_expansion, tau_lbar_terms
 
@@ -114,7 +114,7 @@ def _resolve_config(args) -> tuple[ModelParams, InitialState, int]:
     if getattr(args, "params", None):
         params, state = load_config(args.params)
     s0, l0 = getattr(args, "s0", None), getattr(args, "l0", None)
-    n_steps = _n_steps(getattr(args, "tau", DEFAULT_TAU), args.steps)
+    _, n_steps = _n_steps(getattr(args, "tau", DEFAULT_TAU), args.steps)
     state = InitialState(s0=state.s0 if s0 is None else s0, l0=state.l0 if l0 is None else l0)
     return params, state, n_steps
 
@@ -225,14 +225,20 @@ def cmd_path(args) -> int:
 
 
 def _table_values(params: ModelParams, l0: float, tau: float, n_steps: int):
-    """Both reference tables as (5, 3) arrays: rows orders 0..3 plus the numerical row, columns TABLE_S0."""
+    """Both reference tables as (5, 3) arrays: rows orders 0..3 plus the numerical row, columns TABLE_S0.
+
+    One ``eps`` array, the spreads of TABLE_S0 less mu_hat, feeds both the
+    partial sums and one ``_oracle_grid`` batch at ``tau``, the call that
+    ``sweep --oracle`` makes; each numerical cell is bitwise
+    ``compute_oracle`` of that spread.
+    """
     expansion = build_expansion(params, l0, 3)
     terms = tau_lbar_terms(expansion, tau)
     shat = solve_shat_series(expansion, tau, l0, params, 3)
-    results = compute_oracles([InitialState(s0=s0, l0=l0) for s0 in TABLE_S0], params, tau, n_steps)
     eps = np.array(TABLE_S0) - params.mu_hat
-    tl_rows = np.array([*_partial_sums(terms, eps), [r.tau_lbar for r in results]])
-    shat_rows = np.array([*_partial_sums(shat.k, eps), [r.s_hat for r in results]])
+    tau_lbar, roots, _ = _oracle_grid(eps, np.full(eps.size, l0), params, [tau], n_steps)
+    tl_rows = np.array([*_partial_sums(terms, eps), tau_lbar[0]])
+    shat_rows = np.array([*_partial_sums(shat.k, eps), roots.s_hat[0]])
     return tl_rows, shat_rows
 
 
@@ -318,18 +324,17 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     table = np.empty((len(s0_grid), pairs, 3 if args.oracle else 1))
     values = table[:, :, 0]
+    eps = s0_grid - params.mu_hat
     if args.oracle:
         # One batch over every (s0, l0) state, s0-major, at every tau.
-        eps = np.repeat(s0_grid - params.mu_hat, len(l0_grid))
-        _, roots, _ = _oracle_grid(eps, np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)
+        _, roots, _ = _oracle_grid(np.repeat(eps, len(l0_grid)), np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)
         table[:, :, 1] = roots.s_hat.T.reshape(len(s0_grid), pairs)
 
     # One batched solve over every (l0, tau) pair; each block of pairs is
     # evaluated over the whole s0 grid at once.
-    eps = (s0_grid - params.mu_hat)[:, None]
     for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
         with np.errstate(over="ignore", invalid="ignore"):
-            values[:, start : start + k.shape[1]] = _series_sum(k, eps)
+            values[:, start : start + k.shape[1]] = _series_sum(k, eps[:, None])
     if not np.isfinite(values).all():
         i_s0, p = divmod(int(np.isfinite(values).argmin()), pairs)
         raise NumericalFailure(

@@ -61,13 +61,16 @@ __all__ = [
 def _partial_sums(terms, eps):
     """Yield the partial sums of sum_n terms[n] eps^n, added in increasing powers.
 
-    ``eps`` is a float or an ndarray; each term is a float or an ndarray
-    that broadcasts against ``eps``.  Each element has the bits of the float
-    call at that element.  Every yielded sum is a new object.  No power
-    past the last term's is formed: it could overflow where the sum does not.
+    ``eps`` is a number or an ndarray; each term is a float or an ndarray
+    that broadcasts against ``eps``.  A Python float starts from the power
+    1.0, any other eps from float64 ones of its shape, so a numpy float32
+    or float16 scalar sums in float64, not in its own precision.  Each
+    element has the bits of the float call at that element.  Every yielded
+    sum is a new object.  No power past the last term's is formed: it could
+    overflow where the sum does not.
     """
     total = 0.0
-    power = np.ones_like(eps, dtype=float) if isinstance(eps, np.ndarray) else 1.0
+    power = 1.0 if isinstance(eps, float) else np.ones_like(eps, dtype=float)
     terms = iter(terms)
     for term in terms:  # the first term; the inner loop takes the rest
         total = term * power + total
@@ -177,10 +180,12 @@ class ShatExpansion:
     def value(self, eps, order: int | None = None):
         """Partial sum k_0 + k_1 eps + ... up to ``order`` (default: all).
 
-        ``eps`` is a float or an ndarray of them; an ndarray gives an ndarray
-        of its shape.  The sum is ``_series_sum``'s, the rule that ``sweep``
-        uses too: in increasing powers, so each element has the bits of the
-        float call at that element.
+        ``eps`` is a number or an ndarray of them; an ndarray gives an
+        ndarray of its shape, except a 0-d array, which gives a numpy float.
+        Every input sums in float64, a numpy float32 or float16 too.  The
+        sum is ``_series_sum``'s, the rule that ``sweep`` uses too: in
+        increasing powers, so each element has the bits of the float call at
+        that element.
         """
         upto = self.order if order is None else order
         _require_index(upto, "order", 0, self.order)

@@ -95,12 +95,14 @@ class OracleResult:
 _MAX_STEPS = 10**7
 
 
-def _n_steps(tau: float, n_steps: int | None) -> int:
-    """The RK4 step count for maturity ``tau``: ``n_steps``, or the default where it is None.
+def _n_steps(tau: float, n_steps: int | None) -> tuple[float, int]:
+    """``(tau, count)``: maturity ``tau`` as a float and its RK4 step count, ``n_steps`` or the default where it is None.
 
-    Raises ValueError unless ``tau`` is a maturity and the count an integer
-    in [16, _MAX_STEPS]; the default exceeds that past tau = 10^4, and where
-    1000 tau overflows.
+    The one place that checks a maturity of the integrator and sets its
+    step count; every oracle entry and the CLI take both from it.  Raises
+    ValueError unless ``tau`` is a maturity, and then unless the count is
+    an integer in [16, _MAX_STEPS]; the default exceeds that past
+    tau = 10^4, and where 1000 tau overflows.
     """
     tau = _require_maturity(tau)
     if n_steps is None:
@@ -109,7 +111,7 @@ def _n_steps(tau: float, n_steps: int | None) -> int:
         if n_steps <= _MAX_STEPS:
             n_steps = math.ceil(n_steps)
     _require_index(n_steps, "n_steps", 16, _MAX_STEPS)
-    return n_steps
+    return tau, n_steps
 
 
 def default_n_steps(tau: float) -> int:
@@ -118,7 +120,7 @@ def default_n_steps(tau: float) -> int:
     Raises ValueError where that is more than the integrator takes, as for
     an explicit step count (past tau = 10^4, and where 1000 tau overflows).
     """
-    return _n_steps(tau, None)
+    return _n_steps(tau, None)[1]
 
 
 # RK4 steps per block of the scan.  Blocks are laid out from step 0 and the
@@ -365,8 +367,7 @@ def integrate_ell(
     the count is rounded up to a multiple of ``samples - 1``, or down where
     rounding up would pass _MAX_STEPS.
     """
-    tau = _require_maturity(tau)
-    n_steps = _n_steps(tau, n_steps)
+    tau, n_steps = _n_steps(tau, n_steps)
     _require_index(samples, "samples", 2, _MAX_STEPS + 1)
     per_cell = min(-(-n_steps // (samples - 1)), _MAX_STEPS // (samples - 1))
     n_steps = per_cell * (samples - 1)
@@ -605,13 +606,14 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     with shape (maturities, states), and the step count per maturity.  Each
     entry is bitwise equal to ``compute_oracle`` of that state at that
     maturity, and a failure is raised as the per-maturity batches would
-    raise it, taken in maturity order: a maturity's integration failure
-    first, then its first failed root.
+    raise it, taken in maturity order: every maturity's check of itself
+    and its step count (``_n_steps``) first, then a maturity's integration
+    failure, then its first failed root.
     """
-    taus = [_require_maturity(tau) for tau in taus]
-    steps = [_n_steps(tau, n_steps) for tau in taus]
+    checked = [_n_steps(tau, n_steps) for tau in taus]
+    taus, steps = [tau for tau, _ in checked], [n for _, n in checked]
     groups: dict[float, list[int]] = {}
-    for i, (tau, n) in enumerate(zip(taus, steps)):
+    for i, (tau, n) in enumerate(checked):
         groups.setdefault(tau / n, []).append(i)
     tau_lbar = np.empty((len(taus), eps.size))
     ell = np.empty((len(taus), eps.size))

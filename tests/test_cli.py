@@ -451,6 +451,16 @@ def test_tables_csv_writes_two_files(tmp_path, capsys):
         assert len(lines) == 6
 
 
+@pytest.mark.parametrize("tau, l0, n_steps", [(1.0, 0.1, 1000), (10.0, 0.2, 10000), (0.3, 0.05, 777)])
+def test_table_numerical_rows_are_compute_oracle_bits(tau, l0, n_steps):
+    # tables prints 7 decimals; the rows it prints from hold every bit of
+    # compute_oracle for each s0 of the table.
+    tl_rows, shat_rows = sshat.cli._table_values(BASE_PARAMS, l0, tau, n_steps)
+    oracles = [compute_oracle(InitialState(s0=s0, l0=l0), BASE_PARAMS, tau, n_steps) for s0 in sshat.cli.TABLE_S0]
+    assert [x.hex() for x in tl_rows[-1].tolist()] == [oracle.tau_lbar.hex() for oracle in oracles]
+    assert [x.hex() for x in shat_rows[-1].tolist()] == [oracle.s_hat.hex() for oracle in oracles]
+
+
 def test_tables_deterministic(capsys):
     _, first, _ = run(capsys, "tables")
     _, second, _ = run(capsys, "tables")

@@ -241,6 +241,20 @@ def test_value_on_array_forms_no_power_past_the_last_term(base_params, base_expa
     assert shat.value(np.array([1e80, -1e80]), order=3).tolist() == [expected, shat.value(-1e80)]
 
 
+@pytest.mark.parametrize("order", [3, 16])
+@pytest.mark.parametrize("x", [np.float32(0.3), np.float16(-0.04), np.int32(1)], ids=["float32", "float16", "int32"])
+def test_value_sums_numpy_scalars_in_float64(base_params, order, x):
+    # Under NumPy 2, 1.0 * np.float32(x) is a float32: a sum that started
+    # from the power 1.0 would run in the scalar's own precision.
+    shat = solve_shat_series(build_expansion(base_params, BASE_L0, order), BASE_TAU, BASE_L0, base_params, order)
+    got = shat.value(x)
+    assert got == shat.value(float(x))
+    assert np.asarray(got).dtype == np.float64
+    # A 0-d array gives a numpy float, not an ndarray.
+    zero_d = shat.value(np.array(x))
+    assert zero_d == got and not isinstance(zero_d, np.ndarray)
+
+
 def test_solve_validation(base_params, base_expansion):
     with pytest.raises(ValueError):
         solve_shat_series(base_expansion, 0.0, BASE_L0, base_params, 3)

@@ -136,6 +136,28 @@ def test_oracle_rejects_non_finite_maturity(base_params, call, tau):
         call(base_params, tau)
 
 
+@pytest.mark.parametrize("tau", [2, np.int64(3), np.float32(0.3)], ids=["int", "int64", "float32"])
+def test_maturity_is_taken_as_its_float_value(base_params, tau):
+    # Every entry converts the maturity once, to the float it stands for: a
+    # float32 kept as such would integrate and solve in other bits.
+    state = InitialState(s0=0.03, l0=BASE_L0)
+    as_float = float(tau)
+    assert default_n_steps(tau) == default_n_steps(as_float)
+    path, tau_lbar = integrate_ell(state, base_params, tau, None, 5)
+    float_path, float_tau_lbar = integrate_ell(state, base_params, as_float, None, 5)
+    assert path.tobytes() == float_path.tobytes() and repr(tau_lbar) == repr(float_tau_lbar)
+    result = compute_oracle(state, base_params, tau)
+    # repr tells a numpy float from a Python float, and gives every bit of either.
+    assert repr(result) == repr(compute_oracle(state, base_params, as_float))
+    assert all(type(getattr(result, name)) is float for name in ("tau_lbar", "s_hat", "residual", "bracket_lo", "bracket_hi"))
+    assert repr(compute_oracles([state, state], base_params, tau)) == repr([result, result])
+    eps, l0 = np.array([state.s0 - base_params.mu_hat]), np.array([state.l0])
+    grid = _oracle_grid(eps, l0, base_params, [tau, as_float])
+    assert grid[0][0].tobytes() == grid[0][1].tobytes()
+    assert all(a[0].tobytes() == a[1].tobytes() for a in grid[1])
+    assert grid[2][0] == grid[2][1] == result.steps
+
+
 def test_integrate_near_zero_dynamics(base_params):
     # The zero-dynamics limit: vanishing volatility scale and initial rate
     # give a path that stays at machine zero (exact zeros are outside the
