@@ -12,7 +12,8 @@ Subcommands:
     sweep   CSV over a (s0, l0, tau) grid, optionally with the oracle
 
 Exit codes: 0 success, 1 validation error or an --out path that cannot be
-opened, 2 numerical failure, 3 reference mismatch under --check.  Table
+opened, 2 numerical failure, 3 reference mismatch under --check, 141 (128 +
+SIGPIPE, as 'yes | head' gives) when the reader closes stdout early.  Table
 output, and the CSV files of tables, print values at 7 decimal places; the
 CSV of shat, abar, path and sweep gives each value as the exact '%.17g' % x
 text.  CSV uses comma separators and LF line endings.
@@ -401,6 +402,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
+    except BrokenPipeError:  # the reader closed stdout (| head): not an error, so nothing on stderr
+        return 141
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -55,13 +55,13 @@ __all__ = [
 
 # A root is accepted when its residual is within the rounding floor of g,
 # _ROOT_ROUNDING (1 + |s tau|) u S, with S the sum of the magnitudes of g's
-# three terms and u the unit roundoff: a backward-error test that judges |g|
-# against the rounding of its own terms, where an absolute bound would pass
-# any s at tiny tau.  Rounding s tau perturbs exp(-s tau) by up to |s tau| u,
-# so g is evaluated to within about (|s tau| + 6) u S; and the double nearest
-# the root is within u |s| of it, where |s g'(s)| <= (|s tau| + 2) S, which
-# adds (|s tau| + 2) u S.  A correctly rounded root thus has
-# |g| <= (2 |s tau| + 8) u S, inside the floor.
+# three terms (both from _cleared_residual) and u the unit roundoff: a
+# backward-error test that judges |g| against the rounding of its own terms,
+# where an absolute bound would pass any s at tiny tau.  Rounding s tau
+# perturbs exp(-s tau) by up to |s tau| u, so g is evaluated to within about
+# (|s tau| + 6) u S; and the double nearest the root is within u |s| of it,
+# where |s g'(s)| <= (|s tau| + 2) S, which adds (|s tau| + 2) u S.  A
+# correctly rounded root thus has |g| <= (2 |s tau| + 8) u S, inside the floor.
 _ROOT_ROUNDING = 8.0
 
 _MAX_BRACKET_WIDENINGS = 5
@@ -426,15 +426,10 @@ def _phi(x: np.ndarray):
     return np.where(np.abs(x) < _QUADRATURE_CUTOFF, integrals[:, 0], closed)
 
 
-def _cleared_terms(s_hat, tau_lbar, l0, sigma2, tau):
-    """The terms T1, T2 and T3 of the cleared residual g = T1 - T2 - T3, elementwise."""
-    return tau_lbar * s_hat * s_hat, (l0 * s_hat - sigma2) * -np.expm1(-s_hat * tau), sigma2 * s_hat * tau
-
-
-def residual_cleared(s_hat, tau_lbar, l0, sigma2, tau):
-    """Residual of the cleared defining equation at candidate roots, elementwise."""
-    t1, t2, t3 = _cleared_terms(s_hat, tau_lbar, l0, sigma2, tau)
-    return t1 - t2 - t3
+def _cleared_residual(s_hat, tau_lbar, l0, sigma2, tau):
+    """The cleared residual g = T1 - T2 - T3 at candidate roots and its scale S = |T1| + |T2| + |T3|, elementwise."""
+    terms = tau_lbar * s_hat * s_hat, (l0 * s_hat - sigma2) * -np.expm1(-s_hat * tau), sigma2 * s_hat * tau
+    return terms[0] - terms[1] - terms[2], sum(map(np.abs, terms))
 
 
 class _Roots(NamedTuple):
@@ -540,10 +535,10 @@ def _solve_chunk(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
                 live, x, xl, xh, dx, dx_old, tl, l, t, f, df = (
                     a[go] for a in (live, x, xl, xh, dx, dx_old, tl, l, t, f, df)
                 )
-        terms = _cleared_terms(s_hat, tau_lbar, l0, sigma2, tau)
-        residual = np.abs(terms[0] - terms[1] - terms[2])
+        g, scale = _cleared_residual(s_hat, tau_lbar, l0, sigma2, tau)
+        residual = np.abs(g)
         unit_roundoff = 0.5 * np.finfo(float).eps
-        floor = _ROOT_ROUNDING * (1.0 + np.abs(s_hat * tau)) * unit_roundoff * sum(map(np.abs, terms))
+        floor = _ROOT_ROUNDING * (1.0 + np.abs(s_hat * tau)) * unit_roundoff * scale
     failed = np.flatnonzero(~bracketed | ~(residual <= floor))
     if failed.size:
         i = failed[0]

@@ -1124,6 +1124,27 @@ def test_out_in_missing_directory_is_validation_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["sweep", "--s0-grid=-0.05:0.05:1000", "--l0-grid=0.01:0.2:100", "--tau-grid=1:10:10"], 2),
+        (["path", "--order", "16", "--samples", "20001"], 1),
+    ],
+    ids=["sweep", "path"],
+)
+def test_closed_stdout_exits_141_quietly(argv, lines):
+    # A reader that stops early (| head) closes the pipe mid-output: exit
+    # 128 + SIGPIPE, as `yes | head` gives, with nothing on stderr.
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "sshat.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("tables", "--s0", "0.05"),

@@ -542,14 +542,14 @@ def test_scalar_residual_shrinks_at_least_at_expected_rate(base_params, base_exp
     The two-sided rate check lives in the acceptance suite, on the error
     against the oracle, where it does hold.
     """
-    from sshat.oracle import residual_cleared
+    from sshat.oracle import _cleared_residual
 
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
     terms = tau_lbar_terms(base_expansion, BASE_TAU)
 
     # Order 0 is exact: k_0 = mu_hat solves the truncated system identically.
     for eps in (0.04, 0.02):
-        res0 = residual_cleared(base_params.mu_hat, terms[0], BASE_L0, base_params.sigma2, BASE_TAU)
+        res0 = _cleared_residual(base_params.mu_hat, terms[0], BASE_L0, base_params.sigma2, BASE_TAU)[0]
         assert abs(res0) < 1e-15
 
     for order in range(1, 4):
@@ -557,7 +557,7 @@ def test_scalar_residual_shrinks_at_least_at_expected_rate(base_params, base_exp
         for eps in (0.04, 0.02):
             tl = math.fsum(terms[k] * eps**k for k in range(order + 1))
             value = shat.value(eps, order=order)
-            res.append(abs(residual_cleared(value, tl, BASE_L0, base_params.sigma2, BASE_TAU)))
+            res.append(abs(_cleared_residual(value, tl, BASE_L0, base_params.sigma2, BASE_TAU)[0]))
         assert res[1] > 0
         assert res[0] / res[1] >= 2 ** (order + 1) * 0.8
 

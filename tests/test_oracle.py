@@ -25,6 +25,7 @@ from sshat import (
 import sshat.oracle
 from sshat.oracle import (
     _BLOCK,
+    _cleared_residual,
     _deflated,
     _oracle_grid,
     _phi,
@@ -32,7 +33,6 @@ from sshat.oracle import (
     _rk4,
     _Roots,
     _solve_roots,
-    residual_cleared,
 )
 
 from _reference import (
@@ -746,5 +746,5 @@ def test_oracle_matches_order3_expansion_closely(base_params, base_expansion):
 
 
 def test_residual_cleared_at_true_root_is_tiny(base_params):
-    res = residual_cleared(TRUE_SHAT[-0.05], TRUE_TAU_LBAR[-0.05], BASE_L0, base_params.sigma2, BASE_TAU)
+    res = _cleared_residual(TRUE_SHAT[-0.05], TRUE_TAU_LBAR[-0.05], BASE_L0, base_params.sigma2, BASE_TAU)[0]
     assert abs(res) < 1e-16
