@@ -257,9 +257,8 @@ def cmd_tables(args) -> int:
     tl_rows, shat_rows = _table_values(params, state.l0, args.tau, n_steps)
 
     if args.fmt == "csv":
-        prefix = args.out if args.out else "tables"
-        _write(prefix + "_abar.csv", [_format_table(tl_rows, "csv")])
-        _write(prefix + "_shat.csv", [_format_table(shat_rows, "csv")])
+        for name, rows in (("abar", tl_rows), ("shat", shat_rows)):
+            _write(f"{args.out or 'tables'}_{name}.csv", [_format_table(rows, "csv")])
     else:
         text = b"tau*lbar approximations\n" + _format_table(tl_rows, "table")
         text += b"\ns_hat approximations\n" + _format_table(shat_rows, "table")
@@ -286,6 +285,9 @@ def cmd_tables(args) -> int:
 def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
     """``(lo, hi, count)`` of a LO:HI:N grid spec."""
     try:
+        # float and int strip whitespace, which the sweep header would echo.
+        if any(map(str.isspace, spec)):
+            raise ValueError
         lo, hi, count = spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
@@ -302,7 +304,6 @@ def _parse_grid(spec: str, name: str) -> tuple[float, float, int]:
 
 def cmd_sweep(args) -> int:
     params, _, _ = _resolve_config(args)
-    order = args.order
 
     specs = [_parse_grid(getattr(args, f"{axis}_grid"), f"--{axis}-grid") for axis in ("s0", "l0", "tau")]
     total = math.prod(count for _, _, count in specs)
@@ -321,30 +322,30 @@ def cmd_sweep(args) -> int:
     # under --oracle, columns 1 and 2 are the oracle value and abs_diff.
     n_tau = len(tau_grid)
     pairs = len(l0_grid) * n_tau
-    _require_order(order)  # before the oracle batch
+    _require_order(args.order)  # before the oracle batch
     started = time.perf_counter()
     table = np.empty((len(s0_grid), pairs, 3 if args.oracle else 1))
     values = table[:, :, 0]
     eps = s0_grid - params.mu_hat
     if args.oracle:
-        # One batch over every (s0, l0) state, s0-major, at every tau.
-        _, roots, _ = _oracle_grid(np.repeat(eps, len(l0_grid)), np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)
-        table[:, :, 1] = roots.s_hat.T.reshape(len(s0_grid), pairs)
+        # One batch over every (s0, l0) state, s0-major, at every tau; only s_hat is kept.
+        s_hat = _oracle_grid(np.repeat(eps, len(l0_grid)), np.tile(l0_grid, len(s0_grid)), params, tau_grid.tolist(), args.steps)[1].s_hat
+        table[:, :, 1] = s_hat.T.reshape(len(s0_grid), pairs)
 
     # One batched solve over every (l0, tau) pair; each block of pairs is
     # evaluated over the whole s0 grid at once.
-    for start, k, _, _ in _solve_grid(params, order, l0_grid, tau_grid):
+    for start, k, _, _ in _solve_grid(params, args.order, l0_grid, tau_grid):
         with np.errstate(over="ignore", invalid="ignore"):
             values[:, start : start + k.shape[1]] = _series_sum(k, eps[:, None])
     if not np.isfinite(values).all():
         i_s0, p = divmod(int(np.isfinite(values).argmin()), pairs)
         raise NumericalFailure(
-            f"the series value shat_order{order} is not finite at s0={s0_grid[i_s0].item()!r}, "
+            f"the series value shat_order{args.order} is not finite at s0={s0_grid[i_s0].item()!r}, "
             f"l0={l0_grid[p // n_tau].item()!r}, tau={tau_grid[p % n_tau].item()!r}"
         )
     share = (time.perf_counter() - started) / total  # per row: an equal share of the oracle batch and the series
 
-    header = ["s0", "l0", "tau", f"shat_order{order}"]
+    header = ["s0", "l0", "tau", f"shat_order{args.order}"]
     if args.oracle:
         header += ["oracle_s_hat", "abs_diff"]
         table[:, :, 2] = np.abs(values - table[:, :, 1])
@@ -365,7 +366,7 @@ def cmd_sweep(args) -> int:
 
     s0_texts = [b"%.17g" % s0 for s0 in s0_grid.tolist()]
     head = (
-        f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={order}\n"
+        f"# s0_grid={args.s0_grid} l0_grid={args.l0_grid} tau_grid={args.tau_grid} order={args.order}\n"
         "# rows ordered by grid index (s0 outer, l0 middle, tau inner)\n"
         f"{','.join(header)}\n"
     ).encode()

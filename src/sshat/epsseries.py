@@ -105,9 +105,10 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
     shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
     sum over the order index adds in a fixed order, so each pair has the
-    bits of a grid of that pair alone.  Raises
-    NumericalFailure at the first block that holds a maturity where
-    ``_quadrature`` overflows or f_1 is not a normal double.
+    bits of a grid of that pair alone.  Raises NumericalFailure at the
+    first maturity where ``_quadrature`` overflows, before any block is
+    yielded; after that, at the first block that holds a pair where
+    f = a + l0 b overflows or f_1 is not a normal double.
     """
     n = max(order, 1)
     k0 = params.mu_hat

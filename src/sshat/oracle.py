@@ -15,7 +15,8 @@ blocks; no Python loop runs over single steps.  Maturities integrated with
 the same step size share one scan, read at each maturity's last step.  The
 oracle then solves the defining equation for the effective spread constant
 by a safeguarded Newton iteration with bisection fallback, vectorised over
-fixed chunks of a batch's (state, maturity) pairs (``_solve_roots``).
+row-major chunks of a batch's (maturity, state) grid, each entry reading its
+maturity and its state's inputs by index (``_solve_roots``).
 
 The cleared form of the defining equation,
 
@@ -433,7 +434,7 @@ def _cleared_residual(s_hat, tau_lbar, l0, sigma2, tau):
 
 
 class _Roots(NamedTuple):
-    """Per-entry results of ``_solve_roots``, each an array shaped like its inputs."""
+    """Per-entry results of ``_solve_roots``, each an array in the shape of its (maturities, states) grid."""
 
     s_hat: np.ndarray
     residual: np.ndarray
@@ -455,23 +456,26 @@ def _deflated(s, tau_lbar, l0, sigma2: float, tau):
 
 
 def _solve_roots(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
-    """Safeguarded Newton (``rtsafe``) for every entry of 1-D arrays, in chunks of ``_ROOT_CHUNK``.
+    """Safeguarded Newton (``rtsafe``) for every entry of a (maturities, states) grid, in chunks of ``_ROOT_CHUNK``.
 
-    Entry i solves q(s) = 0 for ``tau_lbar[i]``, ``l0[i]`` and ``tau[i]``,
-    with the bracket sized by ``eps_hint[i]`` as ``solve_shat_numeric``
-    documents.  Every step is elementwise, so each entry's root, bracket
-    and counters are bitwise those of the entry solved alone, in any chunk.
-    The chunks run in index order, and each raises BracketingError or
-    NumericalFailure for its first entry that has no bracket or whose
-    residual exceeds the rounding floor of g (``_ROOT_ROUNDING``), so the
-    first such entry of the batch is the one raised.
+    ``tau_lbar`` has the grid's shape, ``tau`` holds one value per maturity
+    and ``l0`` and ``eps_hint`` one per state.  The chunks walk the grid in
+    row-major order, and entry (i, j), at flat index i * states + j, solves
+    q(s) = 0 for ``tau_lbar[i, j]``, ``l0[j]`` and ``tau[i]``, with the
+    bracket sized by ``eps_hint[j]`` as ``solve_shat_numeric`` documents.
+    Every step is elementwise, so each entry's root, bracket and counters
+    are bitwise those of the entry solved alone, in any chunk.  The chunks
+    run in index order, and each raises BracketingError or NumericalFailure
+    for its first entry that has no bracket or whose residual exceeds the
+    rounding floor of g (``_ROOT_ROUNDING``), so the first such entry of
+    the grid is the one raised.  Returns ``_Roots`` in the grid's shape.
     """
     size = tau_lbar.size
-    roots = _Roots(*(np.empty(size) for _ in range(4)), *(np.empty(size, dtype=int) for _ in range(3)))
+    roots = _Roots(*(np.empty(tau_lbar.shape) for _ in range(4)), *(np.empty(tau_lbar.shape, dtype=int) for _ in range(3)))
     for start in range(0, size, _ROOT_CHUNK):
-        part = slice(start, start + _ROOT_CHUNK)
-        for whole, chunk in zip(roots, _solve_chunk(tau_lbar[part], l0[part], params, tau[part], eps_hint[part])):
-            whole[part] = chunk
+        i, j = np.divmod(np.arange(start, min(start + _ROOT_CHUNK, size)), l0.size)
+        for whole, chunk in zip(roots, _solve_chunk(tau_lbar[i, j], l0[j], params, tau[i], eps_hint[j])):
+            whole[i, j] = chunk
     return roots
 
 
@@ -553,10 +557,10 @@ def _solve_chunk(tau_lbar, l0, params: ModelParams, tau, eps_hint) -> _Roots:
 
 
 def _results(tau_lbar: np.ndarray, roots: _Roots, steps: int) -> list[OracleResult]:
-    """One OracleResult per entry of 1-D ``tau_lbar`` and ``roots``."""
+    """One OracleResult per entry of ``tau_lbar`` and ``roots``, in row-major order."""
     return [
         OracleResult(tl, s, steps, res, lo, hi, its, bis, wid)
-        for tl, s, res, lo, hi, its, bis, wid in zip(tau_lbar.tolist(), *(a.tolist() for a in roots))
+        for tl, s, res, lo, hi, its, bis, wid in zip(*(a.ravel().tolist() for a in (tau_lbar, *roots)))
     ]
 
 
@@ -584,9 +588,8 @@ def solve_shat_numeric(
     tau_lbar = _require_finite(tau_lbar, "tau_lbar")
     l0 = _require_consol_rate(l0)
     eps_hint = _require_finite(eps_hint, "eps_hint")
-    tl = np.array([tau_lbar])
-    roots = _solve_roots(tl, np.array([l0]), params, np.array([tau]), np.array([eps_hint]))
-    return _results(tl, roots, 0)[0]
+    tl = np.array([[tau_lbar]])
+    return _results(tl, _solve_roots(tl, np.array([l0]), params, np.array([tau]), np.array([eps_hint])), 0)[0]
 
 
 def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Sequence[float], n_steps: int | None = None):
@@ -606,7 +609,7 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
     failure, then its first failed root.
     """
     checked = [_n_steps(tau, n_steps) for tau in taus]
-    taus, steps = [tau for tau, _ in checked], [n for _, n in checked]
+    taus, steps = np.array([tau for tau, _ in checked]), [n for _, n in checked]
     groups: dict[float, list[int]] = {}
     for i, (tau, n) in enumerate(checked):
         groups.setdefault(tau / n, []).append(i)
@@ -616,16 +619,10 @@ def _oracle_grid(eps: np.ndarray, l0: np.ndarray, params: ModelParams, taus: Seq
         tau_lbar[members], ell[members] = _rk4(eps, l0, params, h, [steps[i] for i in members])
     finite = (np.isfinite(tau_lbar) & np.isfinite(ell)).all(axis=1)
     solved = len(taus) if finite.all() else int(np.argmin(finite))
-    roots = _solve_roots(
-        tau_lbar[:solved].ravel(),
-        np.tile(l0, solved),
-        params,
-        np.repeat(taus[:solved], eps.size),
-        np.tile(eps, solved),
-    )
+    roots = _solve_roots(tau_lbar[:solved], l0, params, taus[:solved], eps)
     if solved < len(taus):
         _check_finite(tau_lbar[solved], ell[solved])
-    return tau_lbar, _Roots(*(a.reshape(solved, eps.size) for a in roots)), steps
+    return tau_lbar, roots, steps
 
 
 def compute_oracle(
@@ -654,4 +651,4 @@ def compute_oracles(
     eps = np.array([state.s0 - params.mu_hat for state in states], dtype=float)
     l0 = np.array([state.l0 for state in states], dtype=float)
     tau_lbar, roots, steps = _oracle_grid(eps, l0, params, [tau], n_steps)
-    return _results(tau_lbar[0], _Roots(*(a[0] for a in roots)), steps[0])
+    return _results(tau_lbar, roots, steps[0])

@@ -451,6 +451,18 @@ def test_tables_csv_writes_two_files(tmp_path, capsys):
         assert len(lines) == 6
 
 
+def test_tables_csv_without_out_writes_into_the_working_directory(tmp_path, monkeypatch, capsys):
+    # Without --out the two files are those that --out tables names, in the working directory.
+    (tmp_path / "named").mkdir()
+    monkeypatch.chdir(tmp_path / "named")
+    assert run(capsys, "tables", "--format", "csv", "--out", "tables") == (0, "", "")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "tables", "--format", "csv") == (0, "", "")
+    for name in ("tables_abar.csv", "tables_shat.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["named", "tables_abar.csv", "tables_shat.csv"]
+
+
 @pytest.mark.parametrize("tau, l0, n_steps", [(1.0, 0.1, 1000), (10.0, 0.2, 10000), (0.3, 0.05, 777)])
 def test_table_numerical_rows_are_compute_oracle_bits(tau, l0, n_steps):
     # tables prints 7 decimals; the rows it prints from hold every bit of
@@ -992,7 +1004,7 @@ def test_sweep_rejects_bad_grids(capsys):
     assert run(capsys, "sweep", "--s0-grid", "nope")[0] == 1
     assert run(capsys, "sweep", "--l0-grid", "0:0.2:5")[0] == 1
     assert run(capsys, "sweep", "--tau-grid", "0:1:2")[0] == 1
-    for spec in ("a:b:c", "1:2", "1:2:3:4", ""):
+    for spec in ("a:b:c", "1:2", "1:2:3:4", "", "0:1:2\n", " 0:1:2", "0:1 :2"):
         assert run(capsys, "sweep", f"--s0-grid={spec}") == (1, "", f"error: --s0-grid must look like LO:HI:N, got {spec!r}\n")
     assert run(capsys, "sweep", "--l0-grid=0.1:0.2:0") == (1, "", "error: --l0-grid: N must be >= 1, got 0\n")
 

@@ -562,25 +562,31 @@ def test_solve_widens_bracket_when_root_is_far(base_params):
     assert result.s_hat == pytest.approx(series.value(0.31), rel=0.05)
 
 
-def test_batched_solve_counters_equal_single_solves(base_params):
-    # The first entry is the far root of the widening test above, with a
-    # bracket sized by eps_hint = 0, in one batch with ordinary states: each
-    # entry's root, bracket and counters are those of the entry solved alone.
-    _, far = integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, BASE_TAU, 4000, 2)
-    states = [InitialState(s0=s0, l0=l0) for s0 in TABLE_S0 for l0 in (0.01, BASE_L0)]
-    near = compute_oracles(states, base_params, BASE_TAU)
-    tau_lbar = np.array([far] + [result.tau_lbar for result in near])
+def test_batched_solve_counters_equal_single_solves(monkeypatch, base_params):
+    # The first state is the far root of the widening test above, with a
+    # bracket sized by eps_hint = 0, in one grid with ordinary states of
+    # distinct l0 and eps_hint at two maturities.  Chunks of 5 entries
+    # straddle the maturities of 7 states: each entry's root, bracket and
+    # counters are those of the entry solved alone.
+    taus = (BASE_TAU, 2.5)
+    s0s, l0s = (-0.06, -0.05, -0.02, 0.0, 0.05, 0.08), (0.01, 0.2, 0.05, 0.15, 0.005, 0.3)
+    states = [InitialState(s0=s0, l0=l0) for s0, l0 in zip(s0s, l0s)]
+    near = [compute_oracles(states, base_params, tau) for tau in taus]
+    far = [integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, tau, 4000, 2)[1] for tau in taus]
+    tau_lbar = np.array([[tl] + [result.tau_lbar for result in row] for tl, row in zip(far, near)])
     l0 = np.array([BASE_L0] + [state.l0 for state in states])
     eps_hint = np.array([0.0] + [state.s0 - base_params.mu_hat for state in states])
-    roots = _solve_roots(tau_lbar, l0, base_params, np.full(tau_lbar.size, BASE_TAU), eps_hint)
-    assert roots.widenings[0] > 0 and not roots.widenings[1:].any()
-    for i in range(tau_lbar.size):
-        alone = solve_shat_numeric(float(tau_lbar[i]), float(l0[i]), base_params, BASE_TAU, float(eps_hint[i]))
-        fields = (alone.s_hat, alone.residual, alone.bracket_lo, alone.bracket_hi)
-        counters = (alone.iterations, alone.bisections, alone.widenings)
-        assert fields + counters == tuple(a[i].item() for a in roots)
-        assert 1 <= alone.iterations <= 200 and 0 <= alone.bisections <= alone.iterations
-    assert near == [compute_oracle(state, base_params, BASE_TAU) for state in states]
+    monkeypatch.setattr(sshat.oracle, "_ROOT_CHUNK", 5)
+    roots = _solve_roots(tau_lbar, l0, base_params, np.array(taus), eps_hint)
+    assert roots.widenings[:, 0].all() and not roots.widenings[:, 1:].any()
+    for i, tau in enumerate(taus):
+        for j in range(l0.size):
+            alone = solve_shat_numeric(tau_lbar[i, j].item(), l0[j].item(), base_params, tau, eps_hint[j].item())
+            fields = (alone.s_hat, alone.residual, alone.bracket_lo, alone.bracket_hi)
+            counters = (alone.iterations, alone.bisections, alone.widenings)
+            assert fields + counters == tuple(a[i, j].item() for a in roots)
+            assert 1 <= alone.iterations <= 200 and 0 <= alone.bisections <= alone.iterations
+    assert near[0] == [compute_oracle(state, base_params, BASE_TAU) for state in states]
 
 
 def test_batched_solve_raises_for_an_entry_that_never_brackets(base_params):
@@ -591,11 +597,10 @@ def test_batched_solve_raises_for_an_entry_that_never_brackets(base_params):
     assert "after 5 widenings" in str(alone.value)
     _, far = integrate_ell(InitialState(s0=0.3, l0=BASE_L0), base_params, BASE_TAU, 4000, 2)
     near = compute_oracles([InitialState(s0=s0, l0=BASE_L0) for s0 in TABLE_S0], base_params, BASE_TAU)
-    tau_lbar = np.array([far, near[0].tau_lbar, -5.0, near[1].tau_lbar, near[2].tau_lbar])
+    tau_lbar = np.array([[far, near[0].tau_lbar, -5.0, near[1].tau_lbar, near[2].tau_lbar]])
     eps_hint = np.array([0.0, TABLE_S0[0] - BASE_MU_HAT, 0.0, TABLE_S0[1] - BASE_MU_HAT, TABLE_S0[2] - BASE_MU_HAT])
-    size = tau_lbar.size
     with pytest.raises(BracketingError) as batched:
-        _solve_roots(tau_lbar, np.full(size, BASE_L0), base_params, np.full(size, BASE_TAU), eps_hint)
+        _solve_roots(tau_lbar, np.full(eps_hint.size, BASE_L0), base_params, np.array([BASE_TAU]), eps_hint)
     assert str(batched.value) == str(alone.value)
 
 
@@ -605,12 +610,11 @@ def test_chunked_solve_raises_the_first_failure_in_index_order(monkeypatch, base
     with pytest.raises(BracketingError) as alone:
         solve_shat_numeric(-5.0, BASE_L0, base_params, BASE_TAU)
     near = compute_oracles([InitialState(s0=s0, l0=BASE_L0) for s0 in TABLE_S0], base_params, BASE_TAU)
-    tau_lbar = np.array([near[0].tau_lbar, near[1].tau_lbar, -5.0, near[2].tau_lbar, -5.0])
+    tau_lbar = np.array([[near[0].tau_lbar, near[1].tau_lbar, -5.0, near[2].tau_lbar, -5.0]])
     eps_hint = np.array([TABLE_S0[0] - BASE_MU_HAT, TABLE_S0[1] - BASE_MU_HAT, 0.0, TABLE_S0[2] - BASE_MU_HAT, 1.0])
-    size = tau_lbar.size
     monkeypatch.setattr(sshat.oracle, "_ROOT_CHUNK", 2)
     with pytest.raises(BracketingError) as batched:
-        _solve_roots(tau_lbar, np.full(size, BASE_L0), base_params, np.full(size, BASE_TAU), eps_hint)
+        _solve_roots(tau_lbar, np.full(eps_hint.size, BASE_L0), base_params, np.array([BASE_TAU]), eps_hint)
     assert str(batched.value) == str(alone.value)
 
 
@@ -638,16 +642,16 @@ def test_root_solve_memory_is_bounded(base_params):
     # about 100 MB, of which the (4, 16, entries) table of _phi was 51 MB.
     near = compute_oracles([InitialState(s0=s0, l0=BASE_L0) for s0 in TABLE_S0], base_params, BASE_TAU)
     size = 10**5
-    tau_lbar = np.resize([result.tau_lbar for result in near], size)
+    tau_lbar = np.resize([result.tau_lbar for result in near], (1, size))
     eps_hint = np.resize(np.array(TABLE_S0) - BASE_MU_HAT, size)
-    l0, tau = np.full(size, BASE_L0), np.full(size, BASE_TAU)
+    l0, tau = np.full(size, BASE_L0), np.array([BASE_TAU])
     tracemalloc.start()
     try:
         roots = _solve_roots(tau_lbar, l0, base_params, tau, eps_hint)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert roots.s_hat.tolist() == np.resize([result.s_hat for result in near], size).tolist()
+    assert roots.s_hat[0].tolist() == np.resize([result.s_hat for result in near], size).tolist()
     assert peak < 20_000_000
 
 
