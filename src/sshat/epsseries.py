@@ -38,11 +38,14 @@ acceptance criterion 5 do.
 Both sides are affine in l0: ``L_k = A_k + l0 B_k`` (perturbation) and
 ``f_j = a_j + l0 b_j``.  So one solve covers a whole grid of (l0, tau) pairs:
 A_k, B_k, a_j and b_j once per maturity, then the reversion elementwise over
-blocks of pairs.  A scalar solve is a grid of one pair.
+blocks of pairs.  A scalar solve is a grid of one pair, up to the reversion:
+a block of one pair reverts in Python floats, where numpy's per-call cost
+outweighed the arithmetic, with the same bits as the block loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +100,36 @@ _BLOCK = 1024
 _TINY = np.finfo(float).tiny
 
 
+def _revert_one(order: int, f: list[float], L: list[float]):
+    """The block loop's ``(delta, residuals)`` for one pair, in Python floats, or None.
+
+    ``f`` and ``L`` are the pair's Taylor coefficients of F and right-hand
+    side terms L_k.  Each sum adds left to right from 0.0, as the block
+    loop's does, but skips the products delta_i [delta^(j-1)]_(t-i) with
+    t - i < j - 1, whose power is an exact 0.0: with delta_i finite they
+    add +-0.0 to a sum that is never -0.0, so no bit changes.  A delta_i
+    that is inf or NaN makes them NaN in the block loop, so the result is
+    None unless every coefficient is finite, and the caller then runs the
+    block loop.
+    """
+    delta, rest = [0.0] * (order + 1), [L[0] - f[0]] + [0.0] * order
+    D = [None, delta] + [[0.0] * (order + 1) for _ in range(2, order + 1)]
+    f1 = f[1]
+    for t in range(1, order + 1):
+        total = 0.0
+        for j in range(2, t + 1):
+            power, s = D[j - 1], 0.0
+            for i in range(1, t - j + 2):
+                s += delta[i] * power[t - i]
+            D[j][t] = s
+            total += f[j] * s
+        rest[t] = L[t] - total
+        delta[t] = rest[t] / f1
+    if not all(map(math.isfinite, delta)):
+        return None
+    return delta, [abs(f1 * d - r) for d, r in zip(delta, rest)]
+
+
 def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray):
     """Solve the reversion at every pair of ``l0`` x ``tau`` (1-D arrays).
 
@@ -105,7 +138,9 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
     shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
     sum over the order index adds in a fixed order, so each pair has the
-    bits of a grid of that pair alone.  Raises NumericalFailure at the
+    bits of a grid of that pair alone.  A block of one pair reverts in
+    Python floats (``_revert_one``), with the block loop's bits; blocks of
+    two or more pairs run the block loop.  Raises NumericalFailure at the
     first maturity where ``_quadrature`` overflows, before any block is
     yielded; after that, at the first block that holds a pair where
     f = a + l0 b overflows or f_1 is not a normal double.
@@ -137,25 +172,30 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
             t = taus[i_tau[underflowed.argmax()]]
             raise NumericalFailure(f"the slope f_1 of F underflowed at tau={t!r}")
 
-        # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
-        # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
-        # rest_t = L_t - sum_(j>=2) f_j [delta^j]_t and delta_t = rest_t / f_1.
-        # Order 1 has no powers delta^j with j >= 2: rest_1 = L_1.
-        # np.einsum adds each sum left to right, whatever the block holds, on
-        # these strided operands (test_reversion_adds_left_to_right); on
-        # contiguous one-pair operands it may sum in another order.
-        D = np.zeros((n + 1, order + 1, len(x)))
-        delta, rest = D[1], np.empty((order + 1, len(x)))
-        np.subtract(L[0], f[0], out=rest[0])
-        if order:
-            rest[1] = L[1]
-            np.divide(rest[1], f[1], out=delta[1])
-        for t in range(2, order + 1):
-            powers = D[2 : t + 1, t]
-            np.einsum("i...,ji...->j...", delta[1:t], D[1:t, t - 1 : 0 : -1], out=powers)
-            np.subtract(L[t], np.einsum("j...,j...->...", f[2 : t + 1], powers), out=rest[t])
-            np.divide(rest[t], f[1], out=delta[t])
-        residuals = np.abs(f[1] * delta - rest)
+        # For one pair the block loop's numpy calls cost more than its few hundred flops.
+        one = _revert_one(order, f[:, 0].tolist(), L[:, 0].tolist()) if len(x) == 1 else None
+        if one is not None:
+            delta, residuals = np.array(one)[..., None]
+        else:
+            # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
+            # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
+            # rest_t = L_t - sum_(j>=2) f_j [delta^j]_t and delta_t = rest_t / f_1.
+            # Order 1 has no powers delta^j with j >= 2: rest_1 = L_1.
+            # np.einsum adds each sum left to right, whatever the block holds, on
+            # these strided operands (test_reversion_adds_left_to_right); on
+            # contiguous one-pair operands it may sum in another order.
+            D = np.zeros((n + 1, order + 1, len(x)))
+            delta, rest = D[1], np.empty((order + 1, len(x)))
+            np.subtract(L[0], f[0], out=rest[0])
+            if order:
+                rest[1] = L[1]
+                np.divide(rest[1], f[1], out=delta[1])
+            for t in range(2, order + 1):
+                powers = D[2 : t + 1, t]
+                np.einsum("i...,ji...->j...", delta[1:t], D[1:t, t - 1 : 0 : -1], out=powers)
+                np.subtract(L[t], np.einsum("j...,j...->...", f[2 : t + 1], powers), out=rest[t])
+                np.divide(rest[t], f[1], out=delta[t])
+            residuals = np.abs(f[1] * delta - rest)
         delta[0] = k0
         yield start, delta, k0 * k0 * f[1], residuals
 

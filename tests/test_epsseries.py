@@ -6,7 +6,8 @@ does:
     python -W error tests/test_epsseries.py 2000 [SEED]
 
 It solves that many seeded configurations (orders 0-16, maturities 1e-4 to
-1e4) at block lengths 1, 7 and 1024 and prints the count of columns checked.
+1e4) at block lengths 1, 2, 7 and 1024 and prints the count of columns
+checked: length 1 runs the one-pair float loop, the others the block loop.
 It exits 1 when any column differs from the plain-Python reversion in any
 bit, naming the first three.
 """
@@ -401,7 +402,7 @@ def _bits(row):
 _BLOCK = sshat.epsseries._BLOCK
 
 
-def reversion_mismatches(count, seed, blocks=(1, 7, 1024)):
+def reversion_mismatches(count, seed, blocks=(1, 2, 7, 1024)):
     """Solve ``count`` seeded configurations and compare each column with ``_reference_reversion``.
 
     Configuration i has order ``i % 17``, 1-3 values of l0 and 1-3 maturities
@@ -435,7 +436,29 @@ def test_reversion_adds_left_to_right():
     # reversion, which adds each sum left to right, at orders 0-16 and at
     # any block length: np.einsum keeps that order on _solve_grid's operands.
     checked, bad = reversion_mismatches(4 * (N_MAX + 1), 1978)
-    assert checked >= 600 and not bad
+    assert checked >= 800 and not bad
+
+
+@pytest.mark.parametrize("order", [3, 8])
+def test_overflowing_one_pair_reversion_falls_back_to_the_block_loop(monkeypatch, base_params, order):
+    # f_j = 1 except f_1 = -1e-300, a normal double, and L_j = 1e300: f is
+    # finite but delta_1 = L_1 / f_1 overflows.  The products that the
+    # one-pair float loop skips are then inf * 0.0 = NaN in the block loop,
+    # and the pair solved alone must still have the bits it has in a grid
+    # of three, nan and inf included.
+    def synthetic(params, tau, top):
+        terms = _quadrature(params, tau, top)
+        if tau == 2.0:
+            terms[0, 0], terms[0, 0, 1], terms[0, 1], terms[1] = 1.0, -1e-300, 1e300, 0.0
+        return terms
+
+    monkeypatch.setattr(sshat.epsseries, "_quadrature", synthetic)
+    l0 = np.array([BASE_L0])
+    with np.errstate(all="ignore"):
+        (alone,) = _grid_rows(base_params, order, l0, np.array([2.0]))
+        grid = _grid_rows(base_params, order, l0, np.array([1.0, 2.0, 5.0]))
+    assert not all(map(math.isfinite, alone[0]))
+    assert _bits(alone) == _bits(grid[1])
 
 
 def test_quadrature_rows_do_not_depend_on_top():
