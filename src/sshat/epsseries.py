@@ -36,11 +36,14 @@ The mpmath values of ``tests/_reference.py`` and the closed-form L_k of
 acceptance criterion 5 do.
 
 Both sides are affine in l0: ``L_k = A_k + l0 B_k`` (perturbation) and
-``f_j = a_j + l0 b_j``.  So one solve covers a whole grid of (l0, tau) pairs:
-A_k, B_k, a_j and b_j once per maturity, then the reversion elementwise over
-blocks of pairs.  A scalar solve is a grid of one pair, up to the reversion:
-a block of one pair reverts in Python floats, where numpy's per-call cost
-outweighed the arithmetic, with the same bits as the block loop.
+``f_j = a_j + l0 b_j``.  So one solve covers a whole grid of (l0, tau) pairs
+(``_solve_grid``): A_k, B_k, a_j and b_j once per maturity, then the
+reversion elementwise over blocks of pairs.  A scalar solve
+(``solve_shat_series``) takes the same steps for its one pair in Python
+floats from the quadrature's table on, where numpy's per-call cost
+outweighed the arithmetic, with the bits and errors of a grid of that pair.
+Only a coefficient that is not finite sends it to the grid solve, whose
+NaNs from inf * 0.0 the float loop does not form.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _series_sum(terms, eps):
 _BLOCK = 1024
 
 # The smallest normal double.
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 def _revert_one(order: int, f: list[float], L: list[float]):
@@ -138,12 +141,12 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
     ``start`` the index of the block's first pair, ``k`` and ``residuals`` of
     shape (order+1, pairs) and ``bracket`` of shape (pairs,).  Every
     sum over the order index adds in a fixed order, so each pair has the
-    bits of a grid of that pair alone.  A block of one pair reverts in
-    Python floats (``_revert_one``), with the block loop's bits; blocks of
-    two or more pairs run the block loop.  Raises NumericalFailure at the
-    first maturity where ``_quadrature`` overflows, before any block is
-    yielded; after that, at the first block that holds a pair where
-    f = a + l0 b overflows or f_1 is not a normal double.
+    bits of a grid of that pair alone, and of ``solve_shat_series`` at that
+    pair.  Every block, one pair too, runs the np.einsum block loop.
+    Raises NumericalFailure at the first maturity where ``_quadrature``
+    overflows, before any block is yielded; after that, at the first block
+    that holds a pair where f = a + l0 b overflows or f_1 is not a normal
+    double.
     """
     n = max(order, 1)
     k0 = params.mu_hat
@@ -172,30 +175,25 @@ def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray
             t = taus[i_tau[underflowed.argmax()]]
             raise NumericalFailure(f"the slope f_1 of F underflowed at tau={t!r}")
 
-        # For one pair the block loop's numpy calls cost more than its few hundred flops.
-        one = _revert_one(order, f[:, 0].tolist(), L[:, 0].tolist()) if len(x) == 1 else None
-        if one is not None:
-            delta, residuals = np.array(one)[..., None]
-        else:
-            # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
-            # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
-            # rest_t = L_t - sum_(j>=2) f_j [delta^j]_t and delta_t = rest_t / f_1.
-            # Order 1 has no powers delta^j with j >= 2: rest_1 = L_1.
-            # np.einsum adds each sum left to right, whatever the block holds, on
-            # these strided operands (test_reversion_adds_left_to_right); on
-            # contiguous one-pair operands it may sum in another order.
-            D = np.zeros((n + 1, order + 1, len(x)))
-            delta, rest = D[1], np.empty((order + 1, len(x)))
-            np.subtract(L[0], f[0], out=rest[0])
-            if order:
-                rest[1] = L[1]
-                np.divide(rest[1], f[1], out=delta[1])
-            for t in range(2, order + 1):
-                powers = D[2 : t + 1, t]
-                np.einsum("i...,ji...->j...", delta[1:t], D[1:t, t - 1 : 0 : -1], out=powers)
-                np.subtract(L[t], np.einsum("j...,j...->...", f[2 : t + 1], powers), out=rest[t])
-                np.divide(rest[t], f[1], out=delta[t])
-            residuals = np.abs(f[1] * delta - rest)
+        # D[j, t] = [delta^j]_t, the eps^t coefficient of delta^j, and row 1 is
+        # delta (delta_0 = 0): [delta^j]_t = sum_(i<t) delta_i [delta^(j-1)]_(t-i),
+        # rest_t = L_t - sum_(j>=2) f_j [delta^j]_t and delta_t = rest_t / f_1.
+        # Order 1 has no powers delta^j with j >= 2: rest_1 = L_1.
+        # np.einsum adds each sum left to right, whatever the block holds, on
+        # these strided operands, blocks of one pair included
+        # (test_reversion_adds_left_to_right checks block lengths 1, 2, 7 and 1024).
+        D = np.zeros((n + 1, order + 1, len(x)))
+        delta, rest = D[1], np.empty((order + 1, len(x)))
+        np.subtract(L[0], f[0], out=rest[0])
+        if order:
+            rest[1] = L[1]
+            np.divide(rest[1], f[1], out=delta[1])
+        for t in range(2, order + 1):
+            powers = D[2 : t + 1, t]
+            np.einsum("i...,ji...->j...", delta[1:t], D[1:t, t - 1 : 0 : -1], out=powers)
+            np.subtract(L[t], np.einsum("j...,j...->...", f[2 : t + 1], powers), out=rest[t])
+            np.divide(rest[t], f[1], out=delta[t])
+        residuals = np.abs(f[1] * delta - rest)
         delta[0] = k0
         yield start, delta, k0 * k0 * f[1], residuals
 
@@ -251,18 +249,32 @@ def solve_shat_series(
     the slope f_1 = F'(mu_hat), which is strictly negative for l0 > 0.
     ``l0`` and ``params`` must be the ones ``expansion`` was built from.
     Raises NumericalFailure when the Taylor coefficients of F overflow or
-    f_1 underflows below a normal double.
+    f_1 underflows below a normal double.  Runs in Python floats from the
+    quadrature's table on (``_revert_one``), with the bits and errors of
+    ``_solve_grid`` at the one pair (l0, tau); where a coefficient is not
+    finite it returns that grid solve's result instead, NaNs included.
     """
     _require_match(expansion, l0, params)
     tau = _require_maturity(tau)
     _require_index(order, "order", 0, expansion.order)
-    ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([expansion.l0]), np.array([tau]))
-    return ShatExpansion(
-        tau=tau,
-        k=tuple(k[:, 0].tolist()),
-        bracket=float(bracket[0]),
-        residuals=tuple(residuals[:, 0].tolist()),
-    )
+    # _solve_grid's steps for one pair, in Python floats: its numpy calls
+    # cost more than the few hundred flops of one pair, and each float
+    # operation has the bits of its elementwise numpy one.
+    k0, x = params.mu_hat, expansion.l0
+    (a, A), (b, B) = _quadrature(params, tau, max(order, 1)).tolist()
+    f = [aj + x * bj for aj, bj in zip(a, b)]
+    if not all(map(math.isfinite, f)):
+        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * tau!r}")
+    if abs(f[1]) < _TINY:
+        raise NumericalFailure(f"the slope f_1 of F underflowed at tau={tau!r}")
+    one = _revert_one(order, f, [Aj + x * Bj for Aj, Bj in zip(A, B)])
+    if one is None:
+        ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([x]), np.array([tau]))
+        k, bracket, residuals = k[:, 0].tolist(), float(bracket[0]), residuals[:, 0].tolist()
+    else:
+        k, residuals = one
+        k[0], bracket = k0, k0 * k0 * f[1]
+    return ShatExpansion(tau=tau, k=tuple(k), bracket=bracket, residuals=tuple(residuals))
 
 
 def rhs1_printed(expansion: EllExpansion, tau: float, l0: float, params: ModelParams) -> float:

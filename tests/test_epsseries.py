@@ -6,10 +6,11 @@ does:
     python -W error tests/test_epsseries.py 2000 [SEED]
 
 It solves that many seeded configurations (orders 0-16, maturities 1e-4 to
-1e4) at block lengths 1, 2, 7 and 1024 and prints the count of columns
-checked: length 1 runs the one-pair float loop, the others the block loop.
-It exits 1 when any column differs from the plain-Python reversion in any
-bit, naming the first three.
+1e4) with the grid solve at block lengths 1, 2, 7 and 1024, which all run
+the np.einsum block loop, and pair by pair with solve_shat_series, which
+runs the float loop, and prints the count of columns checked.  It exits 1
+when any column differs from the plain-Python reversion in any bit, naming
+the first three.
 """
 
 import math
@@ -129,6 +130,23 @@ def test_exp_overflow_raises(base_params):
     assert all(map(math.isfinite, solve_shat_series(build_expansion(params, BASE_L0, 3), 1000.0, BASE_L0, params, 3).k))
 
 
+def _one_pair_failure(params, order, l0, tau):
+    """The message of the NumericalFailure that the scalar solve and a one-pair grid both raise.
+
+    Fails unless the two raise the same type with the same message.
+    """
+    raised = []
+    for solve in (
+        lambda: solve_shat_series(build_expansion(params, l0, order), tau, l0, params, order),
+        lambda: next(_solve_grid(params, order, np.array([l0]), np.array([tau]))),
+    ):
+        with pytest.raises(NumericalFailure) as error:
+            solve()
+        raised.append((type(error.value), str(error.value)))
+    assert raised[0] == raised[1]
+    return raised[0][1]
+
+
 def test_subnormal_slope_raises(base_params, base_expansion):
     # f_1 is about -l0 tau^2 / 2, below the smallest normal double from
     # tau = 1e-154 on, and every order divides by it.
@@ -136,6 +154,7 @@ def test_subnormal_slope_raises(base_params, base_expansion):
         solve_shat_series(base_expansion, 1e-160, BASE_L0, base_params, 3)
     with pytest.raises(NumericalFailure, match="f_1 of F underflowed at tau=1e-300"):
         next(_solve_grid(base_params, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1e-300])))
+    assert _one_pair_failure(base_params, 3, BASE_L0, 1e-300) == "the slope f_1 of F underflowed at tau=1e-300"
     assert all(map(math.isfinite, solve_shat_series(base_expansion, 1e-150, BASE_L0, base_params, 3).k))
 
 
@@ -402,13 +421,21 @@ def _bits(row):
 _BLOCK = sshat.epsseries._BLOCK
 
 
+def _scalar_row(params, order, l0, tau):
+    """k, bracket and residuals of ``solve_shat_series`` at one (l0, tau) pair."""
+    shat = solve_shat_series(build_expansion(params, l0, order), tau, l0, params, order)
+    return shat.k, shat.bracket, shat.residuals
+
+
 def reversion_mismatches(count, seed, blocks=(1, 2, 7, 1024)):
     """Solve ``count`` seeded configurations and compare each column with ``_reference_reversion``.
 
     Configuration i has order ``i % 17``, 1-3 values of l0 and 1-3 maturities
-    log-uniform in [1e-4, 1e4].  Returns the columns checked and the
-    ``(i, block, pair)`` of every column that differs in any bit.  A
-    configuration that the solve rejects as a NumericalFailure is skipped.
+    log-uniform in [1e-4, 1e4].  Each pair is solved by the grid solve at
+    every length in ``blocks`` and by ``solve_shat_series``, whose block is
+    named "scalar".  Returns the columns checked and the ``(i, block, pair)``
+    of every column that differs in any bit.  A configuration that the solve
+    rejects as a NumericalFailure is skipped.
     """
     checked, bad = 0, []
     for i in range(count):
@@ -417,13 +444,17 @@ def reversion_mismatches(count, seed, blocks=(1, 2, 7, 1024)):
         order = i % (N_MAX + 1)
         l0 = np.array([rng.uniform(0.005, 0.25) for _ in range(rng.randint(1, 3))])
         tau = np.array([10.0 ** rng.uniform(-4.0, 4.0) for _ in range(rng.randint(1, 3))])
+        pairs = [(a, t) for a in l0.tolist() for t in tau.tolist()]
         try:
-            expected = [_bits(_reference_reversion(params, order, a, t)) for a in l0.tolist() for t in tau.tolist()]
+            expected = [_bits(_reference_reversion(params, order, a, t)) for a, t in pairs]
             for block in blocks:
                 sshat.epsseries._BLOCK = block
                 rows = _grid_rows(params, order, l0, tau)
                 bad += [(i, block, p) for p, row in enumerate(rows) if _bits(row) != expected[p]]
                 checked += len(rows)
+            rows = [_scalar_row(params, order, a, t) for a, t in pairs]
+            bad += [(i, "scalar", p) for p, row in enumerate(rows) if _bits(row) != expected[p]]
+            checked += len(rows)
         except NumericalFailure:
             continue
         finally:
@@ -432,31 +463,43 @@ def reversion_mismatches(count, seed, blocks=(1, 2, 7, 1024)):
 
 
 def test_reversion_adds_left_to_right():
-    # Every column of the grid solve has the bits of the plain-Python
-    # reversion, which adds each sum left to right, at orders 0-16 and at
-    # any block length: np.einsum keeps that order on _solve_grid's operands.
+    # Every column of the grid solve, and every scalar solve, has the bits
+    # of the plain-Python reversion, which adds each sum left to right, at
+    # orders 0-16 and at any block length: np.einsum keeps that order on
+    # _solve_grid's operands, one-pair blocks included, and the scalar
+    # solve's float loop adds in the same order.
     checked, bad = reversion_mismatches(4 * (N_MAX + 1), 1978)
-    assert checked >= 800 and not bad
+    assert checked >= 1000 and not bad
 
 
 @pytest.mark.parametrize("order", [3, 8])
 def test_overflowing_one_pair_reversion_falls_back_to_the_block_loop(monkeypatch, base_params, order):
     # f_j = 1 except f_1 = -1e-300, a normal double, and L_j = 1e300: f is
     # finite but delta_1 = L_1 / f_1 overflows.  The products that the
-    # one-pair float loop skips are then inf * 0.0 = NaN in the block loop,
-    # and the pair solved alone must still have the bits it has in a grid
-    # of three, nan and inf included.
+    # scalar solve's float loop skips are then inf * 0.0 = NaN in the block
+    # loop, and the scalar solve must still have the bits the pair has in a
+    # grid of three, nan and inf included.  Only this non-finite result
+    # sends the scalar solve to the block loop.
     def synthetic(params, tau, top):
         terms = _quadrature(params, tau, top)
         if tau == 2.0:
             terms[0, 0], terms[0, 0, 1], terms[0, 1], terms[1] = 1.0, -1e-300, 1e300, 0.0
         return terms
 
+    grids = []
+
+    def counted(*args):
+        grids.append(args)
+        return _solve_grid(*args)
+
     monkeypatch.setattr(sshat.epsseries, "_quadrature", synthetic)
-    l0 = np.array([BASE_L0])
+    monkeypatch.setattr(sshat.epsseries, "_solve_grid", counted)
+    _scalar_row(base_params, order, BASE_L0, 1.0)
+    assert not grids
     with np.errstate(all="ignore"):
-        (alone,) = _grid_rows(base_params, order, l0, np.array([2.0]))
-        grid = _grid_rows(base_params, order, l0, np.array([1.0, 2.0, 5.0]))
+        alone = _scalar_row(base_params, order, BASE_L0, 2.0)
+        grid = _grid_rows(base_params, order, np.array([BASE_L0]), np.array([1.0, 2.0, 5.0]))
+    assert len(grids) == 1
     assert not all(map(math.isfinite, alone[0]))
     assert _bits(alone) == _bits(grid[1])
 
@@ -487,9 +530,13 @@ def test_batched_solve_overflow_matches_scalar_solve():
         next(_solve_grid(params, 3, np.array([0.05, BASE_L0]), np.array([1.0, 1000.0, 2.0])))
     assert str(batched.value) == str(scalar.value)
     assert "k0*tau=-1000.0" in str(scalar.value)
-    # A finite l0 large enough to overflow f_j fails in its own pair.
+    assert _one_pair_failure(params, 3, BASE_L0, 1000.0) == str(scalar.value)
+    # A finite l0 large enough to overflow f = a + l0 b, from a finite
+    # quadrature, fails in its own pair.
     with pytest.raises(NumericalFailure, match="Taylor coefficients"):
         next(_solve_grid(params, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
+    assert np.isfinite(_quadrature(params, 5.0, 3)).all()
+    assert _one_pair_failure(params, 3, 1e308, 5.0) == "Taylor coefficients of F overflowed at k0*tau=-5.0"
 
 
 def test_term_tables_are_written_only_when_read(monkeypatch, base_params):
