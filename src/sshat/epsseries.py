@@ -42,12 +42,16 @@ reversion elementwise over blocks of pairs.  A scalar solve
 (``solve_shat_series``) takes the same steps for its one pair in Python
 floats from the quadrature's table on, where numpy's per-call cost
 outweighed the arithmetic, with the bits and errors of a grid of that pair.
-Only a coefficient that is not finite sends it to the grid solve, whose
-NaNs from inf * 0.0 the float loop does not form.
+Its reversion is one straight-line function per order, generated and
+compiled on first use (``_reversion_kernel``, 0.2 ms at order 3 and 3-5 ms
+at order 16, once per process), since interpreting the loop cost more than
+its multiply-adds.  Only a coefficient that is not finite sends it to the
+grid solve, whose NaNs from inf * 0.0 the float kernel does not form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,33 +107,57 @@ _BLOCK = 1024
 _TINY = float(np.finfo(float).tiny)
 
 
+@functools.cache
+def _reversion_kernel(order: int):
+    """The reversion of one pair up to ``order`` as straight-line Python, compiled once.
+
+    ``kernel(f, L)`` returns the lists ``(delta, rest)`` with delta_0 = 0.0
+    and, for t = 1..order,
+
+        [delta^j]_t = 0.0 + sum_(i=1..t-j+1) delta_i [delta^(j-1)]_(t-i)   (j = 2..t)
+        rest_t = L_t - (0.0 + sum_(j=2..t) f_j [delta^j]_t)
+        delta_t = rest_t / f_1,
+
+    in the locals ``p{j}_{t}``, ``r{t}`` and ``d{t}`` (``d`` also for
+    delta^1), rest_0 = L_0 - f_0.  Each sum is one expression added left to
+    right: the leading ``0.0 +`` turns a sum of -0.0 products into 0.0, and
+    CPython folds only constant operands, so no term moves.  ``sum``
+    compensates float sums from Python 3.12 on and ``math.fsum`` rounds
+    once, so neither gives the loop's bits.  The source is built from
+    integers only.
+    """
+    lines = ["def kernel(f, L):", "    f1 = f[1]", "    r0 = L[0] - f[0]"]
+    for t in range(1, order + 1):
+        for j in range(2, t + 1):
+            power = "d" if j == 2 else f"p{j - 1}_"
+            terms = "".join(f" + d{i} * {power}{t - i}" for i in range(1, t - j + 2))
+            lines.append(f"    p{j}_{t} = 0.0{terms}")
+        total = "".join(f" + f[{j}] * p{j}_{t}" for j in range(2, t + 1))
+        lines += [f"    r{t} = L[{t}] - (0.0{total})", f"    d{t} = r{t} / f1"]
+    delta = ", ".join(["0.0"] + [f"d{t}" for t in range(1, order + 1)])
+    rest = ", ".join(f"r{t}" for t in range(order + 1))
+    lines.append(f"    return [{delta}], [{rest}]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<reversion kernel, order {order}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _revert_one(order: int, f: list[float], L: list[float]):
     """The block loop's ``(delta, residuals)`` for one pair, in Python floats, or None.
 
     ``f`` and ``L`` are the pair's Taylor coefficients of F and right-hand
-    side terms L_k.  Each sum adds left to right from 0.0, as the block
-    loop's does, but skips the products delta_i [delta^(j-1)]_(t-i) with
-    t - i < j - 1, whose power is an exact 0.0: with delta_i finite they
-    add +-0.0 to a sum that is never -0.0, so no bit changes.  A delta_i
-    that is inf or NaN makes them NaN in the block loop, so the result is
-    None unless every coefficient is finite, and the caller then runs the
-    block loop.
+    side terms L_k.  ``_reversion_kernel(order)`` forms delta and rest with
+    each sum added left to right from 0.0, as the block loop's, but skips
+    the products delta_i [delta^(j-1)]_(t-i) with t - i < j - 1, whose power
+    is an exact 0.0: with delta_i finite they add +-0.0 to a sum that is
+    never -0.0, so no bit changes.  A delta_i that is inf or NaN makes them
+    NaN in the block loop, so the result is None unless every coefficient
+    is finite, and the caller then runs the block loop.
     """
-    delta, rest = [0.0] * (order + 1), [L[0] - f[0]] + [0.0] * order
-    D = [None, delta] + [[0.0] * (order + 1) for _ in range(2, order + 1)]
-    f1 = f[1]
-    for t in range(1, order + 1):
-        total = 0.0
-        for j in range(2, t + 1):
-            power, s = D[j - 1], 0.0
-            for i in range(1, t - j + 2):
-                s += delta[i] * power[t - i]
-            D[j][t] = s
-            total += f[j] * s
-        rest[t] = L[t] - total
-        delta[t] = rest[t] / f1
+    delta, rest = _reversion_kernel(order)(f, L)
     if not all(map(math.isfinite, delta)):
         return None
+    f1 = f[1]
     return delta, [abs(f1 * d - r) for d, r in zip(delta, rest)]
 
 
@@ -250,9 +278,11 @@ def solve_shat_series(
     ``l0`` and ``params`` must be the ones ``expansion`` was built from.
     Raises NumericalFailure when the Taylor coefficients of F overflow or
     f_1 underflows below a normal double.  Runs in Python floats from the
-    quadrature's table on (``_revert_one``), with the bits and errors of
-    ``_solve_grid`` at the one pair (l0, tau); where a coefficient is not
-    finite it returns that grid solve's result instead, NaNs included.
+    quadrature's table on, reverting with the order's compiled kernel
+    (``_revert_one``; the first solve at an order in a process compiles it,
+    up to a few ms at order 16), with the bits and errors of ``_solve_grid``
+    at the one pair (l0, tau); where a coefficient is not finite it returns
+    that grid solve's result instead, NaNs included.
     """
     _require_match(expansion, l0, params)
     tau = _require_maturity(tau)

@@ -8,9 +8,9 @@ does:
 It solves that many seeded configurations (orders 0-16, maturities 1e-4 to
 1e4) with the grid solve at block lengths 1, 2, 7 and 1024, which all run
 the np.einsum block loop, and pair by pair with solve_shat_series, which
-runs the float loop, and prints the count of columns checked.  It exits 1
-when any column differs from the plain-Python reversion in any bit, naming
-the first three.
+runs the order's generated float kernel, and prints the count of columns
+checked.  It exits 1 when any column differs from the plain-Python
+reversion in any bit, naming the first three.
 """
 
 import math
@@ -383,18 +383,14 @@ def test_batched_solve_rows_equal_scalar_solves(monkeypatch, order):
         assert (shat.k, shat.bracket, shat.residuals) == (tuple(k), bracket, tuple(residuals))
 
 
-def _reference_reversion(params, order, l0, tau):
-    """k, bracket and residuals of one pair, each sum added left to right in plain Python.
+def _left_to_right_reversion(order, f, L):
+    """delta and residuals of the reversion of the lists ``f`` and ``L``, each sum added left to right.
 
-    The inputs are ``_quadrature``'s values as floats.  ``D[j][t]`` is the
-    eps^t coefficient of delta^j and ``S_t = sum_(j>=2) f_j D[j][t]``; both
-    start from 0.0 and add their products in increasing i and j.
+    ``D[j][t]`` is the eps^t coefficient of delta^j and ``S_t = sum_(j>=2) f_j D[j][t]``;
+    both start from 0.0 and add their products in increasing i and j, the
+    products with a zero power included.  delta_0 is 0.0.
     """
-    n = max(order, 1)
-    (a, A), (b, B) = _quadrature(params, tau, n).tolist()
-    f = [a[j] + l0 * b[j] for j in range(n + 1)]
-    L = [A[j] + l0 * B[j] for j in range(n + 1)]
-    D = [[0.0] * (order + 1) for _ in range(n + 1)]
+    D = [[0.0] * (order + 1) for _ in range(max(order, 1) + 1)]
     delta, rest = D[1], [L[0] - f[0]] + [0.0] * order
     for t in range(1, order + 1):
         for j in range(2, t + 1):
@@ -407,7 +403,18 @@ def _reference_reversion(params, order, l0, tau):
             s = s + f[j] * D[j][t]
         rest[t] = L[t] - s
         delta[t] = rest[t] / f[1]
-    residuals = [abs(f[1] * d - r) for d, r in zip(delta, rest)]
+    return delta, [abs(f[1] * d - r) for d, r in zip(delta, rest)]
+
+
+def _reference_reversion(params, order, l0, tau):
+    """k, bracket and residuals of one pair from ``_left_to_right_reversion``.
+
+    The inputs are ``_quadrature``'s values as floats.
+    """
+    (a, A), (b, B) = _quadrature(params, tau, max(order, 1)).tolist()
+    f = [aj + l0 * bj for aj, bj in zip(a, b)]
+    L = [Aj + l0 * Bj for Aj, Bj in zip(A, B)]
+    delta, residuals = _left_to_right_reversion(order, f, L)
     k0 = params.mu_hat
     return [k0, *delta[1:]], k0 * k0 * f[1], residuals
 
@@ -467,16 +474,50 @@ def test_reversion_adds_left_to_right():
     # of the plain-Python reversion, which adds each sum left to right, at
     # orders 0-16 and at any block length: np.einsum keeps that order on
     # _solve_grid's operands, one-pair blocks included, and the scalar
-    # solve's float loop adds in the same order.
+    # solve's float kernel adds in the same order.
     checked, bad = reversion_mismatches(4 * (N_MAX + 1), 1978)
     assert checked >= 1000 and not bad
+
+
+def _edge_value(rng):
+    """A float of one of five classes: +-0.0, subnormal, tiny normal or of order one."""
+    sign = rng.choice((1.0, -1.0))
+    kind = rng.randrange(5)
+    if kind < 2:
+        return sign * 0.0
+    if kind == 2:
+        return sign * 5e-324 * rng.randint(1, 10**6)
+    if kind == 3:
+        return sign * 10.0 ** rng.uniform(-308.0, -150.0)
+    return sign * rng.uniform(0.1, 2.0)
+
+
+def test_reversion_kernel_keeps_signed_zeros_and_tiny_values():
+    # Synthetic f and L at every order, with -0.0 in L, subnormals, and
+    # delta_i of opposite signs whose products underflow to -0.0: the
+    # kernel's sums start from 0.0 as the loop's do, so a sum of -0.0
+    # products is 0.0 and L_t = -0.0 gives rest_t = -0.0, bit for bit.
+    # Seeded quadrature inputs never reach these values.
+    rng = random.Random(1978)
+    checked = 0
+    for order in range(N_MAX + 1):
+        for _ in range(200):
+            f = [_edge_value(rng) for _ in range(max(order, 1) + 1)]
+            f[1] = rng.choice((1.0, -1.0)) * rng.uniform(0.5, 2.0)
+            L = [_edge_value(rng) for _ in range(max(order, 1) + 1)]
+            delta, residuals = _left_to_right_reversion(order, f, L)
+            assert all(map(math.isfinite, delta))
+            got = sshat.epsseries._revert_one(order, f, L)
+            assert [x.hex() for x in (*got[0], *got[1])] == [x.hex() for x in (*delta, *residuals)], (order, f, L)
+            checked += any(math.copysign(1.0, x) < 0 for x in delta if x == 0.0)
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("order", [3, 8])
 def test_overflowing_one_pair_reversion_falls_back_to_the_block_loop(monkeypatch, base_params, order):
     # f_j = 1 except f_1 = -1e-300, a normal double, and L_j = 1e300: f is
     # finite but delta_1 = L_1 / f_1 overflows.  The products that the
-    # scalar solve's float loop skips are then inf * 0.0 = NaN in the block
+    # scalar solve's float kernel skips are then inf * 0.0 = NaN in the block
     # loop, and the scalar solve must still have the bits the pair has in a
     # grid of three, nan and inf included.  Only this non-finite result
     # sends the scalar solve to the block loop.
@@ -641,16 +682,29 @@ def test_partial_sums_approach_oracle_monotonically(base_params, base_expansion)
         assert all(errors[n + 1] <= errors[n] for n in range(3))
 
 
-def test_concurrent_solves_match_sequential(base_params, base_expansion):
-    taus = [0.25, 0.5, 1.0, 2.0, 5.0]
-    sequential = [
-        solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3).k for tau in taus
-    ]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent = list(
-            pool.map(lambda tau: solve_shat_series(base_expansion, tau, BASE_L0, base_params, 3).k, taus)
-        )
-    assert concurrent == sequential
+def test_concurrent_solves_match_sequential(base_params):
+    # Each order's kernel is first compiled by one of four threads, switching
+    # every microsecond: the solves have the bits of sequential ones, and the
+    # cache ends with one kernel per order.
+    expansion = build_expansion(base_params, BASE_L0, N_MAX)
+    jobs = [(order, tau) for order in range(N_MAX + 1) for tau in (0.25, 0.5, 1.0, 2.0, 5.0)]
+
+    def solve(job):
+        order, tau = job
+        shat = solve_shat_series(expansion, tau, BASE_L0, base_params, order)
+        return _bits((shat.k, shat.bracket, shat.residuals))
+
+    kernels = sshat.epsseries._reversion_kernel
+    kernels.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(solve, jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert kernels.cache_info().currsize == N_MAX + 1
+    assert concurrent == [solve(job) for job in jobs]
 
 
 if __name__ == "__main__":
