@@ -40,13 +40,18 @@ Both sides are affine in l0: ``L_k = A_k + l0 B_k`` (perturbation) and
 (``_solve_grid``): A_k, B_k, a_j and b_j once per maturity, then the
 reversion elementwise over blocks of pairs.  A scalar solve
 (``solve_shat_series``) takes the same steps for its one pair in Python
-floats from the quadrature's table on, where numpy's per-call cost
-outweighed the arithmetic, with the bits and errors of a grid of that pair.
-Its reversion is one straight-line function per order, generated and
-compiled on first use (``_reversion_kernel``, 0.2 ms at order 3 and 3-5 ms
-at order 16, once per process), since interpreting the loop cost more than
-its multiply-adds.  Only a coefficient that is not finite sends it to the
-grid solve, whose NaNs from inf * 0.0 the float kernel does not form.
+floats from the quadrature's raw node sums on (``perturbation._moments``),
+where numpy's per-call cost outweighed the arithmetic, with the bits and
+errors of a grid of that pair.  Everything after the node sums, the
+division by the signed factorials, the finiteness and underflow checks,
+the reversion and the residuals, is one straight-line function per order,
+generated and compiled on first use (``_reversion_kernel``, about 0.5 ms
+at order 3 and 3.6 ms at order 16, once per process), since interpreting
+loops and list comprehensions cost more than the arithmetic.  Only a
+coefficient that is not finite sends it to the grid solve, whose NaNs from
+inf * 0.0 the float kernel does not form.  ``ShatExpansion.value`` at a
+Python float likewise adds its terms in a compiled function per length
+(``_sum_kernel``, 0.1-0.3 ms each), with ``_partial_sums``' operations.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .params import ModelParams, _require_consol_rate, _require_index, _require_maturity
-from .perturbation import EllExpansion, _quadrature, tau_lbar_terms
+from .perturbation import EllExpansion, _moments, _quadrature, tau_lbar_terms
 
 __all__ = [
     "ShatExpansion",
@@ -92,7 +97,14 @@ def _partial_sums(terms, eps):
 
 
 def _series_sum(terms, eps):
-    """The last partial sum of ``_partial_sums(terms, eps)``: the whole series at ``eps``."""
+    """The last partial sum of ``_partial_sums(terms, eps)``: the whole series at ``eps``.
+
+    ``terms`` is a sequence.  A Python float ``eps`` (not a subclass such as
+    np.float64) runs the compiled ``_sum_kernel`` of its length, with the
+    same operations; every other eps runs the generator.
+    """
+    if type(eps) is float:
+        return _sum_kernel(len(terms))(terms, eps)
     for total in _partial_sums(terms, eps):
         pass
     return total
@@ -109,56 +121,96 @@ _TINY = float(np.finfo(float).tiny)
 
 @functools.cache
 def _reversion_kernel(order: int):
-    """The reversion of one pair up to ``order`` as straight-line Python, compiled once.
+    """The scalar solve of one pair up to ``order`` as straight-line Python, compiled once.
 
-    ``kernel(f, L)`` returns the lists ``(delta, rest)`` with delta_0 = 0.0
-    and, for t = 1..order,
+    ``kernel(sums, x, sigma2, k0, tau)`` takes ``_moments(params, tau,
+    top).tolist()`` with ``top = max(order, 1)``, the pair's l0 ``x``,
+    sigma2 and ``k0 = mu_hat``, and takes ``_solve_grid``'s steps for the
+    one pair in Python floats, each operation the IEEE one of its
+    elementwise numpy counterpart:
 
+        a_j = sums / F_j * sigma2 and b_j = sums / F_j (same for A, B),
+        with F_j = (-1)^j j! an exact literal, as ``_quadrature``;
+        f_j = a_j + x b_j and L_t = A_t + x B_t;
         [delta^j]_t = 0.0 + sum_(i=1..t-j+1) delta_i [delta^(j-1)]_(t-i)   (j = 2..t)
         rest_t = L_t - (0.0 + sum_(j=2..t) f_j [delta^j]_t)
         delta_t = rest_t / f_1,
 
-    in the locals ``p{j}_{t}``, ``r{t}`` and ``d{t}`` (``d`` also for
-    delta^1), rest_0 = L_0 - f_0.  Each sum is one expression added left to
-    right: the leading ``0.0 +`` turns a sum of -0.0 products into 0.0, and
-    CPython folds only constant operands, so no term moves.  ``sum``
-    compensates float sums from Python 3.12 on and ``math.fsum`` rounds
-    once, so neither gives the loop's bits.  The source is built from
-    integers only.
+    in the locals ``a{j}``..``L{t}``, ``p{j}_{t}``, ``r{t}`` and ``d{t}``
+    (``d`` also for delta^1), rest_0 = L_0 - f_0.  It raises
+    ``_quadrature``'s overflow error when a coefficient of the table or of
+    f is not finite, then the grid solve's error when ``|f_1| < _TINY``;
+    each test is one sum of ``(x - x)`` terms, exactly 0.0 unless some x is
+    inf or NaN.  It returns the tuples ``k = (k0, delta_1, ...)`` and
+    ``residuals = |f_1 delta_t - rest_t|`` with ``f_1``, or None when a
+    delta_t is not finite: the block loop's products that the kernel skips,
+    delta_i [delta^(j-1)]_(t-i) with t - i < j - 1, whose power is an exact
+    0.0, add +-0.0 to a sum that is never -0.0 when delta_i is finite, and
+    are NaN otherwise, so the caller then runs the block loop.  Each sum is
+    one expression added left to right: the leading ``0.0 +`` turns a sum
+    of -0.0 products into 0.0, and CPython folds only constant operands, so
+    no term moves.  ``sum`` compensates float sums from Python 3.12 on and
+    ``math.fsum`` rounds once, so neither gives the loop's bits.  The source
+    is built from integers only.
     """
-    lines = ["def kernel(f, L):", "    f1 = f[1]", "    r0 = L[0] - f[0]"]
+    top = max(order, 1)
+
+    def row(name, first=0, last=top):
+        return [f"{name}{j}" for j in range(first, last + 1)]
+
+    def not_finite(names):
+        return " + ".join(f"({x} - {x})" for x in names) + " != 0.0"
+
+    a, A, b, B = (", ".join(row(name)) for name in "aAbB")
+    lines = ["def kernel(sums, x, sigma2, k0, tau):", f"    (({a}), ({A})), (({b}), ({B})) = sums"]
+    for j in range(top + 1):
+        signed = f"{(-1) ** j * math.factorial(j)}.0"
+        lines += [f"    a{j} = a{j} / {signed} * sigma2", f"    A{j} = A{j} / {signed} * sigma2"]
+        lines += [f"    b{j} = b{j} / {signed}", f"    B{j} = B{j} / {signed}", f"    f{j} = a{j} + x * b{j}"]
+    lines += [
+        f"    if {not_finite([x for name in 'aAbBf' for x in row(name)])}:",
+        '        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * tau!r}")',
+        "    if abs(f1) < _TINY:",
+        '        raise NumericalFailure(f"the slope f_1 of F underflowed at tau={tau!r}")',
+    ]
+    lines += [f"    L{t} = A{t} + x * B{t}" for t in range(order + 1)]
+    lines.append("    r0 = L0 - f0")
     for t in range(1, order + 1):
         for j in range(2, t + 1):
             power = "d" if j == 2 else f"p{j - 1}_"
             terms = "".join(f" + d{i} * {power}{t - i}" for i in range(1, t - j + 2))
             lines.append(f"    p{j}_{t} = 0.0{terms}")
-        total = "".join(f" + f[{j}] * p{j}_{t}" for j in range(2, t + 1))
-        lines += [f"    r{t} = L[{t}] - (0.0{total})", f"    d{t} = r{t} / f1"]
-    delta = ", ".join(["0.0"] + [f"d{t}" for t in range(1, order + 1)])
-    rest = ", ".join(f"r{t}" for t in range(order + 1))
-    lines.append(f"    return [{delta}], [{rest}]")
-    namespace = {}
+        total = "".join(f" + f{j} * p{j}_{t}" for j in range(2, t + 1))
+        lines += [f"    r{t} = L{t} - (0.0{total})", f"    d{t} = r{t} / f1"]
+    delta = row("d", 1, order)
+    if delta:
+        lines += [f"    if {not_finite(delta)}:", "        return None"]
+    residuals = ", ".join(f"abs(f1 * {d} - r{t})" for t, d in enumerate(["0.0", *delta]))
+    lines.append(f"    return ({', '.join(['k0', *delta])},), ({residuals},), f1")
+    namespace = {"NumericalFailure": NumericalFailure, "_TINY": _TINY}
     exec(compile("\n".join(lines), f"<reversion kernel, order {order}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _revert_one(order: int, f: list[float], L: list[float]):
-    """The block loop's ``(delta, residuals)`` for one pair, in Python floats, or None.
+@functools.cache
+def _sum_kernel(length: int):
+    """``_partial_sums``' last sum of ``length`` terms at a Python float, as straight-line Python.
 
-    ``f`` and ``L`` are the pair's Taylor coefficients of F and right-hand
-    side terms L_k.  ``_reversion_kernel(order)`` forms delta and rest with
-    each sum added left to right from 0.0, as the block loop's, but skips
-    the products delta_i [delta^(j-1)]_(t-i) with t - i < j - 1, whose power
-    is an exact 0.0: with delta_i finite they add +-0.0 to a sum that is
-    never -0.0, so no bit changes.  A delta_i that is inf or NaN makes them
-    NaN in the block loop, so the result is None unless every coefficient
-    is finite, and the caller then runs the block loop.
+    ``kernel(terms, e)`` unpacks the terms into locals and adds them as
+    ``_partial_sums`` does, ``p = 1.0; t = k0 * p + 0.0; p = p * e;
+    t = k1 * p + t; ...``, with no power past the last term's; compiled on
+    first use per length.
     """
-    delta, rest = _reversion_kernel(order)(f, L)
-    if not all(map(math.isfinite, delta)):
-        return None
-    f1 = f[1]
-    return delta, [abs(f1 * d - r) for d, r in zip(delta, rest)]
+    names = [f"k{n}" for n in range(length)]
+    lines = ["def kernel(terms, e):", f"    [{', '.join(names)}] = terms", "    p = 1.0"]
+    for n, term in enumerate(names):
+        if n:
+            lines.append("    p = p * e")
+        lines.append(f"    t = {term} * p + {'t' if n else '0.0'}")
+    lines.append("    return t")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<series sum, {length} terms>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _solve_grid(params: ModelParams, order: int, l0: np.ndarray, tau: np.ndarray):
@@ -254,9 +306,12 @@ class ShatExpansion:
         increasing powers, so each element has the bits of the float call at
         that element.
         """
-        upto = self.order if order is None else order
-        _require_index(upto, "order", 0, self.order)
-        return _series_sum(self.k[: upto + 1], eps)
+        k = self.k
+        if order is not None or not k:  # an empty k fails as order -1
+            order = self.order if order is None else order
+            _require_index(order, "order", 0, self.order)
+            k = k[: order + 1]
+        return _series_sum(k, eps)
 
 
 def _require_match(expansion: EllExpansion, l0: float, params: ModelParams):
@@ -278,11 +333,11 @@ def solve_shat_series(
     ``l0`` and ``params`` must be the ones ``expansion`` was built from.
     Raises NumericalFailure when the Taylor coefficients of F overflow or
     f_1 underflows below a normal double.  Runs in Python floats from the
-    quadrature's table on, reverting with the order's compiled kernel
-    (``_revert_one``; the first solve at an order in a process compiles it,
-    up to a few ms at order 16), with the bits and errors of ``_solve_grid``
-    at the one pair (l0, tau); where a coefficient is not finite it returns
-    that grid solve's result instead, NaNs included.
+    quadrature's raw node sums on, in the order's compiled kernel
+    (``_reversion_kernel``; the first solve at an order in a process
+    compiles it, up to a few ms at order 16), with the bits and errors of
+    ``_solve_grid`` at the one pair (l0, tau); where a coefficient is not
+    finite it returns that grid solve's result instead, NaNs included.
     """
     _require_match(expansion, l0, params)
     tau = _require_maturity(tau)
@@ -291,20 +346,15 @@ def solve_shat_series(
     # cost more than the few hundred flops of one pair, and each float
     # operation has the bits of its elementwise numpy one.
     k0, x = params.mu_hat, expansion.l0
-    (a, A), (b, B) = _quadrature(params, tau, max(order, 1)).tolist()
-    f = [aj + x * bj for aj, bj in zip(a, b)]
-    if not all(map(math.isfinite, f)):
-        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={k0 * tau!r}")
-    if abs(f[1]) < _TINY:
-        raise NumericalFailure(f"the slope f_1 of F underflowed at tau={tau!r}")
-    one = _revert_one(order, f, [Aj + x * Bj for Aj, Bj in zip(A, B)])
-    if one is None:
+    sums = _moments(params, tau, max(order, 1)).tolist()
+    solved = _reversion_kernel(order)(sums, x, params.sigma2, k0, tau)
+    if solved is None:
         ((_, k, bracket, residuals),) = _solve_grid(params, order, np.array([x]), np.array([tau]))
-        k, bracket, residuals = k[:, 0].tolist(), float(bracket[0]), residuals[:, 0].tolist()
+        k, bracket, residuals = tuple(k[:, 0].tolist()), float(bracket[0]), tuple(residuals[:, 0].tolist())
     else:
-        k, residuals = one
-        k[0], bracket = k0, k0 * k0 * f[1]
-    return ShatExpansion(tau=tau, k=tuple(k), bracket=bracket, residuals=tuple(residuals))
+        k, residuals, f1 = solved
+        bracket = k0 * k0 * f1
+    return ShatExpansion(tau=tau, k=k, bracket=bracket, residuals=residuals)
 
 
 def rhs1_printed(expansion: EllExpansion, tau: float, l0: float, params: ModelParams) -> float:

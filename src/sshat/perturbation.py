@@ -166,6 +166,35 @@ def _powers(params: ModelParams, tau: float, top: int):
     return u, powers
 
 
+def _moments(params: ModelParams, tau: float, top: int) -> np.ndarray:
+    """The raw node sums behind ``_quadrature``'s table, shape (2, 2, top + 1).
+
+    ``sums[part, side, k]`` is the rule's sum for ``(-1)^k k!`` times
+    ``[[a_k / sigma2, A_k / sigma2], [b_k, B_k]]``: ``_quadrature``'s table
+    before its division by the signed factorials and its scaling by sigma2.
+    The scalar series solve's kernel starts from these sums in Python
+    floats (``sshat.epsseries._reversion_kernel``).  Each is one
+    ``np.add.reduce`` (``np.sum``'s bits, with one call less) over the
+    contiguous node axis of one row of the (top + 1, 2, nodes) tables that
+    ``_powers`` lays out, so its bits do not depend on top.  A sum may be
+    inf or NaN; ``_quadrature`` and the scalar solve's kernel check.
+    Raises NumericalFailure when ``exp(-mu_hat v)`` overflows on [0, tau].
+    """
+    mu_hat, m = params.mu_hat, params.m
+    if not -mu_hat * tau <= _EXP_LIMIT:
+        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={mu_hat * tau!r}")
+    rates = -m * np.arange(1.0, top + 1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, powers = _powers(params, tau, top)
+        # The powers times (tau - v, h_k(tau - v)), in their layout.
+        weighted = powers * u
+        weighted[1:, 1] = powers[1:, 1] * (np.expm1(rates * u) / rates)
+        sums = np.empty((2, 2, top + 1))
+        np.add.reduce(weighted, axis=2, out=sums[0].T)
+        np.add.reduce(powers, axis=2, out=sums[1].T)
+    return sums
+
+
 def _quadrature(params: ModelParams, tau: float, top: int) -> np.ndarray:
     """The l0-free parts and l0 slopes of f_0..f_top and L_0..L_top at one maturity.
 
@@ -181,28 +210,20 @@ def _quadrature(params: ModelParams, tau: float, top: int) -> np.ndarray:
 
     and b_j and a_j are the same with m -> 0: g(v) = v and h_j(w) = w.
     Every integrand has one sign, so each coefficient has a small relative
-    error at every order and maturity.  Each is an ``np.sum`` over the
-    contiguous node axis of one row of the (top + 1, 2, nodes) tables that
-    ``_powers`` lays out, so its bits do not depend on top
-    (``test_quadrature_rows_do_not_depend_on_top``).  Raises
-    NumericalFailure when ``exp(-mu_hat v)`` or a coefficient overflows.
+    error at every order and maturity.  The table is ``_moments``'s node
+    sums divided by ``(-1)^k k!``, with the sigma2 part then scaled by
+    sigma2, so its bits do not depend on top either
+    (``test_quadrature_rows_do_not_depend_on_top``).  The scalar series
+    solve takes the same two steps in Python floats on ``_moments``.
+    Raises NumericalFailure when ``exp(-mu_hat v)`` or a coefficient overflows.
     """
-    mu_hat, m = params.mu_hat, params.m
-    if -mu_hat * tau <= _EXP_LIMIT:
-        rates = -m * np.arange(1.0, top + 1)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, powers = _powers(params, tau, top)
-            # The powers times (tau - v, h_k(tau - v)), in their layout.
-            weighted = powers * u
-            weighted[1:, 1] = powers[1:, 1] * (np.expm1(rates * u) / rates)
-            terms = np.empty((2, 2, top + 1))
-            np.sum(weighted, axis=2, out=terms[0].T)
-            np.sum(powers, axis=2, out=terms[1].T)
-            terms /= _SIGNED_FACTORIALS[: top + 1]
-            terms[0] *= params.sigma2
-        if np.isfinite(terms).all():
-            return terms
-    raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={mu_hat * tau!r}")
+    terms = _moments(params, tau, top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms /= _SIGNED_FACTORIALS[: top + 1]
+        terms[0] *= params.sigma2
+    if not np.isfinite(terms).all():
+        raise NumericalFailure(f"Taylor coefficients of F overflowed at k0*tau={params.mu_hat * tau!r}")
+    return terms
 
 
 def _ell_terms(expansion: EllExpansion, t: float) -> np.ndarray:

@@ -8,9 +8,11 @@ does:
 It solves that many seeded configurations (orders 0-16, maturities 1e-4 to
 1e4) with the grid solve at block lengths 1, 2, 7 and 1024, which all run
 the np.einsum block loop, and pair by pair with solve_shat_series, which
-runs the order's generated float kernel, and prints the count of columns
-checked.  It exits 1 when any column differs from the plain-Python
-reversion in any bit, naming the first three.
+runs the order's generated float kernel, and evaluates each scalar solve's
+value, which runs the length's generated sum, at three seeded eps.  It
+prints the count of columns and values checked, and exits 1 when any
+column differs from the plain-Python reversion, or any value from the
+generator sum of _partial_sums, in any bit, naming the first three.
 """
 
 import math
@@ -33,10 +35,10 @@ from sshat import (
     solve_shat_series,
     tau_lbar_terms,
 )
-from sshat.epsseries import _solve_grid
+from sshat.epsseries import ShatExpansion, _partial_sums, _series_sum, _solve_grid
 from sshat.oracle import _phi
 from sshat.params import N_MAX
-from sshat.perturbation import _ell_terms, _quadrature
+from sshat.perturbation import _ell_terms, _moments, _quadrature
 
 from _reference import (
     BASE,
@@ -275,6 +277,50 @@ def test_value_sums_numpy_scalars_in_float64(base_params, order, x):
     assert zero_d == got and not isinstance(zero_d, np.ndarray)
 
 
+def _generator_sum(terms, eps):
+    """The last of ``_partial_sums(terms, eps)``: ``_series_sum`` for every eps but a Python float."""
+    for total in _partial_sums(terms, eps):
+        pass
+    return total
+
+
+def _eps_classes(rng):
+    """Python floats of every class a series sum meets: +-0.0, subnormal, huge, inf, nan and small."""
+    subnormal = 5e-324 * rng.randint(1, 10**6)
+    return [rng.uniform(-0.1, 0.1), 0.0, -0.0, subnormal, -1e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+def _value_bits(x):
+    """The type, dtype, shape and float64 bits of a value, nan sign and payload included."""
+    return type(x), np.asarray(x).dtype, np.shape(x), np.asarray(x, dtype=float).tobytes()
+
+
+def test_value_sums_as_the_generator_at_every_length(base_params):
+    # A Python float eps runs the length's compiled sum, every other eps the
+    # generator: both have the generator's bits and result type at every
+    # length 1-17, by default and at explicit orders, on Python floats,
+    # numpy float64 and float32 scalars, 0-d and 2-d arrays of every class.
+    rng = random.Random(44)
+    expansion = build_expansion(base_params, BASE_L0, N_MAX)
+    for order in range(N_MAX + 1):
+        shat = solve_shat_series(expansion, rng.uniform(0.5, 10.0), BASE_L0, base_params, order)
+        for e in _eps_classes(rng):
+            with np.errstate(all="ignore"):
+                for eps in (e, np.float64(e), np.float32(e), np.array(e), np.array([[e], [-e], [0.5 * e]])):
+                    for upto in (None, *range(order + 1)):
+                        terms = shat.k[: order + 1 if upto is None else upto + 1]
+                        expected = _value_bits(_generator_sum(terms, eps))
+                        assert _value_bits(shat.value(eps, order=upto)) == expected, (order, upto, eps)
+                        assert _value_bits(_series_sum(terms, eps)) == expected
+        for eps in (0, 3, -2, True, False, np.int32(1)):
+            assert _value_bits(shat.value(eps)) == _value_bits(_generator_sum(shat.k, eps))
+    shat = solve_shat_series(expansion, BASE_TAU, BASE_L0, base_params, 3)
+    assert type(shat.value(0.01)) is float and type(shat.value(0.01, order=0)) is float
+    for eps in (np.float64(0.01), np.float32(0.01), np.array(0.01), 1, True):
+        assert type(shat.value(eps)) is np.float64
+    assert shat.value(np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_solve_validation(base_params, base_expansion):
     with pytest.raises(ValueError):
         solve_shat_series(base_expansion, 0.0, BASE_L0, base_params, 3)
@@ -284,10 +330,17 @@ def test_solve_validation(base_params, base_expansion):
 
 def test_orders_beyond_the_expansion_are_rejected(base_params, base_expansion):
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 3)
-    with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 4$"):
-        shat.value(0.01, order=shat.order + 1)
-    with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 1.5$"):
-        shat.value(0.01, order=1.5)
+    for bad, text in ((4, "4"), (-1, "-1"), (1.5, "1.5"), (True, "True"), (np.float64(2.0), "2.0"), ("2", "2")):
+        for eps in (0.01, np.float64(0.01), np.array([0.01])):
+            with pytest.raises(ValueError, match=rf"^order must be in \[0, 3\], got {text}$"):
+                shat.value(eps, order=bad)
+    # value validates order only when it is given; an empty k still fails as order -1.
+    empty = ShatExpansion(tau=BASE_TAU, k=(), bracket=-1.0, residuals=())
+    for eps in (0.01, np.array([0.01])):
+        with pytest.raises(ValueError, match=r"^order must be in \[0, -1\], got -1$"):
+            empty.value(eps)
+        with pytest.raises(ValueError, match=r"^order must be in \[0, -1\], got 0$"):
+            empty.value(eps, order=0)
     with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got 1.5$"):
         solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 1.5)
     with pytest.raises(ValueError, match=r"^order must be in \[0, 3\], got True$"):
@@ -331,15 +384,16 @@ def test_solve_stores_the_validated_maturity(base_params, base_expansion):
 
 
 def test_zero_L1_gives_zero_k1(monkeypatch, base_params, base_expansion):
-    # The solve reads L = A + l0 B from the quadrature, and rhs1_printed
-    # reads it through tau_lbar_terms; zero L_1 in both.
+    # The solve reads L = A + l0 B from the quadrature's node sums, and
+    # rhs1_printed reads it through tau_lbar_terms and _quadrature; zero
+    # sums of A_1 and B_1 in both.
     def zero_L1(params, tau, top):
-        terms = _quadrature(params, tau, top)
-        terms[:, 1, 1] = 0.0
-        return terms
+        sums = _moments(params, tau, top)
+        sums[:, 1, 1] = 0.0
+        return sums
 
-    monkeypatch.setattr(sshat.epsseries, "_quadrature", zero_L1)
-    monkeypatch.setattr(sshat.perturbation, "_quadrature", zero_L1)
+    monkeypatch.setattr(sshat.epsseries, "_moments", zero_L1)
+    monkeypatch.setattr(sshat.perturbation, "_moments", zero_L1)
     assert rhs1_printed(base_expansion, BASE_TAU, BASE_L0, base_params) == 0.0
     shat = solve_shat_series(base_expansion, BASE_TAU, BASE_L0, base_params, 1)
     assert shat.k[1] == 0.0
@@ -409,7 +463,8 @@ def _left_to_right_reversion(order, f, L):
 def _reference_reversion(params, order, l0, tau):
     """k, bracket and residuals of one pair from ``_left_to_right_reversion``.
 
-    The inputs are ``_quadrature``'s values as floats.
+    The inputs are ``_quadrature``'s values as floats: the node sums of
+    ``_moments`` divided and scaled by numpy.
     """
     (a, A), (b, B) = _quadrature(params, tau, max(order, 1)).tolist()
     f = [aj + l0 * bj for aj, bj in zip(a, b)]
@@ -434,15 +489,27 @@ def _scalar_row(params, order, l0, tau):
     return shat.k, shat.bracket, shat.residuals
 
 
+def _value_mismatch(shat, rng):
+    """Whether ``shat.value`` differs in any bit from the generator sum at three seeded eps of ``_eps_classes``."""
+    for eps in rng.sample(_eps_classes(rng), 3):
+        upto = rng.randint(0, shat.order)
+        for order, terms in ((None, shat.k), (upto, shat.k[: upto + 1])):
+            if _value_bits(shat.value(eps, order=order)) != _value_bits(_generator_sum(terms, eps)):
+                return True
+    return False
+
+
 def reversion_mismatches(count, seed, blocks=(1, 2, 7, 1024)):
     """Solve ``count`` seeded configurations and compare each column with ``_reference_reversion``.
 
     Configuration i has order ``i % 17``, 1-3 values of l0 and 1-3 maturities
     log-uniform in [1e-4, 1e4].  Each pair is solved by the grid solve at
     every length in ``blocks`` and by ``solve_shat_series``, whose block is
-    named "scalar".  Returns the columns checked and the ``(i, block, pair)``
-    of every column that differs in any bit.  A configuration that the solve
-    rejects as a NumericalFailure is skipped.
+    named "scalar", and that solve's ``value`` is compared with the
+    generator sum at three seeded eps (``_value_mismatch``), as block
+    "value".  Returns the columns and values checked and the ``(i, block,
+    pair)`` of every one that differs in any bit.  A configuration that the
+    solve rejects as a NumericalFailure is skipped.
     """
     checked, bad = 0, []
     for i in range(count):
@@ -459,9 +526,10 @@ def reversion_mismatches(count, seed, blocks=(1, 2, 7, 1024)):
                 rows = _grid_rows(params, order, l0, tau)
                 bad += [(i, block, p) for p, row in enumerate(rows) if _bits(row) != expected[p]]
                 checked += len(rows)
-            rows = [_scalar_row(params, order, a, t) for a, t in pairs]
-            bad += [(i, "scalar", p) for p, row in enumerate(rows) if _bits(row) != expected[p]]
-            checked += len(rows)
+            solved = [solve_shat_series(build_expansion(params, a, order), t, a, params, order) for a, t in pairs]
+            bad += [(i, "scalar", p) for p, s in enumerate(solved) if _bits((s.k, s.bracket, s.residuals)) != expected[p]]
+            bad += [(i, "value", p) for p, s in enumerate(solved) if _value_mismatch(s, rng)]
+            checked += 2 * len(solved)
         except NumericalFailure:
             continue
         finally:
@@ -492,40 +560,45 @@ def _edge_value(rng):
     return sign * rng.uniform(0.1, 2.0)
 
 
-def test_reversion_kernel_keeps_signed_zeros_and_tiny_values():
-    # Synthetic f and L at every order, with -0.0 in L, subnormals, and
-    # delta_i of opposite signs whose products underflow to -0.0: the
-    # kernel's sums start from 0.0 as the loop's do, so a sum of -0.0
-    # products is 0.0 and L_t = -0.0 gives rest_t = -0.0, bit for bit.
-    # Seeded quadrature inputs never reach these values.
+def test_reversion_kernel_keeps_signed_zeros_and_tiny_values(monkeypatch):
+    # Synthetic node sums at every order, so that f and L hold -0.0,
+    # subnormals, and delta_i of opposite signs whose products underflow to
+    # -0.0: the kernel's sums start from 0.0 as the loop's do, so a sum of
+    # -0.0 products is 0.0 and L_t = -0.0 gives rest_t = -0.0, bit for bit,
+    # and its scaling of the sums is _quadrature's, at a sigma2 of order
+    # one.  The sum of b_1 is 0.0, so f_1 = a_1 is of order one.  Seeded
+    # quadrature inputs never reach these values.
     rng = random.Random(1978)
     checked = 0
+    monkeypatch.setattr(sshat.perturbation, "_moments", lambda params, tau, top: np.array(sums))
     for order in range(N_MAX + 1):
+        kernel = sshat.epsseries._reversion_kernel(order)
         for _ in range(200):
-            f = [_edge_value(rng) for _ in range(max(order, 1) + 1)]
-            f[1] = rng.choice((1.0, -1.0)) * rng.uniform(0.5, 2.0)
-            L = [_edge_value(rng) for _ in range(max(order, 1) + 1)]
-            delta, residuals = _left_to_right_reversion(order, f, L)
-            assert all(map(math.isfinite, delta))
-            got = sshat.epsseries._revert_one(order, f, L)
-            assert [x.hex() for x in (*got[0], *got[1])] == [x.hex() for x in (*delta, *residuals)], (order, f, L)
-            checked += any(math.copysign(1.0, x) < 0 for x in delta if x == 0.0)
+            params = ModelParams(**{**BASE, "sigma2": rng.uniform(0.5, 2.0)})
+            sums = [[[_edge_value(rng) for _ in range(max(order, 1) + 1)] for _ in range(2)] for _ in range(2)]
+            sums[0][0][1], sums[1][0][1] = rng.choice((1.0, -1.0)) * rng.uniform(0.5, 2.0), 0.0
+            expected = _reference_reversion(params, order, 1.0, BASE_TAU)
+            assert all(map(math.isfinite, expected[0]))
+            k, residuals, f1 = kernel(sums, 1.0, params.sigma2, params.mu_hat, BASE_TAU)
+            assert _bits((k, params.mu_hat**2 * f1, residuals)) == _bits(expected), (order, sums)
+            checked += any(math.copysign(1.0, x) < 0 for x in k if x == 0.0)
     assert checked >= 100
 
 
 @pytest.mark.parametrize("order", [3, 8])
 def test_overflowing_one_pair_reversion_falls_back_to_the_block_loop(monkeypatch, base_params, order):
-    # f_j = 1 except f_1 = -1e-300, a normal double, and L_j = 1e300: f is
-    # finite but delta_1 = L_1 / f_1 overflows.  The products that the
-    # scalar solve's float kernel skips are then inf * 0.0 = NaN in the block
-    # loop, and the scalar solve must still have the bits the pair has in a
-    # grid of three, nan and inf included.  Only this non-finite result
-    # sends the scalar solve to the block loop.
+    # Node sums of a_j 1 except 1e-300 at j = 1, of A_j 1e300 and of b_j and
+    # B_j 0.0: f_j = a_j, with f_1 = -3e-304 a normal double, and L_j = A_j,
+    # so f is finite but delta_1 = L_1 / f_1 overflows.  The products that
+    # the scalar solve's float kernel skips are then inf * 0.0 = NaN in the
+    # block loop, and the scalar solve must still have the bits the pair has
+    # in a grid of three, nan and inf included.  Only this non-finite
+    # result sends the scalar solve to the block loop.
     def synthetic(params, tau, top):
-        terms = _quadrature(params, tau, top)
+        sums = _moments(params, tau, top)
         if tau == 2.0:
-            terms[0, 0], terms[0, 0, 1], terms[0, 1], terms[1] = 1.0, -1e-300, 1e300, 0.0
-        return terms
+            sums[0, 0], sums[0, 0, 1], sums[0, 1], sums[1] = 1.0, 1e-300, 1e300, 0.0
+        return sums
 
     grids = []
 
@@ -533,7 +606,8 @@ def test_overflowing_one_pair_reversion_falls_back_to_the_block_loop(monkeypatch
         grids.append(args)
         return _solve_grid(*args)
 
-    monkeypatch.setattr(sshat.epsseries, "_quadrature", synthetic)
+    monkeypatch.setattr(sshat.epsseries, "_moments", synthetic)
+    monkeypatch.setattr(sshat.perturbation, "_moments", synthetic)
     monkeypatch.setattr(sshat.epsseries, "_solve_grid", counted)
     _scalar_row(base_params, order, BASE_L0, 1.0)
     assert not grids
@@ -578,6 +652,60 @@ def test_batched_solve_overflow_matches_scalar_solve():
         next(_solve_grid(params, 3, np.array([BASE_L0, 1e308]), np.array([5.0])))
     assert np.isfinite(_quadrature(params, 5.0, 3)).all()
     assert _one_pair_failure(params, 3, 1e308, 5.0) == "Taylor coefficients of F overflowed at k0*tau=-5.0"
+
+
+def test_solve_errors_from_synthetic_node_sums(monkeypatch, base_params):
+    # Node sums patched into _moments: the scalar solve's kernel raises the
+    # one-pair grid solve's texts in its order.  First a coefficient of the
+    # scaled table that is not finite, at order 0 also in the L_1 row that
+    # the solve does not read; then f = a + l0 b that is not finite from a
+    # finite table; then |f_1| below the smallest normal double.
+    overflow = f"Taylor coefficients of F overflowed at k0*tau={base_params.mu_hat * BASE_TAU!r}"
+    underflow = f"the slope f_1 of F underflowed at tau={BASE_TAU!r}"
+    zero_f1 = {(0, 0, 1): 0.0, (1, 0, 1): 0.0}
+    patched = {}
+
+    def synthetic(params, tau, top):
+        sums = _moments(params, tau, top)
+        for index, value in patched.items():
+            sums[index] = value
+        return sums
+
+    monkeypatch.setattr(sshat.epsseries, "_moments", synthetic)
+    monkeypatch.setattr(sshat.perturbation, "_moments", synthetic)
+    cases = [
+        (0, BASE_L0, {(0, 1, 1): math.inf}, overflow),
+        (0, BASE_L0, {(1, 1, 1): math.nan}, overflow),
+        (3, BASE_L0, {(0, 0, 3): -math.inf}, overflow),
+        (3, BASE_L0, {(0, 1, 2): 1e308}, None),  # sigma2 scales it to a finite A_2
+        (3, BASE_L0, {(0, 1, 2): math.inf, **zero_f1}, overflow),
+        (3, 10.0, {(1, 0, 0): 1e308}, overflow),
+        (3, 10.0, {(1, 0, 0): 1e308, **zero_f1}, overflow),
+        (3, BASE_L0, zero_f1, underflow),
+        (0, BASE_L0, {(0, 0, 1): -5e-324, (1, 0, 1): 0.0}, underflow),
+    ]
+    for order, l0, sums, text in cases:
+        patched.clear()
+        patched.update(sums)
+        if text is None:
+            solve_shat_series(build_expansion(base_params, l0, order), BASE_TAU, l0, base_params, order)
+        else:
+            assert _one_pair_failure(base_params, order, l0, BASE_TAU) == text, (order, l0, sums)
+    # The l0 = 10 cases fail in f alone: their table is finite.
+    patched.clear()
+    patched[1, 0, 0] = 1e308
+    assert np.isfinite(_quadrature(base_params, BASE_TAU, 3)).all()
+
+    # exp(-mu_hat v) overflows on [0, 1000] at k0 = -1: _moments raises
+    # before it lays out a node.
+    def no_nodes(*args):
+        raise RuntimeError("nodes laid out")
+
+    monkeypatch.setattr(sshat.perturbation, "_powers", no_nodes)
+    params = ModelParams(**{**BASE, "mu": -1.0})
+    with pytest.raises(NumericalFailure, match=r"^Taylor coefficients of F overflowed at k0\*tau=-1000\.0$"):
+        _moments(params, 1000.0, 3)
+    assert _one_pair_failure(params, 3, BASE_L0, 1000.0) == "Taylor coefficients of F overflowed at k0*tau=-1000.0"
 
 
 def test_term_tables_are_written_only_when_read(monkeypatch, base_params):
@@ -683,19 +811,21 @@ def test_partial_sums_approach_oracle_monotonically(base_params, base_expansion)
 
 
 def test_concurrent_solves_match_sequential(base_params):
-    # Each order's kernel is first compiled by one of four threads, switching
-    # every microsecond: the solves have the bits of sequential ones, and the
-    # cache ends with one kernel per order.
+    # Each order's solve kernel and each length's sum kernel is first
+    # compiled by one of four threads, switching every microsecond: the
+    # solves and values have the bits of sequential ones, and each cache
+    # ends with one kernel per order.
     expansion = build_expansion(base_params, BASE_L0, N_MAX)
     jobs = [(order, tau) for order in range(N_MAX + 1) for tau in (0.25, 0.5, 1.0, 2.0, 5.0)]
 
     def solve(job):
         order, tau = job
         shat = solve_shat_series(expansion, tau, BASE_L0, base_params, order)
-        return _bits((shat.k, shat.bracket, shat.residuals))
+        return _bits((shat.k, shat.bracket, (*shat.residuals, shat.value(0.03 * tau))))
 
-    kernels = sshat.epsseries._reversion_kernel
-    kernels.cache_clear()
+    caches = (sshat.epsseries._reversion_kernel, sshat.epsseries._sum_kernel)
+    for cache in caches:
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -703,7 +833,7 @@ def test_concurrent_solves_match_sequential(base_params):
             concurrent = list(pool.map(solve, jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert kernels.cache_info().currsize == N_MAX + 1
+    assert [cache.cache_info().currsize for cache in caches] == [N_MAX + 1, N_MAX + 1]
     assert concurrent == [solve(job) for job in jobs]
 
 
@@ -712,5 +842,5 @@ if __name__ == "__main__":
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1978
     checked, bad = reversion_mismatches(count, seed)
     if bad:
-        sys.exit(f"{len(bad)} columns differ from the left-to-right reversion, first (config, block, pair) {bad[:3]}")
-    print(f"{checked} columns of {count} configurations, each equal to the left-to-right reversion")
+        sys.exit(f"{len(bad)} columns or values differ from the references, first (config, block, pair) {bad[:3]}")
+    print(f"{checked} columns and values of {count} configurations, each equal to its reference")
